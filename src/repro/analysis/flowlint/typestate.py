@@ -134,7 +134,7 @@ PROTOCOLS = (
         scope=("net",),
         arms=("connect", "start"),
         releases=("close", "stop"),
-        uses=("send", "drain", "recv", "async_call", "flush"),
+        uses=("send", "flush", "async_call"),
     ),
     # asyncio task create -> cancel/await (net/).  Awaiting the bare
     # task consumes it; wait_for/gather wrappers count as escapes.

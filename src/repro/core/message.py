@@ -270,10 +270,16 @@ class WireFormatError(ValueError):
     """A message failed to encode for, or decode from, the wire."""
 
 
+#: The canonical tail encoder, built once: ``json.dumps`` with any
+#: non-default argument constructs a fresh ``JSONEncoder`` per call.
+_encode_canonical = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False
+).encode
+
+
 def _canonical_json(obj: Any) -> bytes:
     try:
-        text = json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                          ensure_ascii=True, allow_nan=False)
+        text = _encode_canonical(obj)
     except (TypeError, ValueError) as exc:
         raise WireFormatError(
             f"payload is not wire-encodable (JSON-representable): {exc}"

@@ -6,9 +6,10 @@ repository is backend-neutral (:mod:`repro.core.interface`,
 seam — real OS processes talking over TCP streams instead of simulated
 coroutines on a modeled fabric:
 
-- :mod:`~repro.net.framing` — length-prefixed stream framing;
-- :mod:`~repro.net.transport` — client/server stream transports with
-  connect, accept, and bounded reconnect;
+- :mod:`~repro.net.framing` — length-prefixed stream framing over a
+  reusable receive buffer;
+- :mod:`~repro.net.transport` — the framed connection (one asyncio
+  protocol for both ends) with connect, accept, and bounded reconnect;
 - :mod:`~repro.net.procserver` — the asyncio RPC service and client
   (``async_call`` / ``flush`` / ``poll_completions`` / ``sync_call``
   as coroutines), emitting the same :mod:`repro.obs` lifecycle stages
@@ -30,7 +31,7 @@ from .framing import FrameDecoder, FramingError, encode_frame
 from .procserver import ProcRpcClient, ProcRpcServer, ProcServerStats
 from .runner import ProcWorkload, ProcWorkloadResult, run_proc_workload
 from .transport import (
-    ServerConnection,
+    FramedConnection,
     StreamClientTransport,
     StreamServerTransport,
     TransportClosed,
@@ -41,13 +42,13 @@ __all__ = [
     "OffsetEstimator",
     "estimate_offset",
     "FrameDecoder",
+    "FramedConnection",
     "FramingError",
     "ProcRpcClient",
     "ProcRpcServer",
     "ProcServerStats",
     "ProcWorkload",
     "ProcWorkloadResult",
-    "ServerConnection",
     "StreamClientTransport",
     "StreamServerTransport",
     "TransportClosed",

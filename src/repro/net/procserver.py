@@ -46,8 +46,9 @@ from ..obs import Observer
 from ..obs.dist import rpc_trace_id, span_id
 from ..transport.topology import Endpoint
 from .clock import Clock, OffsetEstimator
+from .framing import FramingError
 from .transport import (
-    ServerConnection,
+    FramedConnection,
     StreamClientTransport,
     StreamServerTransport,
     TransportClosed,
@@ -142,7 +143,7 @@ class ProcRpcServer(RpcServiceInterface):
             return self.response_bytes(request, payload)
         return self.response_bytes
 
-    async def _on_frame(self, connection: ServerConnection, body: bytes) -> None:
+    def _on_frame(self, connection: FramedConnection, body: bytes) -> None:
         obs = self.obs
         received = self.clock.now()  # frame arrival, before decode
         try:
@@ -199,8 +200,9 @@ class ProcRpcServer(RpcServiceInterface):
                 f"server.{self.transport_name}", request.rpc_type,
                 dispatched, done, {"client": request.client_id},
             )
+        # Queued, not written: the connection writes every response of
+        # this read in one call when the read's last frame is handled.
         connection.send(encode_response(response))
-        await connection.drain()
         self.stats.completed += 1
 
     @property
@@ -218,11 +220,11 @@ class ProcRpcClient(RpcCallerInterface):
         await client.flush()
         (response,) = await client.poll_completions([handle])
 
-    One background task owns the receive side: it decodes response
-    frames, resolves the matching handle's future, and — when the server
-    connection breaks with requests still in flight — drives the bounded
-    reconnect-and-repost recovery path (the proc analogue of the sim
-    client's watchdog reconnect).
+    There is no receive task: the connection calls :meth:`_on_frame`
+    for every response frame, which decodes it and resolves the matching
+    handle's future on the spot.  When the server connection breaks,
+    :meth:`_on_lost` starts the bounded reconnect-and-repost recovery
+    (the proc analogue of the sim client's watchdog reconnect) as a task.
     """
 
     def __init__(
@@ -239,7 +241,8 @@ class ProcRpcClient(RpcCallerInterface):
         self.obs = obs
         self.clock = clock or Clock()
         self.transport = StreamClientTransport(
-            endpoint, max_attempts=max_attempts, backoff_s=backoff_s
+            endpoint, self._on_frame, self._on_lost,
+            max_attempts=max_attempts, backoff_s=backoff_s,
         )
         #: Four-timestamp clock-sync samples against the server (fed by
         #: traced responses); its summary goes into the shard meta so the
@@ -250,7 +253,7 @@ class ProcRpcClient(RpcCallerInterface):
         )
         self.completed = 0
         self._outstanding: dict[int, CallHandle] = {}
-        self._recv_task: Optional[asyncio.Task] = None
+        self._recovery: Optional[asyncio.Task] = None
         self._closing = False
         #: Per-transport failover hook (the proc analogue of the sim
         #: client's ``failover_fn``): called with this client when the
@@ -270,36 +273,18 @@ class ProcRpcClient(RpcCallerInterface):
     # -- lifecycle ---------------------------------------------------------
 
     async def connect(self) -> None:
-        """Dial the server and start the receive loop."""
+        """Dial the server."""
         await self.transport.connect()
-        self._recv_task = asyncio.ensure_future(self._recv_loop())
-        self._recv_task.add_done_callback(self._on_recv_done)
-
-    def _on_recv_done(self, task: "asyncio.Task") -> None:
-        """The receive loop died: if it was an unexpected crash (e.g. a
-        :class:`FramingError` on a corrupt length prefix), fail every
-        outstanding handle *now* — without this, callers blocked in
-        ``poll_completions`` hang forever on futures nobody will ever
-        resolve, and the crash itself is swallowed until ``close()``."""
-        if task.cancelled():
-            return
-        exc = task.exception()
-        if exc is None or isinstance(exc, TransportClosed):
-            return  # clean exit, or _recover already failed the handles
-        outstanding, self._outstanding = self._outstanding, {}
-        for handle in outstanding.values():
-            if not handle.event.done():
-                handle.event.set_exception(exc)
 
     async def close(self) -> None:
         self._closing = True
-        if self._recv_task is not None:
-            self._recv_task.cancel()
+        recovery, self._recovery = self._recovery, None
+        if recovery is not None and not recovery.done():
+            recovery.cancel()
             try:
-                await self._recv_task
-            except (asyncio.CancelledError, TransportClosed):
+                await recovery
+            except asyncio.CancelledError:
                 pass
-            self._recv_task = None
         await self.transport.close()
 
     # -- the RPC API (coroutines) ------------------------------------------
@@ -344,17 +329,25 @@ class ProcRpcClient(RpcCallerInterface):
         return handle
 
     async def flush(self) -> None:
-        """Push everything posted out to the kernel."""
+        """Push everything posted out to the kernel, in one write."""
         try:
-            await self.transport.drain()
+            await self.transport.flush()
         except TransportClosed:
             if not self._recovery_pending():
                 raise
-            # Mid-reconnect: _recover drains after it reposts.
+            # Mid-reconnect: _recover flushes after it reposts.
 
     async def poll_completions(self, handles: list[CallHandle]) -> list[RpcResponse]:
         """Wait for all ``handles``; returns the responses in order."""
-        return list(await asyncio.gather(*(h.event for h in handles)))
+        try:
+            return [await handle.event for handle in handles]
+        except BaseException:
+            # One failure is raised; mark the others retrieved, or every
+            # sibling failed with it logs "exception was never retrieved".
+            for handle in handles:
+                if handle.event.done() and not handle.event.cancelled():
+                    handle.event.exception()
+            raise
 
     async def sync_call(
         self, rpc_type: str, payload: Any = None, data_bytes: int = 32
@@ -367,55 +360,69 @@ class ProcRpcClient(RpcCallerInterface):
 
     # -- receive / recovery ------------------------------------------------
 
-    async def _recv_loop(self) -> None:
-        while True:
-            # An idle client legitimately waits forever here; a dead peer
-            # surfaces as EOF/ConnectionError (recv returns None) and
-            # drives the bounded _recover path below, so the await is
-            # not unbounded in the failure case.
-            body = await self.transport.recv()  # flowlint: ignore[await-no-timeout]
-            if body is None:
-                if self._closing:
-                    return
-                if not await self._recover():
-                    return
-                continue
-            received = self.clock.now()  # frame arrival, before decode
-            try:
-                response = decode_response(body)
-            except WireFormatError:
-                continue  # drop the frame; matching request will repost on reconnect
-            handle = self._outstanding.pop(response.req_id, None)
-            if handle is None:
-                continue
-            handle.response = response
-            handle.completed_ns = self.clock.now()
+    def _on_frame(self, _connection: FramedConnection, body: bytes) -> None:
+        received = self.clock.now()  # frame arrival, before decode
+        try:
+            response = decode_response(body)
+        except WireFormatError:
+            return  # drop the frame; matching request will repost on reconnect
+        handle = self._outstanding.pop(response.req_id, None)
+        if handle is None:
+            return
+        handle.response = response
+        handle.completed_ns = self.clock.now()
+        if not handle.event.done():
+            handle.event.set_result(response)
+        self.completed += 1
+        trace = response.trace
+        if trace is not None and trace.has_ts:
+            # The full NTP four-timestamp exchange: (post, dispatch,
+            # done, complete), the middle pair in the server's clock.
+            self.offset_estimator.add_sample(
+                handle.posted_ns, trace.ts_a, trace.ts_b,
+                handle.completed_ns,
+            )
+        if self.obs is not None:
+            self.obs.rpc_stage(response.req_id, "resp_rx", received)
+            self.obs.rpc_stage(
+                response.req_id, "complete", handle.completed_ns
+            )
+            if self._rtt_hist is not None:
+                self._rtt_hist.record(
+                    handle.completed_ns - handle.posted_ns
+                )
+
+    def _on_lost(self, connection: FramedConnection, exc: Optional[Exception]) -> None:
+        """The connection is gone.  A broken stream (``FramingError`` on
+        a corrupt length prefix) fails every outstanding handle *now*;
+        anything else — EOF, a socket error — starts recovery."""
+        if self._closing or connection is not self.transport.connection:
+            return  # our own close(), or a connection already replaced
+        if isinstance(exc, FramingError):
+            self._fail_outstanding(exc)
+        elif not self._recovery_pending():
+            self._recovery = asyncio.ensure_future(self._recover())
+            self._recovery.add_done_callback(self._on_recovery_done)
+
+    def _on_recovery_done(self, task: "asyncio.Task") -> None:
+        """Recovery fails the handles itself when it is exhausted; if it
+        *crashed* instead, fail them here — without this, callers blocked
+        in ``poll_completions`` hang forever on futures nobody will ever
+        resolve, and the crash itself is swallowed until ``close()``."""
+        if not task.cancelled() and task.exception() is not None:
+            self._fail_outstanding(task.exception())
+
+    def _fail_outstanding(self, exc: BaseException) -> None:
+        outstanding, self._outstanding = self._outstanding, {}
+        for handle in outstanding.values():
             if not handle.event.done():
-                handle.event.set_result(response)
-            self.completed += 1
-            trace = response.trace
-            if trace is not None and trace.has_ts:
-                # The full NTP four-timestamp exchange: (post, dispatch,
-                # done, complete), the middle pair in the server's clock.
-                self.offset_estimator.add_sample(
-                    handle.posted_ns, trace.ts_a, trace.ts_b,
-                    handle.completed_ns,
-                )
-            if self.obs is not None:
-                self.obs.rpc_stage(response.req_id, "resp_rx", received)
-                self.obs.rpc_stage(
-                    response.req_id, "complete", handle.completed_ns
-                )
-                if self._rtt_hist is not None:
-                    self._rtt_hist.record(
-                        handle.completed_ns - handle.posted_ns
-                    )
+                handle.event.set_exception(exc)
 
     def _recovery_pending(self) -> bool:
-        """Is the receive loop alive to finish a reconnect?  While it is,
+        """Is a recovery task alive to finish a reconnect?  While it is,
         a post that finds the transport down may simply stay registered:
         recovery either reposts it or fails its handle explicitly."""
-        return self._recv_task is not None and not self._recv_task.done()
+        return self._recovery is not None and not self._recovery.done()
 
     def _consult_failover(self) -> None:
         """Ask the failover hook where to dial; retarget the transport
@@ -434,10 +441,10 @@ class ProcRpcClient(RpcCallerInterface):
             for req_id in sorted(self._outstanding):
                 self.obs.rpc_stage(req_id, "failover", now)
 
-    async def _recover(self) -> bool:
+    async def _recover(self) -> None:
         """The connection broke: reconnect (bounded) and repost what was
-        in flight.  Returns False when recovery is exhausted — every
-        outstanding handle is failed with :exc:`TransportClosed`.
+        in flight.  When recovery is exhausted, every outstanding handle
+        is failed with :exc:`TransportClosed`.
 
         With a ``failover_fn`` installed the hook is consulted before
         each reconnect cycle, and a second cycle is granted after an
@@ -453,12 +460,10 @@ class ProcRpcClient(RpcCallerInterface):
             except TransportClosed as exc:
                 exhausted = exc
                 continue
+            # No await from here on: the new connection's own loss
+            # must find this task finished, so it starts the next one.
             for handle in self._outstanding.values():
                 self.transport.send(encode_request(handle.request))
-            await self.transport.drain()
-            return True
-        for handle in self._outstanding.values():
-            if not handle.event.done():
-                handle.event.set_exception(exhausted)
-        self._outstanding.clear()
-        return False
+            self.transport.connection.flush()
+            return
+        self._fail_outstanding(exhausted)

@@ -150,9 +150,10 @@ def _worker_env() -> dict:
     return env
 
 
-async def _read_json_line(stream: asyncio.StreamReader, what: str) -> dict:
+async def _read_json_line(worker: asyncio.subprocess.Process, what: str) -> dict:
+    """The next JSON line on the worker's stdout (its control channel)."""
     while True:
-        line = await stream.readline()
+        line = await worker.stdout.readline()
         if not line:
             raise RuntimeError(f"worker exited before reporting {what}")
         line = line.strip()
@@ -184,7 +185,7 @@ async def _run(workload: ProcWorkload) -> ProcWorkloadResult:
             *no_obs,
         ])
         procs.append(server)
-        ready = await _read_json_line(server.stdout, "readiness")
+        ready = await _read_json_line(server, "readiness")
         port = ready["ready"]["port"]
 
         clients = []
@@ -204,14 +205,14 @@ async def _run(workload: ProcWorkload) -> ProcWorkloadResult:
 
         client_results = []
         for client in clients:
-            report = await _read_json_line(client.stdout, "a client result")
+            report = await _read_json_line(client, "a client result")
             client_results.append(report["result"])
             await client.wait()
 
         server.stdin.write(b"STOP\n")
         await server.stdin.drain()
         server.stdin.close()
-        report = await _read_json_line(server.stdout, "the server result")
+        report = await _read_json_line(server, "the server result")
         await server.wait()
         return ProcWorkloadResult(
             workload=workload, server=report["result"], clients=client_results

@@ -1,16 +1,21 @@
-"""Asyncio stream transports: connect, accept, reconnect.
+"""Asyncio framed transports: connect, accept, reconnect.
 
 The connection/control plane of the real-process backend, kept separate
 from RPC semantics (Swift's argument in PAPERS.md: setup and teardown
 deserve first-class treatment, not hidden constructor side effects).
 
+- :class:`FramedConnection` — one TCP connection, either end, as an
+  ``asyncio.BufferedProtocol``: the socket receives straight into the
+  :class:`~repro.net.framing.FrameDecoder`'s reusable buffer, every
+  complete frame goes to a *synchronous* callback, and everything the
+  callbacks (or a caller) :meth:`~FramedConnection.send` is written out
+  in one ``transport.write``.
 - :class:`StreamClientTransport` — one outgoing connection with explicit
-  :meth:`connect`, bounded-retry :meth:`reconnect` (exponential backoff),
-  and frame-level :meth:`send` / :meth:`recv`.
-- :class:`StreamServerTransport` — a listener with an accept loop; every
-  inbound frame is handed to an async callback together with the
-  :class:`ServerConnection` it arrived on (which is how responses go
-  back).
+  :meth:`connect` and bounded-retry :meth:`reconnect` (exponential
+  backoff).
+- :class:`StreamServerTransport` — a listener; every inbound frame is
+  handed to the callback together with the connection it arrived on
+  (which is how responses go back).
 
 Both ends speak :mod:`repro.net.framing`; what the frames *mean* is the
 next layer up (:mod:`repro.net.procserver`).
@@ -19,15 +24,15 @@ next layer up (:mod:`repro.net.procserver`).
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable, Optional
+from typing import Callable, Optional
 
 from ..transport.topology import Endpoint
-from .framing import LENGTH_PREFIX_BYTES, MAX_FRAME_BYTES, FramingError, encode_frame
+from .framing import FrameDecoder, FramingError, encode_frame
 
 __all__ = [
     "TransportClosed",
+    "FramedConnection",
     "StreamClientTransport",
-    "ServerConnection",
     "StreamServerTransport",
 ]
 
@@ -36,25 +41,128 @@ class TransportClosed(ConnectionError):
     """The peer went away and (for clients) reconnection was exhausted."""
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """Read one length-prefixed frame; ``None`` on clean EOF.
+#: Synchronous callback invoked per inbound frame: (connection, frame body).
+FrameHandler = Callable[["FramedConnection", bytes], None]
+#: Invoked once when a connection is gone: (connection, reason) — None for
+#: EOF or a local close, else the socket error or :class:`FramingError`.
+LostHandler = Callable[["FramedConnection", Optional[Exception]], None]
 
-    Both reads below deliberately carry no timeout: an idle connection
-    waits here indefinitely by design, and a dead peer resolves the
-    await with EOF/ConnectionError, which callers turn into reconnect
-    (client) or connection teardown (server).
+
+class FramedConnection(asyncio.BufferedProtocol):
+    """One framed TCP connection, as either end sees it.
+
+    Frames queued with :meth:`send` leave in one ``transport.write``: at
+    the end of the read that produced them (a server answering a batch),
+    on an explicit :meth:`flush` (a client posting one), or else from a
+    single ``call_soon`` flush in the same loop turn.
     """
-    try:
-        prefix = await reader.readexactly(LENGTH_PREFIX_BYTES)  # flowlint: ignore[await-no-timeout]
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    length = int.from_bytes(prefix, "big")
-    if length > MAX_FRAME_BYTES:
-        raise FramingError(f"frame length {length} exceeds limit {MAX_FRAME_BYTES}")
-    try:
-        return await reader.readexactly(length)  # flowlint: ignore[await-no-timeout]
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
+
+    def __init__(self, on_frame: FrameHandler, on_lost: LostHandler, *,
+                 throttle_reads: bool = False):
+        self._on_frame = on_frame
+        self._on_lost = on_lost
+        #: The accepting end stops *reading* while its writes are paused
+        #: (every frame read queues one to write, so a peer that does not
+        #: read would grow this process without bound).  The dialling end
+        #: keeps reading — two paused peers would deadlock — and its
+        #: writers wait in :meth:`flush` instead.
+        self._throttle_reads = throttle_reads
+        self._loop = asyncio.get_running_loop()
+        self._decoder = FrameDecoder()
+        self._transport: Optional[asyncio.Transport] = None
+        #: True from connection_made until a close starts or the peer is lost.
+        self.is_open = False
+        self._queued: list[bytes] = []
+        self._flush_due = False  # one is coming: this read's end, or call_soon
+        self._resumed: Optional[asyncio.Future] = None
+        self._error: Optional[Exception] = None
+        #: Resolved once the connection is fully gone.
+        self.closed: asyncio.Future = self._loop.create_future()
+
+    # -- asyncio protocol callbacks ----------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+        if self.closed.done():  # close() came first: hang up
+            transport.close()
+        else:
+            self.is_open = True
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._decoder.writable()
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._flush_due = True  # what the callbacks send leaves below
+        try:
+            self._decoder.commit(nbytes, self._deliver)
+        except FramingError as exc:
+            # A hostile or corrupt length prefix: the stream can never
+            # be re-framed, so this connection (only) is dropped.
+            self._error = exc
+            self.is_open = False
+            self._transport.abort()
+        self._due_flush()
+
+    def _deliver(self, body: bytes) -> None:
+        if self.is_open:  # a callback may have closed us mid-batch
+            self._on_frame(self, body)
+
+    def pause_writing(self) -> None:
+        self._resumed = self._loop.create_future()
+        if self._throttle_reads:
+            self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        resumed, self._resumed = self._resumed, None
+        if resumed is not None and not resumed.done():
+            resumed.set_result(None)
+        if self._throttle_reads:
+            self._transport.resume_reading()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.is_open = False
+        self.resume_writing()  # a dead connection must not strand writers
+        if not self.closed.done():
+            self.closed.set_result(None)
+        self._on_lost(self, exc or self._error)
+
+    # -- the API the layers above use --------------------------------------
+
+    def send(self, body: bytes) -> None:
+        """Queue one frame (see the class docstring for when it leaves)."""
+        if not self.is_open:
+            raise TransportClosed("connection is closed")
+        self._queued.append(encode_frame(body))
+        if not self._flush_due:
+            self._flush_due = True
+            self._loop.call_soon(self._due_flush)
+
+    def _due_flush(self) -> None:
+        self._flush_due = False
+        self.flush()
+
+    def flush(self) -> Optional[asyncio.Future]:
+        """Write everything queued in one call.  Returns None, or — while
+        the transport has asked writers to pause — the future to wait on
+        (through ``asyncio.shield``: every waiter shares it)."""
+        queued = self._queued
+        if queued and self.is_open:
+            self._queued = []
+            self._transport.write(b"".join(queued))
+        return self._resumed
+
+    def close(self) -> asyncio.Future:
+        """Start a graceful close (queued frames are written first);
+        returns the awaitable :attr:`closed`."""
+        if self.is_open:
+            self.flush()
+            self.is_open = False
+            self._transport.close()
+        elif self._transport is None and not self.closed.done():
+            # Accepted but not yet given its transport: nothing to wait
+            # for, and connection_made hangs up when it arrives.
+            self.closed.set_result(None)
+        return self.closed
 
 
 class StreamClientTransport:
@@ -63,6 +171,8 @@ class StreamClientTransport:
     def __init__(
         self,
         endpoint: Endpoint,
+        on_frame: FrameHandler,
+        on_lost: LostHandler,
         *,
         max_attempts: int = 5,
         backoff_s: float = 0.05,
@@ -71,31 +181,37 @@ class StreamClientTransport:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.endpoint = endpoint
+        self.on_frame = on_frame
+        self.on_lost = on_lost
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
         self.connect_timeout_s = connect_timeout_s
-        self.connects = 0
         self.reconnects = 0
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-
-    @property
-    def connected(self) -> bool:
-        return self._writer is not None
+        #: The live connection; ``on_lost`` callers compare against it to
+        #: tell the current connection's loss from a replaced one's.
+        self.connection: Optional[FramedConnection] = None
 
     async def connect(self) -> None:
         """Establish the connection, retrying with exponential backoff."""
+        loop = asyncio.get_running_loop()
         last: Optional[Exception] = None
         for attempt in range(self.max_attempts):
             try:
                 # A peer that accepts the SYN but never completes the
                 # handshake would otherwise stall this attempt forever;
                 # the timeout folds into the ordinary retry/backoff path.
-                self._reader, self._writer = await asyncio.wait_for(
-                    asyncio.open_connection(self.endpoint.host, self.endpoint.port),
+                _, connection = await asyncio.wait_for(
+                    loop.create_connection(
+                        lambda: FramedConnection(self.on_frame, self.on_lost),
+                        self.endpoint.host, self.endpoint.port,
+                    ),
                     timeout=self.connect_timeout_s,
                 )
-                self.connects += 1
+                if not connection.is_open:
+                    # Lost again before this task resumed; on_lost could
+                    # not yet recognise it as ours, so retry from here.
+                    raise ConnectionResetError("closed during connect")
+                self.connection = connection
                 return
             except (OSError, asyncio.TimeoutError) as exc:
                 last = exc
@@ -112,113 +228,72 @@ class StreamClientTransport:
         self.reconnects += 1
 
     def send(self, body: bytes) -> None:
-        """Queue one frame on the socket (pair with :meth:`drain`)."""
-        if self._writer is None:
+        """Queue one frame (pair with :meth:`flush`)."""
+        if self.connection is None:
             raise TransportClosed(f"not connected to {self.endpoint}")
-        self._writer.write(encode_frame(body))
+        self.connection.send(body)
 
-    async def drain(self) -> None:
-        """Flush queued frames to the kernel."""
-        if self._writer is None:
+    async def flush(self) -> None:
+        """Write queued frames to the kernel in one call; waits only
+        while the transport has paused writers."""
+        if self.connection is None or not self.connection.is_open:
             raise TransportClosed(f"not connected to {self.endpoint}")
-        await self._writer.drain()
-
-    async def recv(self) -> Optional[bytes]:
-        """Next frame from the peer; ``None`` when the peer closed."""
-        if self._reader is None:
-            raise TransportClosed(f"not connected to {self.endpoint}")
-        return await _read_frame(self._reader)
+        paused = self.connection.flush()
+        if paused is not None:
+            await asyncio.shield(paused)
 
     async def close(self) -> None:
-        writer, self._reader, self._writer = self._writer, None, None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-
-class ServerConnection:
-    """One accepted connection, as seen by the frame callback."""
-
-    _ids = 0
-
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        ServerConnection._ids += 1
-        self.conn_id = ServerConnection._ids
-        self._reader = reader
-        self._writer = writer
-
-    @property
-    def peer(self) -> str:
-        info = self._writer.get_extra_info("peername")
-        return f"{info[0]}:{info[1]}" if info else "?"
-
-    def send(self, body: bytes) -> None:
-        self._writer.write(encode_frame(body))
-
-    async def drain(self) -> None:
-        await self._writer.drain()
-
-    async def close(self) -> None:
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-
-#: Async callback invoked per inbound frame: (connection, frame body).
-FrameHandler = Callable[[ServerConnection, bytes], Awaitable[None]]
+        connection, self.connection = self.connection, None
+        if connection is not None:
+            await connection.close()
 
 
 class StreamServerTransport:
-    """A framed listener: accept loop plus per-connection read loops."""
+    """A framed listener: every accepted connection is a
+    :class:`FramedConnection` feeding one frame callback."""
 
     def __init__(self, endpoint: Endpoint, on_frame: FrameHandler):
         self.endpoint = endpoint
         self.on_frame = on_frame
         self.accepted = 0
+        self._stopped = False
         self._server: Optional[asyncio.base_events.Server] = None
-        # Keyed by conn_id: dicts keep insertion order, so shutdown walks
-        # connections oldest-first instead of in set hash order.
-        self._connections: dict[int, ServerConnection] = {}
+        # A dict, not a set: insertion order, so shutdown walks
+        # connections oldest-first instead of in hash order.
+        self._connections: dict[FramedConnection, None] = {}
 
     async def start(self) -> Endpoint:
         """Open the listener; returns the *bound* endpoint (resolving an
         ephemeral port 0 to the OS-assigned one)."""
-        self._server = await asyncio.start_server(
-            self._serve, self.endpoint.host, self.endpoint.port
+        self._server = await asyncio.get_running_loop().create_server(
+            self._accept, self.endpoint.host, self.endpoint.port
         )
         host, port = self._server.sockets[0].getsockname()[:2]
         self.endpoint = Endpoint(host, port)
         return self.endpoint
 
-    async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        connection = ServerConnection(reader, writer)
-        self.accepted += 1
-        self._connections[connection.conn_id] = connection
-        try:
-            while True:
-                body = await _read_frame(reader)
-                if body is None:
-                    break
-                await self.on_frame(connection, body)
-        except (ConnectionError, FramingError):
-            pass  # a broken peer must not take the accept loop down
-        finally:
-            self._connections.pop(connection.conn_id, None)
-            await connection.close()
+    def _accept(self) -> FramedConnection:
+        connection = FramedConnection(self.on_frame, self._forget, throttle_reads=True)
+        if self._stopped:
+            connection.close()  # the kernel took it before stop(): hang up
+        else:
+            self.accepted += 1
+            self._connections[connection] = None
+        return connection
+
+    def _forget(self, connection: FramedConnection, _exc: Optional[Exception]) -> None:
+        self._connections.pop(connection, None)
 
     async def stop(self) -> None:
         """Close the listener and every live connection."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Swap before the close awaits: _serve's finally-pop must not
-        # race a stale clear() of the live dict (flowlint: yield-race).
-        connections, self._connections = self._connections, {}
-        for connection in connections.values():
+        self._stopped = True
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        # Connections before wait_closed(): from Python 3.12 on it waits
+        # for every accepted connection, so the other order never
+        # returns while a client is still connected.
+        for connection in list(self._connections):
             await connection.close()
+        if server is not None:
+            await server.wait_closed()

@@ -6,16 +6,29 @@ scenario with ``asyncio.run`` directly.
 """
 
 import asyncio
+import socket
+import struct
 
 import pytest
 
-from repro.core.message import RpcResponse, decode_request, encode_response
+from repro.core.message import (
+    RpcRequest,
+    RpcResponse,
+    decode_request,
+    decode_response,
+    encode_request,
+    encode_response,
+)
 from repro.net import (
+    FrameDecoder,
+    FramingError,
     ProcRpcClient,
     ProcRpcServer,
     StreamServerTransport,
     TransportClosed,
+    encode_frame,
 )
+from repro.net.framing import MAX_FRAME_BYTES
 from repro.obs import Observer
 from repro.transport import (
     BACKENDS,
@@ -142,17 +155,16 @@ class TestReconnectRecovery:
         # serves normally.  The client must reconnect and repost.
         seen = []
 
-        async def flaky(connection, body):
+        def flaky(connection, body):
             request = decode_request(body)
             seen.append(request.req_id)
             if len(seen) == 1:
-                await connection.close()
+                connection.close()  # starts the close; nothing to await here
                 return
             connection.send(encode_response(RpcResponse(
                 req_id=request.req_id, client_id=request.client_id,
                 payload="recovered",
             )))
-            await connection.drain()
 
         async def scenario():
             listener = StreamServerTransport(LOOPBACK, flaky)
@@ -187,6 +199,267 @@ class TestReconnectRecovery:
             return client.outstanding
 
         assert asyncio.run(scenario()) == 0
+
+
+    def test_stop_returns_while_a_client_is_still_connected(self):
+        # Python >= 3.12's Server.wait_closed() waits for every accepted
+        # connection: stop() must close those first or it never returns.
+        async def scenario():
+            server = ProcRpcServer(LOOPBACK, _echo)
+            await server.start()
+            client = ProcRpcClient(server.endpoint, max_attempts=1, backoff_s=0.01)
+            await client.connect()
+            await client.sync_call("echo", payload="x")
+            await asyncio.wait_for(server.stop(), 5)
+            await asyncio.wait_for(client.close(), 5)
+
+        asyncio.run(scenario())
+
+    def test_stop_hangs_up_on_accepts_it_races(self):
+        # The kernel completes handshakes ahead of the loop, so stop()
+        # can meet a connection asyncio has accepted (protocol built)
+        # but not yet given its transport, or see one accepted after it.
+        class Transport:
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        async def scenario():
+            listener = StreamServerTransport(LOOPBACK, lambda connection, body: None)
+            await listener.start()
+            early = listener._accept()  # what asyncio calls per accept
+            await asyncio.wait_for(listener.stop(), 5)  # nothing to wait for
+            late = listener._accept()
+            transports = Transport(), Transport()
+            early.connection_made(transports[0])
+            late.connection_made(transports[1])
+            return [t.closed for t in transports], early.is_open, late.is_open
+
+        assert asyncio.run(scenario()) == ([True, True], False, False)
+
+    def test_corrupt_stream_fails_outstanding_calls_at_once(self):
+        # A server whose bytes stop being frames: nothing can re-frame
+        # the stream, so the pending call fails now — no reconnect.
+        def garbage(connection, body):
+            connection._transport.write(struct.pack("!I", MAX_FRAME_BYTES + 1))
+
+        async def scenario():
+            listener = StreamServerTransport(LOOPBACK, garbage)
+            endpoint = await listener.start()
+            client = ProcRpcClient(endpoint, backoff_s=0.01)
+            await client.connect()
+            try:
+                with pytest.raises(FramingError):
+                    await asyncio.wait_for(client.sync_call("echo", payload="x"), 5)
+            finally:
+                await client.close()
+                await listener.stop()
+            return client.outstanding, client.reconnects
+
+        assert asyncio.run(scenario()) == (0, 0)
+
+
+def _count_writes(connection) -> list:
+    """Wrap the asyncio transport's ``write`` under ``connection``; the
+    returned list grows by one length per call."""
+    sizes: list = []
+    transport = connection._transport
+    write = transport.write
+
+    def counted(data):
+        sizes.append(len(data))
+        write(data)
+
+    transport.write = counted
+    return sizes
+
+
+def _server_connection(server: ProcRpcServer):
+    (connection,) = server._listener._connections
+    return connection
+
+
+class TestDataPath:
+    """The event-driven path: one write per batch, flush on demand or per
+    loop turn, frames larger than the receive buffer, backpressure."""
+
+    def test_a_batch_is_one_write_each_way(self):
+        async def scenario():
+            server = ProcRpcServer(LOOPBACK, _echo)
+            await server.start()
+            client = server.connect()
+            await client.connect()
+            await client.sync_call("echo", payload="warm")  # connection is up
+            sent = _count_writes(client.transport.connection)
+            answered = _count_writes(_server_connection(server))
+            handles = [
+                await client.async_call("echo", payload=i) for i in range(16)
+            ]
+            await client.flush()
+            responses = await asyncio.wait_for(client.poll_completions(handles), 5)
+            await client.close()
+            await server.stop()
+            return responses, sent, answered
+
+        responses, sent, answered = asyncio.run(scenario())
+        assert [r.payload for r in responses] == list(range(16))
+        assert len(sent) == 1  # 16 request frames, one transport.write
+        assert len(answered) == 1  # read together, answered together
+
+    def test_posts_without_flush_still_complete(self):
+        async def scenario():
+            server = ProcRpcServer(LOOPBACK, _echo)
+            await server.start()
+            client = server.connect()
+            await client.connect()
+            sent = _count_writes(client.transport.connection)
+            handles = [
+                await client.async_call("echo", payload=i) for i in range(5)
+            ]
+            responses = await asyncio.wait_for(client.poll_completions(handles), 5)
+            await client.close()
+            await server.stop()
+            return responses, sent
+
+        responses, sent = asyncio.run(scenario())
+        assert [r.payload for r in responses] == list(range(5))
+        assert len(sent) == 1  # the loop turn's single deferred flush
+
+    @pytest.mark.parametrize("size", [70_000, 300_000, 1_000_000])
+    def test_payloads_larger_than_the_receive_buffer_round_trip(self, size):
+        async def scenario():
+            server = ProcRpcServer(LOOPBACK, _echo)
+            await server.start()
+            client = server.connect()
+            await client.connect()
+            payload = "p" * size
+            big = await asyncio.wait_for(client.sync_call("echo", payload=payload), 10)
+            small = await asyncio.wait_for(client.sync_call("echo", payload="after"), 10)
+            reconnects = client.reconnects
+            await client.close()
+            await server.stop()
+            return big.payload == payload, small.payload, reconnects, server.stats
+
+        intact, after, reconnects, stats = asyncio.run(scenario())
+        assert intact and after == "after"
+        assert reconnects == 0 and stats.completed == 2 and stats.decode_errors == 0
+
+    def test_peer_that_stops_reading_pauses_the_server_connection(self):
+        n_calls, payload = 400, "b" * 16384  # ~6.5 MB each way
+
+        async def until(condition):
+            while not condition():
+                await asyncio.sleep(0.005)
+
+        async def scenario():
+            server = ProcRpcServer(LOOPBACK, _echo)
+            await server.start()
+            client = ProcRpcClient(server.endpoint)
+            await client.connect()
+            await client.sync_call("echo", payload="warm")
+            # Fixed kernel buffers between server and client (autotuning
+            # would absorb megabytes), so a client that stops reading
+            # backs up into the server quickly.  Not below loopback's
+            # 64 KiB MSS: TCP then crawls on zero-window probe timers.
+            client_side = client.transport.connection._transport
+            server_side = _server_connection(server)._transport
+            client_side.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_RCVBUF, 131072)
+            server_side.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 131072)
+            server_side.set_write_buffer_limits(high=4096)
+            client_side.pause_reading()  # the peer stops reading
+
+            handles: list = []
+
+            async def post_all():
+                for _ in range(n_calls):
+                    handles.append(await client.async_call("echo", payload=payload))
+                    await client.flush()
+
+            poster = asyncio.ensure_future(post_all())
+            try:
+                await asyncio.wait_for(until(lambda: not server_side.is_reading()), 10)
+                await asyncio.sleep(0.05)  # paused means paused: nothing grows now
+                stalled = (server.stats.completed, server_side.get_write_buffer_size())
+                client_side.resume_reading()  # ...and reads again
+                await asyncio.wait_for(poster, 20)
+                responses = await asyncio.wait_for(client.poll_completions(handles), 20)
+            finally:
+                poster.cancel()
+                await client.close()
+                await server.stop()
+            return stalled, responses, server.stats.completed
+
+        (completed, queued), responses, total = asyncio.run(scenario())
+        # Stopped early, holding about one read's worth of answers — not
+        # the whole 6.5 MB a server that kept reading would have queued.
+        assert completed < n_calls // 2
+        assert queued < 256 * 1024
+        assert total == n_calls + 1
+        assert len(responses) == n_calls
+        assert all(r.payload == payload and not r.failed for r in responses)
+
+    def test_hostile_bytes_cost_one_connection_not_the_server(self):
+        async def read_frames(loop, sock, decoder, count):
+            frames: list = []
+            while len(frames) < count:
+                data = await asyncio.wait_for(loop.sock_recv(sock, 65536), 5)
+                assert data, "server closed a well-framed connection"
+                frames.extend(decoder.feed(data))
+            return frames
+
+        async def raw_peer(loop, endpoint):
+            sock = socket.socket()
+            sock.setblocking(False)
+            await asyncio.wait_for(
+                loop.sock_connect(sock, (endpoint.host, endpoint.port)), 5)
+            return sock
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            server = ProcRpcServer(LOOPBACK, _echo)
+            endpoint = await server.start()
+            good = ProcRpcClient(endpoint, client_id=1)
+            await good.connect()
+            before = await good.sync_call("echo", payload="before")
+
+            # Peer 1: a length prefix over the bound -> connection dropped.
+            hostile = await raw_peer(loop, endpoint)
+            corrupt = await raw_peer(loop, endpoint)
+            try:
+                await loop.sock_sendall(hostile, struct.pack("!I", MAX_FRAME_BYTES + 1))
+                try:
+                    dropped = await asyncio.wait_for(loop.sock_recv(hostile, 1), 5) == b""
+                except ConnectionResetError:
+                    dropped = True
+
+                # Peer 2: well framed, CRC-corrupt body -> counted and
+                # skipped; the same connection still gets answers after.
+                request = RpcRequest(client_id=7, rpc_type="echo", payload="raw")
+                wire = bytearray(encode_request(request))
+                wire[-1] ^= 0xFF
+                await loop.sock_sendall(corrupt, encode_frame(bytes(wire)))
+                await loop.sock_sendall(corrupt, encode_frame(encode_request(request)))
+                (answer,) = await read_frames(loop, corrupt, FrameDecoder(), 1)
+            finally:
+                hostile.close()
+                corrupt.close()
+
+            after = await asyncio.wait_for(good.sync_call("echo", payload="after"), 5)
+            reconnects = good.reconnects
+            await good.close()
+            await server.stop()
+            return (dropped, decode_response(answer), before, after, reconnects,
+                    server.stats)
+
+        dropped, answer, before, after, reconnects, stats = asyncio.run(scenario())
+        assert dropped
+        assert answer.payload == "raw" and answer.client_id == 7
+        assert stats.decode_errors == 1 and stats.failed == 0
+        assert (before.payload, after.payload) == ("before", "after")
+        assert reconnects == 0 and stats.completed == 3
 
 
 class TestObsReuse:

@@ -1,174 +1,85 @@
 #!/usr/bin/env python3
-"""CI perf-history gate: measure, compare against BENCH_history, append.
+"""The repo's perf record and its gate: one benchmark run judged against
+``BENCH_history.jsonl``.
 
-One run measures the three trajectories the repository gates on
-(DESIGN.md section 14):
+    python3 benchmarks/perf_gate.py [--append LABEL]
 
-1. **kernel_events_per_s** — the token-ring probe (also the machine
-   calibrator for everything else);
-2. **fig8_wall_s** — wall-clock of the fixed-seed Fig-8 point (obs off);
-3. **proc_rtt_p50_ns / proc_rtt_p99_ns** — per-RPC round-trip
-   distribution of a proc-backend loopback smoke run with observers OFF
-   (the zero-telemetry baseline, so the gate also catches tracing
-   overhead leaking into the obs-off path).
+Runs ``benchmarks/e2e/run.py --json`` once at the benchmark's own run length,
+fails if any workload is incorrect or lost operations, and hands the newest
+``WINDOW`` comparable history rows and this run to ``run.py compare``.  What
+"slower" means and by how much (the bounds in ``BENCHMARK.json``) is decided
+there and only there; this file owns the history file and the window.
 
-The run is then checked against the committed ``BENCH_history.jsonl``
-trajectory via :func:`repro.obs.perfdb.check_entry` — machine-calibrated
-(wall x events/s is compared, so CI hardware churn cancels out) and
-noise-aware (the threshold widens with the history's own spread).  With
-``--append`` the entry is recorded, extending the trajectory.
-
-With ``--trace-dir`` it additionally runs the same smoke with tracing ON,
-merges the per-process shards, and writes the merged Perfetto trace
-(``--merged-out``) for CI artifact upload — failing if the merge produces
-no cross-process flow or an invalid trace.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/perf_gate.py                # gate only
-    PYTHONPATH=src python benchmarks/perf_gate.py --append       # gate + record
-    PYTHONPATH=src python benchmarks/perf_gate.py \
-        --trace-dir /tmp/gate_shards --merged-out /tmp/merged.trace.json
-
-Budgets can be relaxed on noisy runners via ``PERF_GATE_BUDGET`` (a
-fraction applied to fig8_wall_s, e.g. ``0.10``).
+A history row is one ``run.py --json`` run record per line (``header``,
+``seed``, ``seconds``, ``trace``, ``workloads``) without the per-segment
+``samples``, plus a ``label``.  ``--append LABEL`` adds this run as a row once
+it has passed, unless its header is marked ``noisy``.  The full run record and
+the compare input stay in ``.perf_gate/`` (git-ignored) for CI to upload.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import subprocess
 import sys
-import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+ROOT = Path(__file__).resolve().parents[1]
+RUN = [sys.executable, str(ROOT / "benchmarks" / "e2e" / "run.py")]
+HISTORY = ROOT / "BENCH_history.jsonl"
 
-from quick_bench import bench_kernel  # noqa: E402
-
-from repro.net import ProcWorkload, run_proc_workload  # noqa: E402
-from repro.obs.dist import merge_dir, write_merged_chrome_trace  # noqa: E402
-from repro.obs.perfdb import (  # noqa: E402
-    append_entry,
-    check_entry,
-    load_history,
-    make_entry,
-)
-
-DEFAULT_HISTORY = Path(__file__).resolve().parent.parent / "BENCH_history.jsonl"
-
-PROC_CLIENTS = 2
-PROC_OPS = 30
-PROC_BATCH = 3
+#: ``compare`` takes the median of *all* base runs, so after a step change
+#: (PR 18: -55 %) an unwindowed history would hide a later +25 %.
+WINDOW = 8
 
 
-def fig8_wall_s() -> float:
-    from repro.bench import RpcExperiment, run_rpc_experiment
-
-    start = time.perf_counter()
-    run_rpc_experiment(RpcExperiment(system="scalerpc", n_clients=40, seed=1))
-    return time.perf_counter() - start
-
-
-def proc_smoke(obs_dir: str | None) -> dict:
-    """One loopback proc run; obs off unless ``obs_dir`` is given."""
-    result = run_proc_workload(ProcWorkload(
-        transport="scalerpc", n_clients=PROC_CLIENTS, ops_per_client=PROC_OPS,
-        batch_size=PROC_BATCH, timeout_s=120.0,
-        obs_enabled=obs_dir is not None, obs_export_dir=obs_dir,
-    ))
-    assert result.completed_ops == PROC_CLIENTS * PROC_OPS, (
-        f"proc smoke lost ops: {result.completed_ops}"
-    )
-    return result.rtt_summary
+def gate(run_path: Path, history: Path, label: str | None = None) -> int:
+    """Exit status for the run in ``run_path`` against ``history``; appends
+    it under ``label``."""
+    run = json.loads(run_path.read_text())["runs"][0]
+    broken = [name for name, result in run["workloads"].items()
+              if not result["correct"] or result["failed"]]
+    if broken:
+        print(f"perf_gate: FAIL: incorrect or failed operations: {', '.join(broken)}")
+        return 1
+    lines = history.read_text().splitlines() if history.exists() else []
+    rows = [json.loads(line) for line in lines]
+    base = [row for row in rows
+            if row["trace"] == 0 and row["seconds"] == run["seconds"]][-WINDOW:]
+    if base:
+        base_path = run_path.with_name("base.json")
+        base_path.write_text(json.dumps({"runs": base}))
+        status = subprocess.run([*RUN, "compare", str(base_path), str(run_path)]).returncode
+    else:
+        print(f"perf_gate: no comparable row in {history.name}: nothing to judge, pass")
+        status = 0
+    if status == 0 and label is not None:
+        if run["header"]["noisy"]:
+            print("perf_gate: FAIL: not appended, the run's header is marked noisy")
+            return 1
+        row = {"label": label, **run, "workloads": {
+            name: {key: value for key, value in result.items() if key != "samples"}
+            for name, result in run["workloads"].items()}}
+        with history.open("a") as fh:
+            fh.write(json.dumps(row) + "\n")
+        print(f"perf_gate: appended {label!r} to {history.name} ({len(rows) + 1} rows)")
+    return status
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--history", type=Path, default=DEFAULT_HISTORY)
-    parser.add_argument("--label", default="ci")
-    parser.add_argument("--append", action="store_true",
-                        help="append this run to the history after gating")
-    parser.add_argument("--window", type=int, default=8)
-    parser.add_argument("--budget", type=float,
-                        default=float(os.environ.get("PERF_GATE_BUDGET", "0.10")),
-                        help="fig8 wall budget fraction (PERF_GATE_BUDGET)")
-    parser.add_argument("--trace-dir", type=Path, default=None,
-                        help="also run the traced smoke, exporting shards here")
-    parser.add_argument("--merged-out", type=Path, default=None,
-                        help="write the merged Perfetto trace here "
-                             "(requires --trace-dir)")
-    parser.add_argument("--entry-out", type=Path, default=None,
-                        help="also write the entry JSON here")
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--append", metavar="LABEL",
+                        help="record this run in the history once it has passed")
     args = parser.parse_args()
-
-    kernel = bench_kernel()
-    eps = kernel["events_per_sec"]
-    print(f"kernel: {eps:,} events/s ({kernel['wall_s']} s)")
-
-    wall = fig8_wall_s()
-    print(f"fig8 point (obs off): {wall:.3f} s wall")
-
-    rtt = proc_smoke(None)
-    print(f"proc smoke (obs off): rtt p50 {rtt['p50'] / 1e3:.1f} us, "
-          f"p99 {rtt['p99'] / 1e3:.1f} us over {rtt['n']} rpcs")
-
-    entry = make_entry(
-        label=args.label, kind="perf_gate",
-        metrics={
-            "kernel_events_per_s": eps,
-            "fig8_wall_s": round(wall, 4),
-            "proc_rtt_p50_ns": rtt["p50"],
-            "proc_rtt_p99_ns": rtt["p99"],
-        },
-        proc={"clients": PROC_CLIENTS, "ops": PROC_OPS, "batch": PROC_BATCH},
-    )
-    if args.entry_out is not None:
-        args.entry_out.write_text(json.dumps(entry, sort_keys=True) + "\n")
-
-    failures = []
-    if args.trace_dir is not None:
-        traced_rtt = proc_smoke(str(args.trace_dir))
-        print(f"proc smoke (traced):  rtt p50 {traced_rtt['p50'] / 1e3:.1f} us, "
-              f"p99 {traced_rtt['p99'] / 1e3:.1f} us")
-        merged = merge_dir(str(args.trace_dir))
-        cross = merged.artifact["meta"]["cross_process_rpcs"]
-        print(f"merged {merged.artifact['meta']['merged_from']} shards: "
-              f"{cross} cross-process RPCs")
-        if cross < 1:
-            failures.append("merged trace has no cross-process RPC joins")
-        if args.merged_out is not None:
-            problems = write_merged_chrome_trace(merged, args.merged_out)
-            if problems:
-                failures.append(
-                    f"merged trace failed validation: {problems[:3]}"
-                )
-            else:
-                print(f"wrote merged Perfetto trace: {args.merged_out}")
-
-    history = load_history(args.history)
-    regressions = check_entry(
-        history, entry, window=args.window,
-        budgets={"fig8_wall_s": args.budget},
-    )
-    for regression in regressions:
-        failures.append(
-            f"perf regression vs {args.history.name}: {regression.describe()}"
-            " (set PERF_GATE_BUDGET to relax on noisy runners)"
-        )
-
-    if args.append and not failures:
-        append_entry(args.history, entry)
-        print(f"appended run to {args.history} ({len(history) + 1} entries)")
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    print(f"perf gate passed against {min(len(history), args.window)} "
-          f"history entries")
-    return 0
+    run_path = ROOT / ".perf_gate" / "run.json"
+    run_path.parent.mkdir(exist_ok=True)
+    run_path.unlink(missing_ok=True)  # --json appends to an existing file
+    subprocess.run([*RUN, "--json", str(run_path)])
+    if not run_path.exists():
+        sys.exit("perf_gate: FAIL: the benchmark wrote no run record")
+    return gate(run_path, HISTORY, args.append)
 
 
 if __name__ == "__main__":

@@ -626,10 +626,7 @@ def fig_overrun(quick: bool = True) -> FigureResult:
         series[system] = [v / 1e6 for _t, v in points]
         # Satellite of the obs work: truncated telemetry must be visible
         # in the summary, never silently partial.
-        notes.append(
-            f"{system}: trace_dropped={result.trace_dropped},"
-            f" obs_dropped={result.obs['meta']['dropped']}"
-        )
+        notes.append(f"{system}: obs_dropped={result.obs['meta']['dropped']}")
     shortest = min(len(values) for values in series.values())
     series = {label: values[:shortest] for label, values in series.items()}
     return FigureResult(

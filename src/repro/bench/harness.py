@@ -77,7 +77,7 @@ class RpcExperiment:
     conn_prefetch_enabled: bool = True
     # Observability (repro.obs).  Enabling it must not change simulated
     # results — the observer only reads state the simulation already
-    # maintains; obs_guard.py enforces this.
+    # maintains; tests/bench/test_harness.py holds both to the golden block.
     obs_enabled: bool = False
     obs_epoch_ns: int = 50_000
     # Fatal-overrun sweep (ROADMAP): give client-side UD recv CQs a
@@ -130,9 +130,6 @@ class RpcResult:
     #: experiment ran with ``obs_enabled``; feed it to the exporters or
     #: ``python -m repro.obs``.
     obs: Optional[dict] = None
-    #: Records the fabric's bounded tracer dropped on this run — surfaced
-    #: so a truncated trace is never mistaken for a complete one.
-    trace_dropped: int = 0
     #: Fault-plane summary (injection schedule + recovery outcomes, plus
     #: server-side membership health for ScaleRPC) when the experiment ran
     #: with a non-empty ``fault_plan``.
@@ -488,6 +485,5 @@ def run_rpc_experiment(experiment: RpcExperiment) -> RpcResult:
         window_ns=window_ns,
         server_stats=server.stats,
         obs=obs_artifact,
-        trace_dropped=topo.fabric.tracer.dropped,
         faults=faults,
     )

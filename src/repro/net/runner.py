@@ -19,6 +19,7 @@ from typing import Optional
 
 __all__ = ["ProcWorkload", "ProcWorkloadResult", "run_proc_workload"]
 
+from ..obs import percentile_nearest_rank
 from ..sim import NS_PER_S
 
 
@@ -107,14 +108,12 @@ class ProcWorkloadResult:
         rtts = sorted(
             value for c in self.clients for value in c.get("rtt_ns_sorted", [])
         )
-        if not rtts:
-            return {"n": 0, "p50": 0, "p99": 0, "max": 0}
-
-        def pct(p: float) -> int:
-            rank = max(1, -(-int(p * len(rtts)) // 100))
-            return rtts[rank - 1]
-
-        return {"n": len(rtts), "p50": pct(50), "p99": pct(99), "max": rtts[-1]}
+        return {
+            "n": len(rtts),
+            "p50": percentile_nearest_rank(rtts, 50),
+            "p99": percentile_nearest_rank(rtts, 99),
+            "max": rtts[-1] if rtts else 0,
+        }
 
     def as_dict(self) -> dict:
         return {

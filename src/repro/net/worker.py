@@ -32,19 +32,12 @@ import asyncio
 import json
 import sys
 
-from ..obs import Observer
+from ..obs import Observer, percentile_nearest_rank
 from ..transport import Endpoint, get
 from .clock import Clock
 from .procserver import ProcRpcClient
 
 __all__ = ["main"]
-
-
-def _percentile(sorted_values: list, p: float) -> int:
-    if not sorted_values:
-        return 0
-    rank = max(1, -(-int(p * len(sorted_values)) // 100))
-    return sorted_values[rank - 1]
 
 
 def _echo_handler(request):
@@ -142,8 +135,8 @@ async def _run_client(args) -> dict:
         },
         "rtt_ns": {
             "n": len(rtts),
-            "p50": _percentile(rtts, 50),
-            "p99": _percentile(rtts, 99),
+            "p50": percentile_nearest_rank(rtts, 50),
+            "p99": percentile_nearest_rank(rtts, 99),
             "max": rtts[-1] if rtts else 0,
         },
         "rtt_ns_sorted": rtts,

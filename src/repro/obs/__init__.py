@@ -15,21 +15,21 @@ The single owner of trace records in this repository (DESIGN.md section 9):
   counter tracks), and a ``python -m repro.obs`` CLI that summarizes an
   artifact (critical-path p99 breakdown, cliff detection on any series).
 
-``repro.sim.trace`` remains as the minimal in-memory tracer the fabric
-always carries; when an :class:`Observer` is installed its records (and
-its ``dropped`` count) are folded into the obs artifact at ``finish()``.
-
 Distributed extensions (DESIGN.md section 14): :mod:`repro.obs.dist`
 merges the proc backend's per-process shards into one clock-aligned
 Perfetto trace with cross-process flow events (``python -m repro.obs
-merge``), :mod:`repro.obs.hist` adds HDR-style latency histograms and
-``detect_anomaly``, and :mod:`repro.obs.perfdb` keeps the committed
-``BENCH_history.jsonl`` perf trajectory with a noise-aware regression
-gate (``python -m repro.obs perfdb``).
+merge``) and :mod:`repro.obs.hist` adds HDR-style latency histograms and
+``detect_anomaly``.
 """
 
 from .core import Observer, current
-from .critical import StageBreakdown, Cliff, detect_cliff, stage_breakdown
+from .critical import (
+    Cliff,
+    StageBreakdown,
+    detect_cliff,
+    percentile_nearest_rank,
+    stage_breakdown,
+)
 from .dist import (
     MergeError,
     MergedTrace,
@@ -58,6 +58,7 @@ __all__ = [
     "Cliff",
     "stage_breakdown",
     "detect_cliff",
+    "percentile_nearest_rank",
     "write_jsonl",
     "load_jsonl",
     "to_chrome_trace",

@@ -1,16 +1,12 @@
-"""CLI: summarize, merge, and gate obs artifacts.
+"""CLI: summarize and merge obs artifacts.
 
     python -m repro.obs summary run.jsonl [--chrome out.trace.json]
     python -m repro.obs merge SHARD_DIR --out merged.trace.json
-    python -m repro.obs perfdb check BENCH_history.jsonl entry.json
-    python -m repro.obs perfdb append BENCH_history.jsonl entry.json
 
 ``summary`` prints run metadata (including every drop counter), the
 critical-path breakdown of tail latency, and cliff detection over each
 epoch series.  ``merge`` clock-aligns the per-process shards a proc run
 exported and writes one Perfetto trace with cross-process flow events.
-``perfdb`` checks (or appends) a benchmark entry against the committed
-perf trajectory.
 
 The bare legacy form ``python -m repro.obs run.jsonl`` still works and
 is equivalent to ``summary``.
@@ -25,7 +21,6 @@ import sys
 from .critical import detect_cliff, stage_breakdown
 from .dist import MergeError, merge_dir, write_merged_chrome_trace
 from .export import load_jsonl, to_chrome_trace, validate_chrome_trace, write_chrome_trace
-from .perfdb import append_entry, check_entry, load_history
 
 
 def _fmt_ns(ns: float) -> str:
@@ -114,32 +109,10 @@ def _cmd_merge(args) -> int:
     return 0
 
 
-def _cmd_perfdb(args) -> int:
-    history = load_history(args.history)
-    with open(args.entry) as fh:
-        entry = json.load(fh)
-    if args.action == "append":
-        append_entry(args.history, entry)
-        print(f"appended entry {entry.get('label')!r} to {args.history} "
-              f"({len(history) + 1} entries)")
-        return 0
-    regressions = check_entry(
-        history, entry, window=args.window,
-        budgets={"fig8_wall_s": args.budget} if args.budget else None,
-    )
-    if regressions:
-        for regression in regressions:
-            print(f"REGRESSION: {regression.describe()}", file=sys.stderr)
-        return 1
-    print(f"perfdb gate passed against {min(len(history), args.window)} "
-          f"history entries")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Summarize, merge, and gate obs artifacts.",
+        description="Summarize and merge obs artifacts.",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -163,27 +136,14 @@ def main(argv=None) -> int:
     p_merge.add_argument("--artifact-out", default=None,
                          help="also write the merged artifact JSON here")
 
-    p_perfdb = sub.add_parser(
-        "perfdb", help="check or append a perf-history entry"
-    )
-    p_perfdb.add_argument("action", choices=("check", "append"))
-    p_perfdb.add_argument("history", help="path to BENCH_history.jsonl")
-    p_perfdb.add_argument("entry", help="path to one entry JSON")
-    p_perfdb.add_argument("--window", type=int, default=8,
-                          help="history entries to gate against (default 8)")
-    p_perfdb.add_argument("--budget", type=float, default=None,
-                          help="override the fig8_wall_s budget fraction")
-
     # Legacy form: a bare artifact path means "summary".
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] not in ("summary", "merge", "perfdb", "-h", "--help"):
+    if argv and argv[0] not in ("summary", "merge", "-h", "--help"):
         argv.insert(0, "summary")
     args = parser.parse_args(argv)
 
     if args.command == "merge":
         return _cmd_merge(args)
-    if args.command == "perfdb":
-        return _cmd_perfdb(args)
     if args.command == "summary":
         return _cmd_summary(args)
     parser.print_help()

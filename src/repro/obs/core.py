@@ -138,9 +138,8 @@ class Observer:
     def finish(self) -> dict:
         """Build the JSON-native run artifact.
 
-        Folds the fabric's legacy tracer records in (obs is the single
-        owner of trace output) and surfaces both drop counters, so a
-        truncated trace is never silently presented as complete.
+        Surfaces both drop counters, so a truncated trace is never
+        silently presented as complete.
         """
         meta = dict(self.meta)
         meta["dropped"] = self.dropped
@@ -149,14 +148,6 @@ class Observer:
             _instant_record(track, name, ts, args)
             for track, name, ts, args in self.instants
         ]
-        tracer = self._fabric.tracer if self._fabric is not None else None
-        if tracer is not None:
-            meta["tracer_dropped"] = tracer.dropped
-            for record in tracer.records:
-                instants.append(_instant_record(
-                    f"trace.{record.source}", record.event, record.time_ns,
-                    record.detail if isinstance(record.detail, dict) else None,
-                ))
         # Dense RPC ids in first-appearance order: req_ids come from a
         # process-global counter, so raw values differ between two runs in
         # the same interpreter even though the run itself is identical.
@@ -176,9 +167,7 @@ class Observer:
         # Drops are part of the trace itself, not just run notes: a
         # truncated artifact carries a visible marker the Perfetto
         # exporter renders as its own track.
-        total_dropped = (
-            self.dropped + self.rpc_dropped + meta.get("tracer_dropped", 0)
-        )
+        total_dropped = self.dropped + self.rpc_dropped
         if total_dropped:
             instants.append(_instant_record(
                 "obs.drops", "tracer.dropped", self.now(),
@@ -186,7 +175,6 @@ class Observer:
                     "count": total_dropped,
                     "records": self.dropped,
                     "rpcs": self.rpc_dropped,
-                    "tracer": meta.get("tracer_dropped", 0),
                 },
             ))
         return {

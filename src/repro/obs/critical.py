@@ -12,7 +12,6 @@ wire/service time into those stall rows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -24,6 +23,7 @@ __all__ = [
     "Cliff",
     "stage_breakdown",
     "detect_cliff",
+    "percentile_nearest_rank",
 ]
 
 #: Canonical lifecycle order (request out, server, response back).
@@ -92,8 +92,14 @@ class Cliff:
     ratio: float  #: after / before
 
 
-def _percentile_nearest_rank(sorted_values: Sequence[int], p: float) -> int:
-    rank = max(1, math.ceil(p / 100 * len(sorted_values)))
+def percentile_nearest_rank(sorted_values: Sequence[int], p: float) -> int:
+    """Nearest-rank ``p``-th percentile of ascending ``sorted_values`` (0
+    when empty).  The rank ``ceil(p/100 * n)`` is taken in integers at
+    one-decimal resolution: in floats ``99.9 / 100 * 1000`` lands just
+    above 999 and ``ceil`` would return the maximum."""
+    if not sorted_values:
+        return 0
+    rank = max(1, -(-round(p * 10) * len(sorted_values) // 1000))
     return sorted_values[rank - 1]
 
 
@@ -118,7 +124,7 @@ def stage_breakdown(
     if not timelines:
         return None
     totals = sorted(t for t, _ in timelines)
-    latency = _percentile_nearest_rank(totals, percentile)
+    latency = percentile_nearest_rank(totals, percentile)
     tail = [(t, stages) for t, stages in timelines if t >= latency]
     sums: dict[str, int] = {}
     for _total, stages in tail:

@@ -490,10 +490,7 @@ def _merged_chrome_trace(merged: MergedTrace) -> dict:
         pid = pids[index]
         offset = merged.offsets[index]
         meta = artifact["meta"]
-        drops = (
-            meta.get("dropped", 0) + meta.get("rpc_dropped", 0)
-            + meta.get("tracer_dropped", 0)
-        )
+        drops = meta.get("dropped", 0) + meta.get("rpc_dropped", 0)
         if drops:
             tid = next_tid[pid]
             next_tid[pid] += 1

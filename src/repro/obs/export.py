@@ -113,10 +113,7 @@ def to_chrome_trace(artifact: dict) -> dict:
     # Artifacts written before drops became first-class records (or
     # assembled by hand) still get the marker, synthesized from meta.
     meta = artifact["meta"]
-    meta_drops = (
-        meta.get("dropped", 0) + meta.get("rpc_dropped", 0)
-        + meta.get("tracer_dropped", 0)
-    )
+    meta_drops = meta.get("dropped", 0) + meta.get("rpc_dropped", 0)
     if meta_drops and not drops_marked:
         events.append({
             "ph": "i", "pid": _PID, "tid": tid("obs.drops"),

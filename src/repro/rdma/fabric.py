@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 
 from ..sim.engine import Simulator
 from ..sim.rng import RngRegistry
-from ..sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .node import Node
@@ -59,7 +58,7 @@ class Fabric:
     """A non-blocking switch joining all attached nodes."""
 
     def __init__(self, sim: Simulator, params: WireParams | None = None,
-                 tracer: Tracer | None = None, seed: int = 0):
+                 seed: int = 0):
         self.sim = sim
         self.params = params or WireParams()
         self.nodes: list["Node"] = []
@@ -70,18 +69,11 @@ class Fabric:
         self.packets_lost = 0
         #: RC packets dropped (each one triggers a sender retransmit).
         self.rc_packets_lost = 0
-        #: Optional verb-level tracer (disabled by default); the verb
-        #: layer emits one record per verb when enabled.
-        self.tracer = tracer or Tracer(enabled=False)
         #: Optional :class:`repro.obs.Observer`.  ``None`` by default, and
         #: every hook site guards on ``is not None`` — the same zero-cost
         #: discipline as ``Simulator.tiebreak``.  Set via
         #: ``Observer.install(fabric)``, never assigned directly.
         self.obs = None
-
-    def trace(self, source: str, event: str, detail=None) -> None:
-        """Emit a trace record (no-op while the tracer is disabled)."""
-        self.tracer.emit(self.sim.now, source, event, detail)
 
     def attach(self, node: "Node") -> None:
         """Connect ``node`` to the switch."""

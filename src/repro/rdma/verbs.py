@@ -193,8 +193,6 @@ def _write_flow(qp, wr, local_addr, remote_addr, size, payload, imm_data, signal
     peer = qp.peer
     target = peer.node
     verb = "write" if imm_data is None else "write_imm"
-    fabric.trace(qp.node.name, verb,
-                 {"to": target.name, "bytes": size, "qp": qp.qp_num})
     obs = fabric.obs
     req_id = _rpc_id(obs, payload)
     request = req_id is not None and hasattr(payload, "rpc_type")
@@ -295,8 +293,6 @@ def _send_flow(qp, wr, dest_qp, size, payload, local_addr, signaled) -> Generato
     sim = qp.node.sim
     fabric = qp.node.fabric
     target = dest_qp.node
-    fabric.trace(qp.node.name, "send",
-                 {"to": target.name, "bytes": size, "qp": qp.qp_num})
     obs = fabric.obs
     req_id = _rpc_id(obs, payload)
     request = req_id is not None and hasattr(payload, "rpc_type")
@@ -406,8 +402,6 @@ def _read_flow(qp, wr, local_addr, remote_addr, size, signaled, scatter=None) ->
     sim = qp.node.sim
     fabric = qp.node.fabric
     target = qp.peer.node
-    fabric.trace(qp.node.name, "read",
-                 {"from": target.name, "bytes": size, "qp": qp.qp_num})
     obs = fabric.obs
     yield sim.timeout(qp.node.nic.params.mmio_doorbell_ns)
     service, stall = yield from qp.node.nic.tx(_conn_key(qp), None, 0)
@@ -480,8 +474,6 @@ def _atomic_flow(qp, wr, local_addr, remote_addr, op, signaled) -> Generator:
     sim = qp.node.sim
     fabric = qp.node.fabric
     target = qp.peer.node
-    fabric.trace(qp.node.name, "atomic",
-                 {"on": target.name, "op": op[0], "qp": qp.qp_num})
     obs = fabric.obs
     yield sim.timeout(qp.node.nic.params.mmio_doorbell_ns)
     service, stall = yield from qp.node.nic.tx(_conn_key(qp), None, 0)

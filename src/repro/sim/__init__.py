@@ -1,4 +1,4 @@
-"""Discrete-event simulation kernel (engine, resources, RNG, tracing)."""
+"""Discrete-event simulation kernel (engine, resources, RNG)."""
 
 from .engine import (
     NS_PER_S,
@@ -13,7 +13,6 @@ from .engine import (
 )
 from .resources import Resource, Store
 from .rng import RngRegistry, derive_seed
-from .trace import TraceRecord, Tracer
 
 __all__ = [
     "NS_PER_S",
@@ -28,7 +27,5 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "derive_seed",
 ]

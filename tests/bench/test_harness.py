@@ -1,8 +1,14 @@
 """Tests for the RPC experiment harness."""
 
+import json
+from dataclasses import asdict
+from pathlib import Path
+
 import pytest
 
 from repro.bench import RpcExperiment, run_rpc_experiment
+
+GOLDEN = Path(__file__).resolve().parents[2] / "benchmarks/e2e/golden_seed1.json"
 
 
 class TestExperimentValidation:
@@ -133,3 +139,24 @@ class TestDrainPhase:
         assert first.throughput_mops == second.throughput_mops
         assert first.latency == second.latency
         assert first.completed_ops == second.completed_ops
+
+
+class TestFig8Point:
+    @pytest.mark.parametrize("obs_enabled", [False, True])
+    def test_simulated_block_equals_golden(self, obs_enabled):
+        """The fixed-seed Fig-8 point (the benchmark's ``sim_echo_fit``)
+        yields the committed golden block with observers off and on: obs
+        only reads state, and under ``REPRO_SANITIZE=1`` the autouse
+        sanitizer fixture also holds this point to zero findings."""
+        result = run_rpc_experiment(RpcExperiment(
+            system="scalerpc", n_clients=40, seed=1, obs_enabled=obs_enabled,
+        ))
+        block = {
+            "throughput_mops": result.throughput_mops,
+            "latency": asdict(result.latency),
+            "counters": asdict(result.counters),
+            "completed_ops": result.completed_ops,
+            "window_ns": result.window_ns,
+        }
+        golden = json.loads(GOLDEN.read_text())["sim_echo_fit"]
+        assert json.loads(json.dumps(block)) == golden

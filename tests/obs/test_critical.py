@@ -1,6 +1,10 @@
 """Tests for the critical-path analyzer and cliff detection."""
 
-from repro.obs import detect_cliff, stage_breakdown
+import math
+
+import pytest
+
+from repro.obs import detect_cliff, percentile_nearest_rank, stage_breakdown
 
 
 def _rpc(rid, *stages):
@@ -101,3 +105,18 @@ class TestDetectCliff:
     def test_empty_and_all_none(self):
         assert detect_cliff([]) is None
         assert detect_cliff([[100, None]]) is None
+
+
+class TestPercentileNearestRank:
+    @pytest.mark.parametrize("n", [1000, 2000, 3000, 4000])
+    def test_p999_is_not_the_maximum(self, n):
+        """Float ``ceil(99.9 / 100 * n)`` lands one rank too high here."""
+        assert percentile_nearest_rank(range(1, n + 1), 99.9) == n - n // 1000
+
+    @pytest.mark.parametrize("p", [50, 99])
+    def test_agrees_with_ceil_formula(self, p):
+        for n in range(1, 501):
+            assert percentile_nearest_rank(range(1, n + 1), p) == math.ceil(p * n / 100)
+
+    def test_empty_is_zero(self):
+        assert percentile_nearest_rank([], 99) == 0

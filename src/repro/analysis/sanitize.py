@@ -224,7 +224,6 @@ class SimSanitizer:
         orig_fail = Event.fail
         orig_deliver = Event._deliver
         orig_schedule = Simulator._schedule
-        orig_post = Simulator._post
 
         def succeed(event: Event, value: Any = None) -> Event:
             sanitizer._stamp(event)
@@ -240,10 +239,6 @@ class SimSanitizer:
             # of anything succeed()-ed once that instant is reached.
             sanitizer._stamp(event)
             orig_schedule(sim, at, event)
-
-        def _post(sim: Simulator, event: Event) -> None:
-            sanitizer._stamp(event)
-            orig_post(sim, event)
 
         def _deliver(event: Event) -> None:
             sim = event.sim
@@ -280,7 +275,6 @@ class SimSanitizer:
         self._patch(Event, "fail", fail)
         self._patch(Event, "_deliver", _deliver)
         self._patch(Simulator, "_schedule", _schedule)
-        self._patch(Simulator, "_post", _post)
 
     # -- resources: slot conservation -------------------------------------
 
@@ -579,6 +573,8 @@ class SimSanitizer:
         if self._finished:
             return
         self._finished = True
+        if self._delivered:
+            self.report.stats["deliveries"] = self._delivered
         for resource, acct in self._resources.values():
             held = acct["acquired"] - acct["released"]
             if resource.in_use != held:
@@ -615,7 +611,7 @@ class SimSanitizer:
                     f"LLC holds {llc.occupied_lines} lines > capacity "
                     f"{params.total_lines}",
                 )
-            for index, cache_set in enumerate(llc._sets):
+            for index, cache_set in sorted(llc._sets.items()):
                 if len(cache_set) > params.ways:
                     self._finding(
                         "llc-occupancy",

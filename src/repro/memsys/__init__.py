@@ -13,6 +13,7 @@ from .memory import (
     MemoryRange,
     OutOfMemoryError,
     PhysicalMemory,
+    RangeIndex,
 )
 from .pcie import PcieCounters, PcieSnapshot
 
@@ -30,4 +31,5 @@ __all__ = [
     "PcieCounters",
     "PcieSnapshot",
     "PhysicalMemory",
+    "RangeIndex",
 ]

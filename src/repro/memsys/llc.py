@@ -27,7 +27,7 @@ after that the NIC's next write to the line is a cheap in-place update.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -133,10 +133,14 @@ class LastLevelCache:
     def __init__(self, params: Optional[LlcParams] = None, counters: Optional[PcieCounters] = None):
         self.params = params or LlcParams()
         self.counters = counters or PcieCounters()
-        # One OrderedDict per set: line -> owner tag, LRU order.
-        self._sets: list[OrderedDict[int, int]] = [
-            OrderedDict() for _ in range(self.params.n_sets)
-        ]
+        # One OrderedDict per set, by set index: line -> owner tag, LRU
+        # order.  A set exists from its first touch: strided pools reach a
+        # few hundred of the 12,288, and building every one up front would
+        # be most of a node's construction time and memory.
+        self._sets: defaultdict[int, OrderedDict[int, int]] = defaultdict(OrderedDict)
+        # Fixed for the cache's life; the per-line paths read it here
+        # instead of re-deriving it through two ``params`` properties.
+        self._n_sets = self.params.n_sets
         self.stats = LlcStats()
         # Running count of DDIO-owned lines, maintained at every tag
         # transition so observers can sample occupancy in O(1).
@@ -154,7 +158,7 @@ class LastLevelCache:
         return range(first, last + 1)
 
     def _set_of(self, line: int) -> OrderedDict:
-        return self._sets[line % self.params.n_sets]
+        return self._sets[line % self._n_sets]
 
     def resident(self, addr: int, size: int = 1) -> bool:
         """True when every line of the range is somewhere in the LLC."""
@@ -162,7 +166,7 @@ class LastLevelCache:
 
     @property
     def occupied_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())
 
     @property
     def ddio_resident_lines(self) -> int:
@@ -173,7 +177,11 @@ class LastLevelCache:
 
     def dma_write(self, addr: int, size: int) -> DmaWriteResult:
         """Model an inbound DMA write from the NIC, updating PCM counters."""
-        line_size = self.params.line_size
+        params = self.params
+        counters = self.counters
+        line_size = params.line_size
+        sets = self._sets
+        n_sets = self._n_sets
         update_hits = 0
         allocations = 0
         full_lines = 0
@@ -184,23 +192,29 @@ class LastLevelCache:
             line_start = ln * line_size
             if addr <= line_start and end >= line_start + line_size:
                 full_lines += 1
-                self.counters.itom += 1
+                counters.itom += 1
             else:
                 partial_lines += 1
-                self.counters.rfo += 1
-            cache_set = self._set_of(ln)
+                counters.rfo += 1
+            cache_set = sets[ln % n_sets]
             if ln in cache_set:
                 cache_set.move_to_end(ln)  # write update, refresh recency
                 update_hits += 1
                 continue
             # Write Allocate: restricted to the DDIO ways of this set.
-            self.counters.pcie_itom += 1
+            counters.pcie_itom += 1
             allocations += 1
-            ddio_lines = [l for l, tag in cache_set.items() if tag == _DDIO]
-            if len(ddio_lines) >= self.params.ddio_ways:
-                del cache_set[ddio_lines[0]]  # LRU among DDIO lines
+            ddio_lines = 0
+            ddio_lru = None
+            for line, tag in cache_set.items():
+                if tag == _DDIO:
+                    if ddio_lru is None:
+                        ddio_lru = line
+                    ddio_lines += 1
+            if ddio_lines >= params.ddio_ways:
+                del cache_set[ddio_lru]  # LRU among DDIO lines
                 self._ddio_resident -= 1
-            elif len(cache_set) >= self.params.ways:
+            elif len(cache_set) >= params.ways:
                 self._evict_main(cache_set)
             cache_set[ln] = _DDIO
             self._ddio_resident += 1
@@ -239,10 +253,12 @@ class LastLevelCache:
 
     def cpu_access(self, addr: int, size: int, write: bool = False) -> CpuAccessResult:
         """Model a CPU load/store; DDIO-resident lines are promoted."""
+        sets = self._sets
+        n_sets = self._n_sets
         hits = 0
         misses = 0
         for ln in self._line_span(addr, size):
-            cache_set = self._set_of(ln)
+            cache_set = sets[ln % n_sets]
             if ln in cache_set:
                 # Core touched the line: it stops being a write-allocate
                 # victim (promotion out of the DDIO ways).
@@ -265,8 +281,7 @@ class LastLevelCache:
 
     def flush(self) -> None:
         """Invalidate all lines (counters/stats preserved)."""
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._sets.clear()
         self._ddio_resident = 0
 
     def reset_stats(self) -> None:

@@ -5,13 +5,22 @@ The RPCServer of the paper "allocates and registers huge pages (typically
 :class:`PhysicalMemory` hands out address ranges with a bump allocator;
 RDMA registration (:mod:`repro.rdma.mr`) layers protection keys on top.
 Addresses are plain integers so the cache models can derive line indices.
+:class:`RangeIndex` is the one address -> range lookup every layer uses.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Any
 
-__all__ = ["HUGE_PAGE_SIZE", "MemoryRange", "OutOfMemoryError", "PhysicalMemory"]
+__all__ = [
+    "HUGE_PAGE_SIZE",
+    "MemoryRange",
+    "OutOfMemoryError",
+    "PhysicalMemory",
+    "RangeIndex",
+]
 
 HUGE_PAGE_SIZE = 2 * 1024 * 1024  # 2 MB, the paper's huge-page size
 
@@ -42,6 +51,73 @@ class MemoryRange:
         return addr - self.base
 
 
+class RangeIndex:
+    """Items filed under address ranges, found by the addresses they cover.
+
+    ``covering(addr, size)`` returns what a scan of the ``(range, item)``
+    pairs in the order they were added would: the items whose range
+    contains ``[addr, addr + size)``, oldest first — overlapping, nested
+    and duplicate ranges included.  It costs a bisection plus the entries
+    that can still reach the query, not the number of ranges: entries
+    are kept sorted by base, and ``_max_ends[i]`` is the largest end among
+    entries ``0..i``, so a walk back from the last base at or below
+    ``addr`` stops as soon as nothing earlier extends to ``addr + size``.
+    """
+
+    def __init__(self):
+        self._bases: list[int] = []
+        self._max_ends: list[int] = []
+        #: ``(sequence number, end, item)``, parallel to ``_bases``.
+        self._entries: list[tuple[int, int, Any]] = []
+        self._added = 0
+
+    def add(self, memory_range: MemoryRange, item: Any) -> None:
+        """File ``item`` under ``memory_range``."""
+        base, end = memory_range.base, memory_range.end
+        max_ends = self._max_ends
+        pos = bisect_right(self._bases, base)
+        self._bases.insert(pos, base)
+        self._entries.insert(pos, (self._added, end, item))
+        self._added += 1
+        max_ends.insert(pos, max(max_ends[pos - 1], end) if pos else end)
+        for later in range(pos + 1, len(max_ends)):
+            if max_ends[later] >= end:
+                break
+            max_ends[later] = end
+
+    def remove(self, memory_range: MemoryRange, item: Any) -> None:
+        """Drop the oldest entry filing ``item`` under ``memory_range``;
+        :class:`KeyError` when there is none."""
+        bases, entries, max_ends = self._bases, self._entries, self._max_ends
+        base = memory_range.base
+        pos = bisect_left(bases, base)
+        while pos < len(bases) and bases[pos] == base and entries[pos][2] != item:
+            pos += 1
+        if pos == len(bases) or bases[pos] != base:
+            raise KeyError(item)
+        del bases[pos], entries[pos], max_ends[pos]
+        for later in range(pos, len(entries)):
+            end = entries[later][1]
+            max_ends[later] = max(max_ends[later - 1], end) if later else end
+
+    def covering(self, addr: int, size: int = 1) -> list:
+        """Items whose range contains ``[addr, addr + size)``, in the
+        order they were added."""
+        end = addr + size
+        max_ends = self._max_ends
+        entries = self._entries
+        pos = bisect_right(self._bases, addr)
+        found = []
+        while pos and max_ends[pos - 1] >= end:
+            pos -= 1
+            entry = entries[pos]
+            if entry[1] >= end:
+                found.append(entry)
+        if len(found) > 1:
+            found.sort()  # by sequence number, which is unique
+        return [entry[2] for entry in found]
+
+
 class PhysicalMemory:
     """A node's DRAM, carved out by a bump allocator.
 
@@ -54,7 +130,7 @@ class PhysicalMemory:
             raise ValueError("memory capacity too small")
         self.capacity_bytes = capacity_bytes
         self._next = HUGE_PAGE_SIZE
-        self.ranges: list[MemoryRange] = []
+        self._ranges = RangeIndex()
 
     @property
     def allocated_bytes(self) -> int:
@@ -73,7 +149,7 @@ class PhysicalMemory:
             )
         self._next = base + size
         memory_range = MemoryRange(base, size)
-        self.ranges.append(memory_range)
+        self._ranges.add(memory_range, memory_range)
         return memory_range
 
     def allocate_huge_pages(self, size: int) -> MemoryRange:
@@ -83,7 +159,7 @@ class PhysicalMemory:
 
     def owner_range(self, addr: int) -> MemoryRange:
         """Find the allocated range containing ``addr``."""
-        for memory_range in self.ranges:
-            if memory_range.contains(addr):
-                return memory_range
-        raise ValueError(f"address {addr:#x} is not allocated")
+        owners = self._ranges.covering(addr)
+        if not owners:
+            raise ValueError(f"address {addr:#x} is not allocated")
+        return owners[0]

@@ -12,7 +12,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from ..memsys.memory import MemoryRange
+from ..memsys.memory import MemoryRange, RangeIndex
 
 __all__ = ["Access", "MemoryRegion", "MrTable", "ProtectionError"]
 
@@ -47,34 +47,33 @@ class MemoryRegion:
     rkey: int = field(default_factory=lambda: next(_key_counter))
 
     def allows(self, access: Access) -> bool:
-        return (self.access & access) == access
+        return access in self.access
 
 
 class MrTable:
     """Per-node table of registered memory regions."""
 
     def __init__(self):
-        self._regions: list[MemoryRegion] = []
+        self._by_addr = RangeIndex()
         self._by_rkey: dict[int, MemoryRegion] = {}
 
     def __len__(self) -> int:
-        return len(self._regions)
+        return len(self._by_rkey)
 
     def register(self, memory_range: MemoryRange, access: Access) -> MemoryRegion:
         """Register a range; overlapping registrations are allowed (as in
         real verbs), each with distinct keys."""
         region = MemoryRegion(memory_range, access)
-        self._regions.append(region)
+        self._by_addr.add(memory_range, region)
         self._by_rkey[region.rkey] = region
         return region
 
     def deregister(self, region: MemoryRegion) -> None:
         """Remove a region; later verbs on its range will fault."""
-        try:
-            self._regions.remove(region)
-        except ValueError:
-            raise ProtectionError("deregistering unknown region") from None
+        if self._by_rkey.get(region.rkey) != region:
+            raise ProtectionError("deregistering unknown region")
         del self._by_rkey[region.rkey]
+        self._by_addr.remove(region.range, region)
 
     def by_rkey(self, rkey: int) -> MemoryRegion:
         region = self._by_rkey.get(rkey)
@@ -83,12 +82,13 @@ class MrTable:
         return region
 
     def check(self, addr: int, size: int, access: Access) -> MemoryRegion:
-        """Find a region covering ``[addr, addr+size)`` with ``access``.
+        """Find the first-registered region covering ``[addr, addr+size)``
+        with ``access``.
 
         Raises :class:`ProtectionError` when none qualifies.
         """
-        for region in self._regions:
-            if region.range.contains(addr, size) and region.allows(access):
+        for region in self._by_addr.covering(addr, size):
+            if region.allows(access):
                 return region
         raise ProtectionError(
             f"no region grants {access!r} over [{addr:#x}, {addr + size:#x})"

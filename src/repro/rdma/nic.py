@@ -125,7 +125,11 @@ class Nic:
             self.counters.pcie_rd_cur += self.params.conn_miss_fetch_lines
         self.conn_cache.insert(key)
 
-    # -- pipeline stages (generators; drive with ``yield from``) ----------
+    # -- pipeline stages (drive with ``yield from``) -----------------------
+    #
+    # Each stage touches the caches when called and returns the pipeline
+    # hold (``Resource.use``) carrying its result, so a stage costs the
+    # process one generator.
 
     def tx(
         self,
@@ -151,8 +155,7 @@ class Nic:
         if payload_addr is not None and size > 0:
             self.llc.dma_read(payload_addr, size)
         self.stats.tx_ops += 1
-        yield from self.pipeline.use(service)
-        return service, stall
+        return self.pipeline.use(service, (service, stall))
 
     def rx_write(self, addr: int, size: int) -> Generator:
         """Receive-side processing of an inbound payload (DMA write).
@@ -164,8 +167,7 @@ class Nic:
         stalls = min(result.allocations, self.params.ddio_alloc_stall_cap)
         service = self.params.rx_base_ns + stalls * self.params.ddio_alloc_penalty_ns
         self.stats.rx_ops += 1
-        yield from self.pipeline.use(service)
-        return service
+        return self.pipeline.use(service, service)
 
     def rx_write_scatter(self, segments: list[tuple[int, int]]) -> Generator:
         """Receive-side processing of a scatter-gather DMA landing: one
@@ -177,15 +179,14 @@ class Nic:
             result = self.llc.dma_write(addr, size)
             service += min(result.allocations, cap) * self.params.ddio_alloc_penalty_ns
         self.stats.rx_ops += 1
-        yield from self.pipeline.use(service)
-        return service
+        return self.pipeline.use(service, service)
 
     def rx_control(self) -> Generator:
         """Receive-side processing of a payload-free packet (e.g. a READ
         request arriving at the target)."""
         self.stats.rx_ops += 1
-        yield from self.pipeline.use(self.params.rx_base_ns)
-        return self.params.rx_base_ns
+        service = self.params.rx_base_ns
+        return self.pipeline.use(service, service)
 
     def serve_read(self, addr: int, size: int) -> Generator:
         """Target-side service of an RDMA READ: DMA-read the payload,
@@ -194,5 +195,4 @@ class Nic:
         self.llc.dma_read(addr, size)
         self.stats.rx_ops += 1
         service = self.params.rx_base_ns + int(size / self.params.link_bytes_per_ns)
-        yield from self.pipeline.use(service)
-        return service
+        return self.pipeline.use(service, service)

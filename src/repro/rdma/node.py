@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..memsys.llc import LastLevelCache, LlcParams
-from ..memsys.memory import MemoryRange, PhysicalMemory
+from ..memsys.memory import MemoryRange, PhysicalMemory, RangeIndex
 from ..memsys.pcie import PcieCounters
 from ..sim.engine import Simulator
 from ..sim.resources import Resource
@@ -65,6 +65,9 @@ class Node:
         self.qps: list[QueuePair] = []
         self._object_memory: dict[int, Any] = {}
         self._write_watchers: list[tuple[MemoryRange, Callable[[InboundWrite], None]]] = []
+        #: Positions in ``_write_watchers`` by watched range; the list stays
+        #: the source of truth so an entry can be swapped in place.
+        self._watchers_by_addr = RangeIndex()
         fabric.attach(self)
 
     def __repr__(self) -> str:
@@ -114,15 +117,16 @@ class Node:
         discovering a new message; the *cost* of discovery (LLC access to
         the written lines) is still charged by the reader.
         """
+        self._watchers_by_addr.add(memory_range, len(self._write_watchers))
         self._write_watchers.append((memory_range, callback))
 
     def deliver_write(self, event: InboundWrite) -> None:
         """Store the payload and notify watchers (called by the verb layer)."""
         if event.payload is not None:
             self._object_memory[event.addr] = event.payload
-        for memory_range, callback in self._write_watchers:
-            if memory_range.contains(event.addr):
-                callback(event)
+        watchers = self._write_watchers
+        for position in self._watchers_by_addr.covering(event.addr):
+            watchers[position][1](event)
 
 
 def create_qp_pair(

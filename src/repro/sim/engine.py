@@ -76,6 +76,7 @@ class Event:
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
+        #: The waiters, in registration order; ``()`` once delivered.
         self.callbacks: list[Callable[[Event], None]] = []
         self._state = _PENDING
         self._value: Any = None
@@ -129,7 +130,10 @@ class Event:
 
     def _deliver(self) -> None:
         self._state = _PROCESSED
-        callbacks, self.callbacks = self.callbacks, []
+        callbacks = self.callbacks
+        # A processed event takes no more callbacks (``add_callback`` runs
+        # them at once); dropping the list releases the waiters it holds.
+        self.callbacks = ()
         for callback in callbacks:
             callback(self)
 
@@ -152,10 +156,14 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: int, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.delay = delay
+        # Event.__init__'s slots, filled here: one call per timeout less.
+        self.sim = sim
+        self.callbacks = []
         # Stays pending until the scheduler delivers it at now + delay.
+        self._state = _PENDING
         self._value = value
+        self._ok = True
+        self.delay = delay
         sim._schedule(sim.now + delay, self)
 
 
@@ -195,25 +203,28 @@ class Process(Event):
         interrupter.add_callback(self._resume)
 
     def _resume(self, trigger: Event) -> None:
-        if not self.is_alive:
+        # ``trigger`` is always a delivered event, so its slots are read
+        # directly: the ``value`` property's pending check cannot fire.
+        if self._state != _PENDING:
             return  # already finished (e.g. interrupted then completed)
         # Detach from whatever we were waiting on; stale triggers for an
         # interrupted process are filtered by identity.
         waiting_on = self._waiting_on
         if waiting_on is not None and trigger is not waiting_on:
-            if not isinstance(trigger.value, Interrupt):
+            if not isinstance(trigger._value, Interrupt):
                 return
             # fall through: deliver the interrupt even while waiting
         self._waiting_on = None
+        generator = self.generator
         # Iterative resume loop: yielding an already-processed event (a
         # ready Store item, a completed handle) continues immediately
         # without recursing, so long chains of ready events are safe.
         while True:
             try:
-                if trigger.ok:
-                    target = self.generator.send(trigger.value)
+                if trigger._ok:
+                    target = generator.send(trigger._value)
                 else:
-                    target = self.generator.throw(trigger.value)
+                    target = generator.throw(trigger._value)
             except StopIteration as stop:
                 self.succeed(stop.value)
                 return
@@ -224,15 +235,15 @@ class Process(Event):
                 self.fail(exc)
                 raise
             if not isinstance(target, Event):
-                self.generator.throw(
+                generator.throw(
                     SimulationError(f"process yielded non-event: {target!r}")
                 )
                 return
-            if target.processed:
+            if target._state == _PROCESSED:
                 trigger = target
                 continue
             self._waiting_on = target
-            target.add_callback(self._resume)
+            target.callbacks.append(self._resume)
             return
 
 
@@ -334,10 +345,6 @@ class Simulator:
             return
         self._seq += 1
         heapq.heappush(self._queue, (at, self._seq, event))
-
-    def _post(self, event: Event) -> None:
-        """Schedule a just-triggered event's callbacks for *now*."""
-        self._ready.append(event)
 
     # -- public API -----------------------------------------------------
 

@@ -95,16 +95,19 @@ class Resource:
             f"outside [0, {self.capacity}]"
         )
 
-    def use(self, duration: int) -> Generator:
+    def use(self, duration: int, result: Any = None) -> Generator:
         """Acquire a slot, hold it for ``duration`` ns, release it.
 
-        Use as ``yield from resource.use(ns)``.
+        Use as ``yield from resource.use(ns)``; the expression's value is
+        ``result``, so a stage that worked out its hold time (and what it
+        reports about it) before queueing needs no generator of its own.
         """
         yield self.request()
         try:
             yield self.sim.timeout(duration)
         finally:
             self.release()
+        return result
 
     def utilization(self, elapsed_ns: Optional[int] = None) -> float:
         """Fraction of time at least one slot was busy.

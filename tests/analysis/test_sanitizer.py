@@ -54,6 +54,58 @@ def test_clean_run_reports_ok():
     assert report.stats.get("sims") == 1
 
 
+def test_engine_hooks_see_every_delivery_once():
+    """K timeouts (same-instant, zero-delay and distinct ones) plus M
+    succeeded events, some posted from inside a delivery: exactly K + M
+    deliveries pass the hooks, in an order no rule objects to."""
+    def body():
+        sim = Simulator()
+        log = []
+        for delay in (5, 5, 0, 7):
+            sim.timeout(delay, value=delay).add_callback(
+                lambda event: log.append((sim.now, event.value))
+            )
+        for item in "ab":
+            sim.event().succeed(item).add_callback(
+                lambda event: log.append((sim.now, event.value))
+            )
+        # Posted at t=7 from a delivery: queues behind that instant's heap entries.
+        sim.timeout(7).add_callback(lambda event: sim.event().succeed("late"))
+        sim.run()
+        return log
+
+    log, report = sanitized_run(body)
+    assert log == [(0, 0), (0, "a"), (0, "b"), (5, 5), (5, 5), (7, 7)]
+    assert report.ok, report.render()
+    assert report.stats.get("deliveries") == 5 + 3
+
+
+def test_reordered_same_instant_delivery_is_reported():
+    def body():
+        sim = Simulator()
+        sim.event().succeed("first")
+        sim.event().succeed("second")
+        sim._ready.rotate(1)  # "second" now leaves the FIFO ahead of "first"
+        sim.run()
+
+    _, report = sanitized_run(body)
+    assert report.rule_counts == {"fifo-order": 1}
+    assert report.stats.get("deliveries") == 2
+
+
+def test_clock_stepping_back_is_reported():
+    def body():
+        sim = Simulator()
+        sim.timeout(10)
+        sim.run()
+        sim.now = 4  # what a kernel bug would do; run() itself never does
+        sim.event().succeed()
+        sim.run()
+
+    _, report = sanitized_run(body)
+    assert report.rule_counts == {"time-monotone": 1}
+
+
 def test_uninstall_restores_classes():
     pristine_deliver = Simulator._schedule
     sanitizer = SimSanitizer()

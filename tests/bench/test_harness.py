@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import RpcExperiment, run_rpc_experiment
+from repro.txn import SmallBankConfig, TxnClusterConfig, run_smallbank
 
 GOLDEN = Path(__file__).resolve().parents[2] / "benchmarks/e2e/golden_seed1.json"
 
@@ -160,3 +161,30 @@ class TestFig8Point:
         }
         golden = json.loads(GOLDEN.read_text())["sim_echo_fit"]
         assert json.loads(json.dumps(block)) == golden
+
+
+class TestOtherBenchmarkPoints:
+    """The two simulated benchmark workloads ``TestFig8Point`` does not
+    cover, so a schedule change on the RawWrite or the one-sided path fails
+    here and not only in ``benchmarks/e2e``."""
+
+    def test_rawwrite_thrash_block_equals_golden(self):
+        result = run_rpc_experiment(RpcExperiment(
+            system="rawwrite", n_clients=240, measure_ns=10_000_000, seed=1,
+        ))
+        block = {
+            "throughput_mops": result.throughput_mops,
+            "latency": asdict(result.latency),
+            "counters": asdict(result.counters),
+            "completed_ops": result.completed_ops,
+            "window_ns": result.window_ns,
+        }
+        golden = json.loads(GOLDEN.read_text())["sim_echo_thrash"]
+        assert json.loads(json.dumps(block)) == golden
+
+    def test_smallbank_block_equals_golden(self):
+        result = run_smallbank(SmallBankConfig(cluster=TxnClusterConfig(
+            seed=1, system="scaletx", n_coordinators=80,
+        )))
+        golden = json.loads(GOLDEN.read_text())["sim_txn_smallbank"]
+        assert json.loads(json.dumps(asdict(result))) == golden

@@ -218,7 +218,7 @@ class TestLlcProperties:
                 llc.dma_write(addr, size)
             else:
                 llc.cpu_access(addr, size)
-        assert all(len(s) <= llc.params.ways for s in llc._sets)
+        assert all(len(s) <= llc.params.ways for s in llc._sets.values())
 
     @given(
         ops=st.lists(

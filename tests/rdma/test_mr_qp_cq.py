@@ -54,6 +54,26 @@ class TestMrTable:
         with pytest.raises(ProtectionError):
             table.deregister(region)
 
+    def test_overlap_resolves_to_first_registered_that_allows(self):
+        table = MrTable()
+        read_only = table.register(MemoryRange(0x1000, 4096), Access.REMOTE_READ)
+        writable = table.register(MemoryRange(0x0, 0x4000), Access.all_remote())
+        also_writable = table.register(MemoryRange(0x1000, 4096), Access.all_remote())
+        assert table.check(0x1800, 64, Access.REMOTE_READ) is read_only
+        assert table.check(0x1800, 64, Access.REMOTE_WRITE) is writable
+        table.deregister(writable)
+        assert table.check(0x1800, 64, Access.REMOTE_WRITE) is also_writable
+
+    def test_later_duplicate_survives_deregister(self):
+        table = MrTable()
+        first = table.register(MemoryRange(0x1000, 4096), Access.all_remote())
+        table.deregister(first)
+        with pytest.raises(ProtectionError):
+            table.check(0x1000, 64, Access.REMOTE_WRITE)
+        duplicate = table.register(MemoryRange(0x1000, 4096), Access.all_remote())
+        assert table.check(0x1000, 64, Access.REMOTE_WRITE) is duplicate
+        assert len(table) == 1
+
     def test_keys_are_unique(self):
         table = MrTable()
         a = table.register(MemoryRange(0, 64), Access.all_remote())

@@ -9,13 +9,14 @@ detects arrival by polling ``Valid`` alone (Section 3.1).
 On the simulated fabric, requests and responses travel as payload objects
 and :func:`wire_size` accounts for the header fields when charging the NIC
 and caches.  For backends that move real bytes (:mod:`repro.net`), the
-same dataclasses have a deterministic, round-trippable wire encoding —
+same dataclasses have a deterministic, round-trippable binary encoding —
 :func:`encode_request` / :func:`decode_request` and
-:func:`encode_response` / :func:`decode_response`: a fixed binary header
-(kind, version, flags, ids, modeled data size), a CRC-32 of the tail, and
-a canonical-JSON tail for the variable-length fields.  Corrupt or
-oversized frames are rejected with :exc:`WireFormatError` at decode, never
-silently misparsed.
+:func:`encode_response` / :func:`decode_response`: a fixed header (kind,
+version, flags, ids, modeled data size), a CRC-32 over header and tail,
+``struct``-packed sections for every fixed-shape field, and the payload as
+UTF-8 text or, only when it is free-form, canonical JSON.  Corrupt,
+malformed or oversized frames raise :exc:`WireFormatError` — and nothing
+else — at decode, never silently misparsed.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Any, Optional
 
 __all__ = [
@@ -82,8 +84,8 @@ TRACE_TS_BYTES = 16
 class TraceContext:
     """The optional trace-context wire extension (DESIGN.md section 14).
 
-    Carried behind a flag bit so untraced messages encode byte-identically
-    to builds without the extension.  ``trace_id`` and ``span_id`` are
+    Carried behind a flag bit, so it costs exactly :attr:`wire_bytes` on
+    the wire and untraced messages pay nothing.  The two ids are
     *deterministic* — derived from ``(client_id, req_id)`` by
     :func:`repro.obs.dist.rpc_trace_id`, never from wall clock or
     ``os.urandom`` — so two runs with the same inputs mint the same ids.
@@ -106,23 +108,6 @@ class TraceContext:
     @property
     def wire_bytes(self) -> int:
         return TRACE_EXT_BYTES + (TRACE_TS_BYTES if self.has_ts else 0)
-
-    def as_wire(self) -> list:
-        if self.has_ts:
-            return [self.trace_id, self.span_id, self.ts_a, self.ts_b]
-        return [self.trace_id, self.span_id]
-
-    @classmethod
-    def from_wire(cls, raw) -> "TraceContext":
-        if (
-            not isinstance(raw, list)
-            or len(raw) not in (2, 4)
-            or not all(isinstance(v, int) for v in raw)
-        ):
-            raise WireFormatError(f"malformed trace extension: {raw!r}")
-        if len(raw) == 2:
-            return cls(raw[0], raw[1])
-        return cls(raw[0], raw[1], raw[2], raw[3])
 
 
 def layout_in_block(block_base: int, block_size: int, data_bytes: int) -> tuple[int, int]:
@@ -232,147 +217,209 @@ class ContextSwitchNotice:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic wire format (the real-byte backends' encoding)
+# Deterministic wire format (the real-byte backends' encoding), version 2
 # ---------------------------------------------------------------------------
 #
 # Layout of one encoded message (all integers big-endian):
 #
 #   | kind u8 | version u8 | flags u16 | client_id u32 | req_id u64 |
-#   | data_bytes u32 | tail_len u32 | tail_crc32 u32 | tail bytes   |
+#   | data_bytes u32 | tail_len u32 | crc32 u32 | tail bytes          |
 #
-# The tail is canonical JSON (sorted keys, tight separators, ASCII-only)
-# of the message's variable-length fields, so encoding the same message
-# twice yields identical bytes.  Payloads crossing a process boundary must
-# therefore be JSON-representable (None/bool/int/float/str/list/dict);
-# tuples are normalized to lists.  Sim-only runs keep passing arbitrary
-# in-memory payloads — they never hit this encoder.
+#   request tail:   created_ns i64 | rpc_type_len u16 | rpc_type utf-8
+#                   | [trace] | payload
+#   response tail:  [pool_base u64 | slot_base u64 | slot_bytes u32
+#                    | epoch u64 | seq u64] | [trace] | payload
+#   trace:          trace_id u64 | span_id u64 [| ts_a i64 | ts_b i64]
+#
+# A bracketed section is present exactly when its flag bit is set, so the
+# trace extension costs exactly TRACE_EXT_BYTES (+ TRACE_TS_BYTES).  Two
+# more flag bits tag the payload, which runs to the end of the frame:
+# *none* (``None``, zero bytes), *text* (a ``str``, as UTF-8) or *json*
+# (anything else, as canonical JSON — sorted keys, tight separators, ASCII,
+# no NaN — so tuples normalize to lists and equal messages yield equal
+# bytes).  Payloads crossing a process boundary must therefore be
+# JSON-representable; sim-only runs never hit this encoder.  Decoding
+# checks the size bound, version, kind, tail length and the CRC-32 (over
+# header and tail), then rejects unknown or misplaced flag bits, sections
+# overrunning the tail and bytes trailing a *none* payload — with
+# WireFormatError and no other exception, whatever the bytes.
 
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 #: Hard bound on one encoded message; larger frames are rejected on both
 #: encode and decode (a corrupted length prefix must not allocate
 #: unbounded memory).
 MAX_WIRE_BYTES = 1 << 20
 
-_KIND_REQUEST = 1
-_KIND_RESPONSE = 2
+_KIND_REQUEST, _KIND_RESPONSE = 1, 2
+_KIND_NAMES = {_KIND_REQUEST: "request", _KIND_RESPONSE: "response"}
 
 _WIRE_HEADER = struct.Struct("!BBHIQII")
-_WIRE_CRC = struct.Struct("!I")
+_WIRE_PREAMBLE = struct.Struct("!BBHIQIII")  # header + CRC in one unpack
+_TAIL_START = _WIRE_PREAMBLE.size
+_REQUEST_FIXED = struct.Struct("!qH")
+_RPC_TYPE_START = _TAIL_START + _REQUEST_FIXED.size
+_BINDING = struct.Struct("!QQIQQ")
+_TRACE_IDS = struct.Struct("!QQ")  # TRACE_EXT_BYTES
+_TRACE_STAMPED = struct.Struct("!QQqq")  # + TRACE_TS_BYTES
 
-_FLAG_FAILED = 1 << 0
-_FLAG_CONTEXT_SWITCH = 1 << 1
-#: The trace-context extension rides in the tail behind this bit; frames
-#: without it are byte-identical to builds that predate the extension.
+_FLAG_FAILED = 1 << 0  # response only
+_FLAG_CONTEXT_SWITCH = 1 << 1  # response only
 _FLAG_TRACE = 1 << 2
+_FLAG_TRACE_TS = 1 << 3  # only with _FLAG_TRACE
+_FLAG_BINDING = 1 << 4  # response only
+_PAYLOAD_NONE, _PAYLOAD_TEXT, _PAYLOAD_JSON = 0 << 5, 1 << 5, 2 << 5
+_PAYLOAD_MASK = 3 << 5
+_REQUEST_FLAGS = _FLAG_TRACE | _FLAG_TRACE_TS | _PAYLOAD_MASK
+_RESPONSE_FLAGS = (_REQUEST_FLAGS | _FLAG_FAILED | _FLAG_CONTEXT_SWITCH
+                   | _FLAG_BINDING)
 
 
 class WireFormatError(ValueError):
     """A message failed to encode for, or decode from, the wire."""
 
 
-#: The canonical tail encoder, built once: ``json.dumps`` with any
-#: non-default argument constructs a fresh ``JSONEncoder`` per call.
+#: The canonical *json*-payload encoder, built once: ``json.dumps`` with
+#: any non-default argument constructs a fresh ``JSONEncoder`` per call.
 _encode_canonical = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False
 ).encode
 
 
-def _canonical_json(obj: Any) -> bytes:
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not isfinite(value):  # "NaN", "-Infinity"; "1e999" overflows to inf
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+#: Its mirror, accepting only numbers the encoder would produce again.
+_decode_json = json.JSONDecoder(parse_constant=_finite_float,
+                                parse_float=_finite_float).decode
+
+
+def _encode_payload(payload: Any) -> tuple[int, bytes]:
+    if payload is None:
+        return _PAYLOAD_NONE, b""
+    if type(payload) is str:
+        try:
+            return _PAYLOAD_TEXT, payload.encode()
+        except UnicodeEncodeError:
+            pass  # lone surrogates: JSON escapes them
     try:
-        text = _encode_canonical(obj)
-    except (TypeError, ValueError) as exc:
+        return _PAYLOAD_JSON, _encode_canonical(payload).encode("ascii")
+    except (TypeError, ValueError, RecursionError) as exc:
         raise WireFormatError(
             f"payload is not wire-encodable (JSON-representable): {exc}"
         ) from None
-    return text.encode("ascii")
 
 
-def _pack(kind: int, flags: int, client_id: int, req_id: int,
-          data_bytes: int, tail_obj: Any) -> bytes:
-    tail = _canonical_json(tail_obj)
-    try:
-        header = _WIRE_HEADER.pack(kind, WIRE_VERSION, flags, client_id,
-                                   req_id, data_bytes, len(tail))
-    except struct.error as exc:
-        raise WireFormatError(f"header field out of range: {exc}") from None
-    frame = header + _WIRE_CRC.pack(zlib.crc32(tail)) + tail
-    if len(frame) > MAX_WIRE_BYTES:
-        raise WireFormatError(
-            f"encoded message is {len(frame)} bytes; limit {MAX_WIRE_BYTES}"
-        )
-    return frame
+def _frame(kind: int, flags: int, message, fixed: bytes) -> bytes:
+    """Finish a frame whose kind-specific sections are ``fixed``: append
+    the trace section, tag the payload, fill the header, seal with the CRC."""
+    tag, payload = _encode_payload(message.payload)
+    flags |= tag
+    trace = message.trace
+    if trace is not None and trace.has_ts:
+        flags |= _FLAG_TRACE | _FLAG_TRACE_TS
+        fixed += _TRACE_STAMPED.pack(trace.trace_id, trace.span_id,
+                                     trace.ts_a, trace.ts_b)
+    elif trace is not None:
+        flags |= _FLAG_TRACE
+        fixed += _TRACE_IDS.pack(trace.trace_id, trace.span_id)
+    tail_len = len(fixed) + len(payload)
+    if tail_len > MAX_WIRE_BYTES - _TAIL_START:
+        raise WireFormatError(f"encoded message is {tail_len + _TAIL_START} "
+                              f"bytes; limit {MAX_WIRE_BYTES}")
+    header = _WIRE_HEADER.pack(kind, WIRE_VERSION, flags, message.client_id,
+                               message.req_id, message.data_bytes, tail_len)
+    crc = zlib.crc32(payload, zlib.crc32(fixed, zlib.crc32(header)))
+    return b"".join((header, crc.to_bytes(4, "big"), fixed, payload))
 
 
-def _unpack(data: bytes) -> tuple[int, int, int, int, int, Any]:
-    if len(data) > MAX_WIRE_BYTES:
-        raise WireFormatError(
-            f"frame is {len(data)} bytes; limit {MAX_WIRE_BYTES}"
-        )
-    base = _WIRE_HEADER.size
-    if len(data) < base + _WIRE_CRC.size:
-        raise WireFormatError(f"truncated header ({len(data)} bytes)")
-    kind, version, flags, client_id, req_id, data_bytes, tail_len = (
-        _WIRE_HEADER.unpack_from(data)
-    )
+def _open(data, want_kind: int, allowed_flags: int):
+    """Run every frame-level check; return the header fields and the one
+    ``memoryview`` of the frame that the tail parser slices."""
+    size = len(data)
+    if size > MAX_WIRE_BYTES:
+        raise WireFormatError(f"frame is {size} bytes; limit {MAX_WIRE_BYTES}")
+    if size < _TAIL_START:
+        raise WireFormatError(f"truncated header ({size} bytes)")
+    (kind, version, flags, client_id, req_id, data_bytes, tail_len,
+     crc) = _WIRE_PREAMBLE.unpack_from(data)
     if version != WIRE_VERSION:
         raise WireFormatError(f"unknown wire version {version}")
-    if kind not in (_KIND_REQUEST, _KIND_RESPONSE):
+    if kind not in _KIND_NAMES:
         raise WireFormatError(f"unknown message kind {kind}")
-    (crc,) = _WIRE_CRC.unpack_from(data, base)
-    tail = data[base + _WIRE_CRC.size:]
-    if len(tail) != tail_len:
-        raise WireFormatError(
-            f"tail length mismatch: header says {tail_len}, got {len(tail)}"
-        )
-    if zlib.crc32(tail) != crc:
-        raise WireFormatError("tail CRC mismatch (corrupt frame)")
+    if kind != want_kind:
+        raise WireFormatError(f"expected a {_KIND_NAMES[want_kind]} frame, "
+                              f"got kind {kind}")
+    if tail_len != size - _TAIL_START:
+        raise WireFormatError(f"tail length mismatch: header says {tail_len}, "
+                              f"got {size - _TAIL_START}")
+    view = memoryview(data)
+    if zlib.crc32(view[_TAIL_START:], zlib.crc32(view[:_WIRE_HEADER.size])) != crc:
+        raise WireFormatError("CRC mismatch (corrupt frame)")
+    if flags & ~allowed_flags:
+        raise WireFormatError(f"flag bits {flags & ~allowed_flags:#x} are "
+                              f"not valid on a {_KIND_NAMES[kind]} frame")
+    if flags & _FLAG_TRACE_TS and not flags & _FLAG_TRACE:
+        raise WireFormatError("trace stamps flagged without a trace section")
+    return flags, client_id, req_id, data_bytes, view
+
+
+def _trace_and_payload(flags: int, view: memoryview, offset: int):
+    """The two sections every tail ends with (``struct.error`` on a short
+    trace section is the caller's to report)."""
+    trace = None
+    if flags & _FLAG_TRACE:
+        layout = _TRACE_STAMPED if flags & _FLAG_TRACE_TS else _TRACE_IDS
+        trace = TraceContext(*layout.unpack_from(view, offset))
+        offset += layout.size
+    body = view[offset:]
+    tag = flags & _PAYLOAD_MASK
     try:
-        tail_obj = json.loads(tail.decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireFormatError(f"undecodable tail: {exc}") from None
-    return kind, flags, client_id, req_id, data_bytes, tail_obj
-
-
-def _trace_from_tail(flags: int, tail: dict) -> Optional[TraceContext]:
-    if not flags & _FLAG_TRACE:
-        return None
-    if "trace" not in tail:
-        raise WireFormatError("trace flag set but no trace extension in tail")
-    return TraceContext.from_wire(tail["trace"])
+        if tag == _PAYLOAD_TEXT:
+            return trace, str(body, "utf-8")
+        if tag == _PAYLOAD_JSON:
+            return trace, _decode_json(str(body, "ascii"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8/JSON, deep nesting
+        raise WireFormatError(f"undecodable payload: {exc}") from None
+    if tag != _PAYLOAD_NONE:
+        raise WireFormatError(f"unknown payload tag {tag >> 5}")
+    if len(body):
+        raise WireFormatError(f"{len(body)} bytes trail an empty payload")
+    return trace, None
 
 
 def encode_request(request: RpcRequest) -> bytes:
     """Encode one :class:`RpcRequest` to its deterministic wire form."""
-    flags = _FLAG_TRACE if request.trace is not None else 0
-    tail: dict[str, Any] = {
-        "rpc_type": request.rpc_type, "payload": request.payload,
-        "created_ns": request.created_ns,
-    }
-    if request.trace is not None:
-        tail["trace"] = request.trace.as_wire()
-    return _pack(
-        _KIND_REQUEST, flags, request.client_id, request.req_id,
-        request.data_bytes, tail,
-    )
-
-
-def decode_request(data: bytes) -> RpcRequest:
-    """Decode a request frame; raises :exc:`WireFormatError` if invalid."""
-    kind, flags, client_id, req_id, data_bytes, tail = _unpack(data)
-    if kind != _KIND_REQUEST:
-        raise WireFormatError(f"expected a request frame, got kind {kind}")
+    rpc_type = request.rpc_type
+    if type(rpc_type) is not str:
+        raise WireFormatError(f"rpc_type must be a str, got {rpc_type!r}")
     try:
-        return RpcRequest(
-            client_id=client_id,
-            rpc_type=tail["rpc_type"],
-            payload=tail["payload"],
-            data_bytes=data_bytes,
-            req_id=req_id,
-            created_ns=tail["created_ns"],
-            trace=_trace_from_tail(flags, tail),
-        )
-    except (KeyError, TypeError) as exc:
+        name = rpc_type.encode()
+        fixed = _REQUEST_FIXED.pack(request.created_ns, len(name)) + name
+        return _frame(_KIND_REQUEST, 0, request, fixed)
+    except (struct.error, UnicodeEncodeError) as exc:
+        raise WireFormatError(f"request field out of range: {exc}") from None
+
+
+def decode_request(data) -> RpcRequest:
+    """Decode a request frame (``bytes``, ``bytearray`` or ``memoryview``);
+    raises :exc:`WireFormatError` if invalid."""
+    flags, client_id, req_id, data_bytes, view = _open(
+        data, _KIND_REQUEST, _REQUEST_FLAGS)
+    try:
+        created_ns, name_len = _REQUEST_FIXED.unpack_from(view, _TAIL_START)
+        offset = _RPC_TYPE_START + name_len
+        if offset > len(view):
+            raise WireFormatError(f"rpc_type_len {name_len} overruns the tail")
+        rpc_type = str(view[_RPC_TYPE_START:offset], "utf-8")
+        trace, payload = _trace_and_payload(flags, view, offset)
+    except (struct.error, UnicodeDecodeError) as exc:
         raise WireFormatError(f"malformed request tail: {exc}") from None
+    return RpcRequest(
+        client_id, rpc_type, payload, data_bytes, req_id, created_ns, trace)
 
 
 def encode_response(response: RpcResponse) -> bytes:
@@ -381,50 +428,43 @@ def encode_response(response: RpcResponse) -> bytes:
         _FLAG_CONTEXT_SWITCH if response.context_switch else 0
     )
     binding = response.binding
-    tail: dict[str, Any] = {"payload": response.payload}
-    if binding is not None:
-        tail["binding"] = [binding.pool_base, binding.slot_base,
-                           binding.slot_bytes, binding.epoch, binding.seq]
-    if response.trace is not None:
-        flags |= _FLAG_TRACE
-        tail["trace"] = response.trace.as_wire()
-    return _pack(_KIND_RESPONSE, flags, response.client_id,
-                 response.req_id, response.data_bytes, tail)
-
-
-def decode_response(data: bytes) -> RpcResponse:
-    """Decode a response frame; raises :exc:`WireFormatError` if invalid."""
-    kind, flags, client_id, req_id, data_bytes, tail = _unpack(data)
-    if kind != _KIND_RESPONSE:
-        raise WireFormatError(f"expected a response frame, got kind {kind}")
+    fixed = b""
     try:
-        binding = None
-        if "binding" in tail:
-            binding = PoolBinding(*tail["binding"])
-        return RpcResponse(
-            req_id=req_id,
-            client_id=client_id,
-            payload=tail["payload"],
-            data_bytes=data_bytes,
-            failed=bool(flags & _FLAG_FAILED),
-            context_switch=bool(flags & _FLAG_CONTEXT_SWITCH),
-            binding=binding,
-            trace=_trace_from_tail(flags, tail),
-        )
-    except (KeyError, TypeError) as exc:
+        if binding is not None:
+            flags |= _FLAG_BINDING
+            fixed = _BINDING.pack(binding.pool_base, binding.slot_base,
+                                  binding.slot_bytes, binding.epoch, binding.seq)
+        return _frame(_KIND_RESPONSE, flags, response, fixed)
+    except struct.error as exc:
+        raise WireFormatError(f"response field out of range: {exc}") from None
+
+
+def decode_response(data) -> RpcResponse:
+    """Decode a response frame (``bytes``, ``bytearray`` or ``memoryview``);
+    raises :exc:`WireFormatError` if invalid."""
+    flags, client_id, req_id, data_bytes, view = _open(
+        data, _KIND_RESPONSE, _RESPONSE_FLAGS)
+    offset = _TAIL_START
+    binding = None
+    try:
+        if flags & _FLAG_BINDING:
+            binding = PoolBinding(*_BINDING.unpack_from(view, offset))
+            offset += _BINDING.size
+        trace, payload = _trace_and_payload(flags, view, offset)
+    except struct.error as exc:
         raise WireFormatError(f"malformed response tail: {exc}") from None
+    return RpcResponse(
+        req_id, client_id, payload, data_bytes, bool(flags & _FLAG_FAILED),
+        bool(flags & _FLAG_CONTEXT_SWITCH), binding, trace)
 
 
-def decode_message(data: bytes):
+def decode_message(data):
     """Decode either kind of frame (dispatch on the kind byte)."""
     if not data:
         raise WireFormatError("empty frame")
-    kind = data[0]
-    if kind == _KIND_REQUEST:
-        return decode_request(data)
-    if kind == _KIND_RESPONSE:
+    if data[0] == _KIND_RESPONSE:
         return decode_response(data)
-    raise WireFormatError(f"unknown message kind {kind}")
+    return decode_request(data)  # which rejects any third kind
 
 
 @dataclass(frozen=True)

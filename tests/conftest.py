@@ -12,7 +12,11 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("repro")
+# The same, searched twenty times harder: CI's codec/framing fuzz step
+# selects it with --hypothesis-profile=fuzz.
+settings.register_profile(
+    "fuzz", parent=settings.get_profile("repro"), max_examples=2000
+)
 
 
 @pytest.fixture(autouse=True)
@@ -40,3 +44,8 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "no_sanitize: skip SimSanitizer instrumentation for this test"
     )
+    # "repro" is the default, not an override: a profile named on the
+    # command line is loaded by hypothesis' own plugin, whichever of the
+    # two hooks runs first.
+    if not config.getoption("--hypothesis-profile", None):
+        settings.load_profile("repro")

@@ -2,15 +2,20 @@
 
 The real-byte backends (repro.net) depend on three properties tested
 here: round-trips are lossless, encoding is deterministic byte-for-byte,
-and corrupt or oversized frames raise WireFormatError instead of being
-silently misparsed.
+and corrupt, malformed or oversized frames raise WireFormatError — and
+nothing else — instead of being silently misparsed.
+
+Frames are hand-built here from the layout comment in
+``repro/core/message.py`` (``_seal``), not from its private constants:
+the bits ARE the format.
 """
 
-import json
 import struct
 import zlib
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from repro.core.message import (
     MAX_WIRE_BYTES,
@@ -33,12 +38,63 @@ _HEADER = struct.Struct("!BBHIQII")
 _CRC = struct.Struct("!I")
 _OVERHEAD = _HEADER.size + _CRC.size
 
+_REQUEST, _RESPONSE = 1, 2
+_FLAG_FAILED = 1 << 0
+_FLAG_CONTEXT_SWITCH = 1 << 1
+_FLAG_TRACE = 1 << 2
+_FLAG_TRACE_TS = 1 << 3
+_FLAG_BINDING = 1 << 4
+_TEXT, _JSON = 1 << 5, 2 << 5  # payload tags; 0 is *none*, 3 is unassigned
+
+U32, U64, I64 = 2**32 - 1, 2**64 - 1, 2**63 - 1
+
+
+def _seal(kind, flags, tail, *, version=WIRE_VERSION, client_id=1, req_id=1,
+          data_bytes=0) -> bytes:
+    """A well-formed envelope (right tail length, right CRC) around any tail."""
+    header = _HEADER.pack(kind, version, flags, client_id, req_id, data_bytes,
+                          len(tail))
+    return header + _CRC.pack(zlib.crc32(tail, zlib.crc32(header))) + tail
+
+
+def _request_tail(rpc_type=b"echo", created_ns=0, rest=b"") -> bytes:
+    return struct.pack("!qH", created_ns, len(rpc_type)) + rpc_type + rest
+
 
 def _request(**overrides) -> RpcRequest:
     defaults = dict(client_id=7, rpc_type="echo", payload={"k": [1, 2]},
                     data_bytes=64, req_id=1234, created_ns=5_000)
     defaults.update(overrides)
     return RpcRequest(**defaults)
+
+
+def _flags(frame: bytes) -> int:
+    return _HEADER.unpack_from(frame)[2]
+
+
+def _encode(message) -> bytes:
+    if isinstance(message, RpcRequest):
+        return encode_request(message)
+    return encode_response(message)
+
+
+def _normalize(payload):
+    """What a payload looks like after the wire — the JSON normalisation
+    version 1 applied to everything: tuples become lists, and a high
+    surrogate directly followed by a low one becomes the code point the
+    pair spells (keys that then collide keep the later in sorted order)."""
+    if isinstance(payload, (list, tuple)):
+        return [_normalize(item) for item in payload]
+    if isinstance(payload, dict):
+        return {_normalize(key): _normalize(payload[key]) for key in sorted(payload)}
+    if isinstance(payload, str):
+        return payload.encode("utf-16", "surrogatepass").decode("utf-16", "surrogatepass")
+    return payload
+
+
+def _normalized(message):
+    fields = dict(vars(message), payload=_normalize(message.payload))
+    return type(message)(**fields)
 
 
 class TestRequestRoundTrip:
@@ -67,14 +123,16 @@ class TestRequestRoundTrip:
 
     def test_max_size_payload(self):
         # The largest payload that still encodes: fill the frame right up
-        # to MAX_WIRE_BYTES.  JSON string quoting adds 2 bytes; the tail
-        # is {"created_ns":5000,"payload":"...","rpc_type":"echo"}.
+        # to MAX_WIRE_BYTES.  A text payload is its own UTF-8 bytes, so the
+        # headroom over an empty-string frame is exactly the payload size.
         probe = encode_request(_request(payload=""))
         headroom = MAX_WIRE_BYTES - len(probe)
         payload = "x" * headroom
         frame = encode_request(_request(payload=payload))
         assert len(frame) == MAX_WIRE_BYTES
         assert decode_request(frame).payload == payload
+        with pytest.raises(WireFormatError, match="limit"):
+            encode_request(_request(payload=payload + "x"))
 
     def test_oversize_payload_rejected_on_encode(self):
         with pytest.raises(WireFormatError, match="limit"):
@@ -83,6 +141,23 @@ class TestRequestRoundTrip:
     def test_non_json_payload_rejected_on_encode(self):
         with pytest.raises(WireFormatError, match="wire-encodable"):
             encode_request(_request(payload=object()))
+        with pytest.raises(WireFormatError, match="wire-encodable"):
+            encode_request(_request(payload=[1.0, float("nan")]))
+
+    def test_accepts_any_bytes_like_frame(self):
+        frame = encode_request(_request())
+        for data in (frame, bytearray(frame), memoryview(frame),
+                     memoryview(b"junk" + frame)[4:]):
+            assert decode_request(data) == _request()
+            assert decode_message(data) == _request()
+
+    def test_negative_clock_readings_round_trip(self):
+        # A Clock(skew_ns=-...) reading is a legitimate negative instant.
+        request = _request(created_ns=-123_456_789)
+        assert decode_request(encode_request(request)).created_ns == -123_456_789
+        stamps = TraceContext(1, 2, ts_a=-5_000, ts_b=-4_000)
+        response = RpcResponse(req_id=9, client_id=3, trace=stamps)
+        assert decode_response(encode_response(response)).trace == stamps
 
 
 class TestResponseRoundTrip:
@@ -119,6 +194,14 @@ class TestCorruptFrames:
         with pytest.raises(WireFormatError, match="CRC"):
             decode_request(bytes(frame))
 
+    def test_flipped_header_bit_fails_crc(self):
+        # The CRC covers the header too: a flipped req_id bit must not
+        # decode cleanly as a different message.
+        frame = bytearray(encode_request(_request()))
+        frame[15] ^= 0x01  # lowest bit of req_id
+        with pytest.raises(WireFormatError, match="CRC"):
+            decode_request(bytes(frame))
+
     def test_truncated_tail_rejected(self):
         frame = encode_request(_request())
         with pytest.raises(WireFormatError, match="tail length"):
@@ -130,16 +213,27 @@ class TestCorruptFrames:
         with pytest.raises(WireFormatError, match="version"):
             decode_request(bytes(frame))
 
-    def test_unknown_kind_rejected(self):
-        tail = b"{}"
-        frame = (_HEADER.pack(99, WIRE_VERSION, 0, 1, 1, 0, len(tail))
+    def test_version_1_frame_rejected(self):
+        # The canonical-JSON format this one replaced; there is no second
+        # decoder.  (Version 1's CRC covered the tail only.)
+        tail = b'{"created_ns":0,"payload":null,"rpc_type":"echo"}'
+        frame = (_HEADER.pack(_REQUEST, 1, 0, 1, 1, 0, len(tail))
                  + _CRC.pack(zlib.crc32(tail)) + tail)
-        with pytest.raises(WireFormatError, match="kind"):
-            decode_message(frame)
+        for decode in (decode_request, decode_message):
+            with pytest.raises(WireFormatError, match="unknown wire version 1"):
+                decode(frame)
+
+    def test_unknown_kind_rejected(self):
+        frame = _seal(99, 0, _request_tail())
+        for decode in (decode_message, decode_request, decode_response):
+            with pytest.raises(WireFormatError, match="unknown message kind 99"):
+                decode(frame)
 
     def test_request_frame_is_not_a_response(self):
         with pytest.raises(WireFormatError, match="expected a response"):
             decode_response(encode_request(_request()))
+        with pytest.raises(WireFormatError, match="expected a request"):
+            decode_request(encode_response(RpcResponse(req_id=9, client_id=3)))
 
     def test_oversized_frame_rejected_before_parse(self):
         with pytest.raises(WireFormatError, match="limit"):
@@ -150,19 +244,101 @@ class TestCorruptFrames:
             decode_message(b"")
 
     def test_malformed_tail_shape(self):
-        # Valid CRC, valid JSON, wrong schema (missing rpc_type).
-        tail = json.dumps({"payload": 1}).encode()
-        frame = (_HEADER.pack(1, WIRE_VERSION, 0, 1, 1, 0, len(tail))
-                 + _CRC.pack(zlib.crc32(tail)) + tail)
+        # Valid envelope, wrong schema: a tail too short to hold the
+        # request's fixed fields, and an rpc_type that is not UTF-8.
         with pytest.raises(WireFormatError, match="malformed request"):
-            decode_request(frame)
+            decode_request(_seal(_REQUEST, 0, b"\x00" * 9))
+        with pytest.raises(WireFormatError, match="malformed request"):
+            decode_request(_seal(_REQUEST, 0, _request_tail(rpc_type=b"\xff\xfe")))
+
+    def test_rpc_type_len_overrun_rejected(self):
+        tail = struct.pack("!qH", 0, 5) + b"echo"  # says 5, holds 4
+        with pytest.raises(WireFormatError, match="rpc_type_len 5 overruns"):
+            decode_request(_seal(_REQUEST, 0, tail))
+
+    def test_unknown_flag_bits_rejected(self):
+        for bit in range(7, 16):
+            with pytest.raises(WireFormatError, match="flag bits"):
+                decode_request(_seal(_REQUEST, 1 << bit, _request_tail()))
+            with pytest.raises(WireFormatError, match="flag bits"):
+                decode_response(_seal(_RESPONSE, 1 << bit, b""))
+
+    def test_response_only_flags_rejected_on_a_request(self):
+        for flag in (_FLAG_FAILED, _FLAG_CONTEXT_SWITCH, _FLAG_BINDING):
+            frame = _seal(_REQUEST, flag, _request_tail(rest=b"\x00" * 36))
+            with pytest.raises(WireFormatError, match="not valid on a request"):
+                decode_request(frame)
+
+    def test_unknown_payload_tag_rejected(self):
+        with pytest.raises(WireFormatError, match="payload tag 3"):
+            decode_request(_seal(_REQUEST, _TEXT | _JSON, _request_tail(rest=b"x")))
+        with pytest.raises(WireFormatError, match="payload tag 3"):
+            decode_response(_seal(_RESPONSE, _TEXT | _JSON, b"x"))
+
+    def test_trailing_bytes_after_a_none_payload_rejected(self):
+        with pytest.raises(WireFormatError, match="trail"):
+            decode_request(_seal(_REQUEST, 0, _request_tail(rest=b"\x00")))
+        with pytest.raises(WireFormatError, match="trail"):
+            decode_response(_seal(_RESPONSE, 0, b"\x00"))
+
+    def test_truncated_binding_section_rejected(self):
+        with pytest.raises(WireFormatError, match="malformed response"):
+            decode_response(_seal(_RESPONSE, _FLAG_BINDING, b"\x00" * 35))
+
+    def test_undecodable_text_payload_rejected(self):
+        with pytest.raises(WireFormatError, match="undecodable payload"):
+            decode_response(_seal(_RESPONSE, _TEXT, b"\xff"))
 
 
-_FLAG_TRACE = 1 << 2  # mirrors the private constant; the bit IS the format
+class TestHostileTails:
+    """CRC-valid frames that version 1 let through, or let escape as a
+    different exception (each named after what it used to do)."""
 
+    def _json_request(self, text: bytes) -> bytes:
+        return _seal(_REQUEST, _JSON, _request_tail(rest=text))
 
-def _flags(frame: bytes) -> int:
-    return _HEADER.unpack_from(frame)[2]
+    def test_deep_nesting_is_not_a_recursion_error(self):
+        for text in (b"[" * 200_000, b'{"a":' * 100_000):
+            with pytest.raises(WireFormatError, match="undecodable payload"):
+                decode_request(self._json_request(text))
+            with pytest.raises(WireFormatError, match="undecodable payload"):
+                decode_response(_seal(_RESPONSE, _JSON, text))
+        with pytest.raises(WireFormatError, match="wire-encodable"):
+            nested: list = []
+            for _ in range(100_000):
+                nested = [nested]
+            encode_request(_request(payload=nested))
+
+    def test_rpc_type_and_created_ns_are_typed(self):
+        # v1 decoded {"rpc_type":5,"payload":1,"created_ns":"x"} to an
+        # RpcRequest with an int rpc_type and a str created_ns.  v2 has no
+        # frame that says that, and refuses to encode one.
+        with pytest.raises(WireFormatError, match="rpc_type must be a str"):
+            encode_request(_request(rpc_type=5))
+        with pytest.raises(WireFormatError, match="out of range"):
+            encode_request(_request(created_ns="x"))
+        with pytest.raises(WireFormatError, match="out of range"):
+            encode_request(_request(rpc_type="\ud800"))
+        decoded = decode_request(self._json_request(b'{"rpc_type":5,"created_ns":"x"}'))
+        assert (decoded.rpc_type, decoded.created_ns) == ("echo", 0)
+        assert decoded.payload == {"rpc_type": 5, "created_ns": "x"}
+
+    def test_binding_is_five_integers_not_a_string(self):
+        # v1 decoded "binding":"abcde" to PoolBinding('a','b','c','d','e').
+        decoded = decode_response(_seal(_RESPONSE, _FLAG_BINDING, (b"abcde" * 8)[:36]))
+        assert all(type(v) is int for v in vars(decoded.binding).values())
+        with pytest.raises(WireFormatError, match="out of range"):
+            encode_response(RpcResponse(1, 1, binding=PoolBinding(*"abcde")))
+
+    def test_nan_payload_rejected_on_decode(self):
+        for text in (b"NaN", b"[Infinity]", b'{"a":-Infinity}', b"1e999", b"[-1E400]"):
+            with pytest.raises(WireFormatError, match="non-finite"):
+                decode_request(self._json_request(text))
+
+    def test_oversized_integer_literal_rejected(self):
+        # int() refuses > 4300 digits with a plain ValueError.
+        with pytest.raises(WireFormatError, match="undecodable payload"):
+            decode_request(self._json_request(b"1" * 5000))
 
 
 class TestTraceExtension:
@@ -187,12 +363,24 @@ class TestTraceExtension:
 
     def test_untraced_bytes_unchanged_by_extension(self):
         # The zero-cost-when-off contract at the byte level: an untraced
-        # request encodes identically whether or not the trace field
-        # exists, and carries no "trace" key in the tail.
-        frame = encode_request(_request())
-        tail = frame[_OVERHEAD:]
-        assert b"trace" not in tail
+        # frame has neither trace flag and not one byte of the section —
+        # it is exactly the fixed fields plus the payload.
+        frame = encode_request(_request(payload="pay"))
+        assert not _flags(frame) & (_FLAG_TRACE | _FLAG_TRACE_TS)
+        assert frame[_OVERHEAD:] == _request_tail(created_ns=5_000, rest=b"pay")
         assert decode_request(frame).trace is None
+
+    def test_extension_size_on_the_wire_is_what_wire_bytes_charges(self):
+        untraced = len(encode_request(_request()))
+        traced = _request(trace=TraceContext(trace_id=1, span_id=2))
+        assert len(encode_request(traced)) - untraced == TRACE_EXT_BYTES
+        assert traced.wire_bytes - _request().wire_bytes == TRACE_EXT_BYTES
+        plain = RpcResponse(req_id=9, client_id=3, payload="r")
+        stamped = RpcResponse(req_id=9, client_id=3, payload="r",
+                              trace=TraceContext(1, 2, ts_a=3, ts_b=4))
+        grown = len(encode_response(stamped)) - len(encode_response(plain))
+        assert grown == TRACE_EXT_BYTES + TRACE_TS_BYTES
+        assert stamped.wire_bytes - plain.wire_bytes == grown
 
     def test_wire_bytes_charged_only_when_present(self):
         base = _request().wire_bytes
@@ -202,16 +390,31 @@ class TestTraceExtension:
         assert stamped.wire_bytes == base + TRACE_EXT_BYTES + TRACE_TS_BYTES
 
     def test_corrupt_extension_rejected(self):
-        for raw in ("xx", [1], [1, 2, 3], [1, "a"], {"trace_id": 1}):
-            with pytest.raises(WireFormatError, match="trace extension"):
-                TraceContext.from_wire(raw)
+        # A trace section cut short (ids, then ids + stamps), and stamps
+        # flagged with no trace section to belong to.
+        ids = struct.pack("!QQ", 1, 2)
+        for flags, section in ((_FLAG_TRACE, ids[:-1]),
+                               (_FLAG_TRACE | _FLAG_TRACE_TS, ids),
+                               (_FLAG_TRACE | _FLAG_TRACE_TS, ids + b"\x00" * 15)):
+            with pytest.raises(WireFormatError, match="malformed request"):
+                decode_request(_seal(_REQUEST, flags, _request_tail(rest=section)))
+            with pytest.raises(WireFormatError, match="malformed response"):
+                decode_response(_seal(_RESPONSE, flags, section))
+        with pytest.raises(WireFormatError, match="stamps flagged without a trace"):
+            decode_response(_seal(_RESPONSE, _FLAG_TRACE_TS, ids + ids))
 
     def test_flag_without_extension_rejected(self):
-        frame = bytearray(encode_request(_request()))
-        flags = _flags(bytes(frame)) | _FLAG_TRACE
-        struct.pack_into("!H", frame, 2, flags)
-        with pytest.raises(WireFormatError, match="trace"):
-            decode_request(bytes(frame))
+        # Setting the flag on an untraced frame (envelope re-sealed, so the
+        # CRC is not what catches it): the section it promises is missing.
+        frame = encode_request(_request(payload=None))
+        with pytest.raises(WireFormatError, match="malformed request"):
+            decode_request(_seal(_REQUEST, _flags(frame) | _FLAG_TRACE,
+                                 frame[_OVERHEAD:]))
+        # Un-resealed, the header CRC refuses it first.
+        forged = bytearray(frame)
+        struct.pack_into("!H", forged, 2, _flags(frame) | _FLAG_TRACE)
+        with pytest.raises(WireFormatError, match="CRC"):
+            decode_request(bytes(forged))
 
     def test_deterministic_ids_on_wire(self):
         from repro.obs.dist import rpc_trace_id, span_id
@@ -229,3 +432,192 @@ class TestDecodeMessageDispatch:
         response = RpcResponse(req_id=9, client_id=3)
         assert decode_message(encode_request(request)) == request
         assert decode_message(encode_response(response)) == response
+
+
+# A change to any of these bytes is a change of wire format: bump
+# WIRE_VERSION (and re-pin) rather than editing the expectation.
+_PINNED = [
+    (RpcRequest(client_id=7, rpc_type="echo", payload=None, data_bytes=32,
+                req_id=1234, created_ns=5000),
+     "010200000000000700000000000004d2000000200000000e2d118161"
+     "000000000000138800046563686f"),
+    (RpcRequest(client_id=7, rpc_type="echo", payload="héllo", data_bytes=32,
+                req_id=1234, created_ns=-5000),
+     "010200200000000700000000000004d20000002000000014f20b4d98"
+     "ffffffffffffec7800046563686f68c3a96c6c6f"),
+    (RpcRequest(client_id=7, rpc_type="kv.put", payload={"k": (1, 2.5), "a": None},
+                data_bytes=64, req_id=U64, created_ns=0,
+                trace=TraceContext(0xABCDEF, 0x123456)),
+     "0102004400000007ffffffffffffffff0000004000000036e2b35a00"
+     "000000000000000000066b762e707574"
+     "0000000000abcdef0000000000123456"
+     "7b2261223a6e756c6c2c226b223a5b312c322e355d7d"),
+    (RpcResponse(req_id=9, client_id=3, payload="ok", data_bytes=48),
+     "02020020000000030000000000000009000000300000000263dcd930"
+     "6f6b"),
+    (RpcResponse(req_id=9, client_id=3, payload=[True, "\ud800"], data_bytes=0,
+                 failed=True, context_switch=True,
+                 binding=PoolBinding(4096, 8192, 1024, 3, 7),
+                 trace=TraceContext(7, 9, ts_a=-1000, ts_b=2000)),
+     "0202005f0000000300000000000000090000000000000053f35b9f0c"
+     "000000000000100000000000000020000000040000000000000000030000000000000007"
+     "00000000000000070000000000000009fffffffffffffc1800000000000007d0"
+     "5b747275652c225c7564383030225d"),
+]
+
+
+class TestPinnedFrames:
+    @pytest.mark.parametrize("message, frame_hex", _PINNED)
+    def test_layout_is_pinned_bump_WIRE_VERSION_to_change_it(self, message, frame_hex):
+        assert WIRE_VERSION == 2
+        assert _encode(message).hex() == frame_hex
+        assert decode_message(bytes.fromhex(frame_hex)) == _normalized(message)
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+
+def _reordered(payload):
+    """The same payload with every dict built in reverse insertion order."""
+    if isinstance(payload, (list, tuple)):
+        return type(payload)(_reordered(item) for item in payload)
+    if isinstance(payload, dict):
+        return {key: _reordered(payload[key]) for key in reversed(payload)}
+    return payload
+
+
+# Text as Python allows it: any code point, lone surrogates included (the
+# default alphabet leaves category Cs out).
+_any_text = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=24)
+_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | _any_text,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.tuples(inner, inner)
+                   | st.dictionaries(_any_text, inner, max_size=4)),
+    max_leaves=12,
+)
+_u32, _u64 = st.integers(0, U32), st.integers(0, U64)
+_i64 = st.integers(-I64 - 1, I64)
+_traces = st.none() | st.builds(
+    TraceContext, _u64, _u64, st.just(0) | _i64, st.just(0) | _i64)
+_bindings = st.none() | st.builds(PoolBinding, _u64, _u64, _u32, _u64, _u64)
+_requests = st.builds(
+    RpcRequest, client_id=_u32, rpc_type=st.text(max_size=24), payload=_payloads,
+    data_bytes=_u32, req_id=_u64, created_ns=_i64, trace=_traces)
+_responses = st.builds(
+    RpcResponse, req_id=_u64, client_id=_u32, payload=_payloads, data_bytes=_u32,
+    failed=st.booleans(), context_switch=st.booleans(), binding=_bindings,
+    trace=_traces)
+_messages = _requests | _responses
+# Small frames for the properties that decode once per bit.
+_small_messages = (
+    st.builds(RpcRequest, client_id=_u32, rpc_type=st.text(max_size=4),
+              payload=st.none() | st.text(max_size=6) | st.lists(st.integers(), max_size=2),
+              data_bytes=_u32, req_id=_u64, created_ns=_i64, trace=_traces)
+    | st.builds(RpcResponse, req_id=_u64, client_id=_u32,
+                payload=st.none() | st.text(max_size=6), data_bytes=_u32,
+                failed=st.booleans(), binding=_bindings, trace=_traces)
+)
+
+_DECODERS = (decode_message, decode_request, decode_response)
+
+
+def _refuses_or_round_trips(frame: bytes) -> None:
+    """The decode contract on arbitrary bytes: WireFormatError, or a
+    message that the codec maps to itself — no other exception, ever."""
+    for decode in _DECODERS:
+        try:
+            message = decode(frame)
+        except WireFormatError:
+            continue
+        again = decode(_encode(message))
+        assert again == message
+        assert _encode(again) == _encode(message)
+
+
+def _resealed(frame: bytes) -> bytes:
+    """``frame`` with its tail length and CRC made right again, so what
+    was spliced in reaches the tail parser instead of dying at the CRC."""
+    kind, version, flags, client_id, req_id, data_bytes, _ = _HEADER.unpack_from(frame)
+    return _seal(kind, flags, frame[_OVERHEAD:], version=version,
+                 client_id=client_id, req_id=req_id, data_bytes=data_bytes)
+
+
+class TestWireProperties:
+    @given(_messages)
+    def test_round_trip_equals_tuples_to_lists(self, message):
+        frame = _encode(message)
+        assert decode_message(frame) == _normalized(message)
+        decode = decode_request if isinstance(message, RpcRequest) else decode_response
+        assert decode(memoryview(frame)) == _normalized(message)
+
+    @given(_messages)
+    def test_same_message_same_bytes(self, message):
+        fields = dict(vars(message), payload=_reordered(message.payload))
+        assert _encode(type(message)(**fields)) == _encode(message) == _encode(message)
+
+    @given(
+        _messages,
+        st.sampled_from(["client_id", "req_id", "data_bytes", "created_ns",
+                         "trace_id", "span_id", "ts_a", "ts_b", "pool_base",
+                         "slot_base", "slot_bytes", "epoch", "seq"]),
+        st.booleans(), st.integers(1, 2**70),
+    )
+    def test_out_of_range_field_raises_on_encode(self, message, name, above, by):
+        if name in ("created_ns", "ts_a", "ts_b"):
+            low, high = -I64 - 1, I64
+        else:
+            low, high = 0, U32 if name in ("client_id", "data_bytes", "slot_bytes") else U64
+        value = high + by if above else low - by
+        fields = vars(message)
+        if name in ("trace_id", "span_id", "ts_a", "ts_b"):
+            ids = dict(trace_id=1, span_id=2, ts_a=3, ts_b=4)
+            fields = dict(fields, trace=TraceContext(**dict(ids, **{name: value})))
+        elif name in ("pool_base", "slot_base", "slot_bytes", "epoch", "seq"):
+            assume(isinstance(message, RpcResponse))
+            slot = dict(pool_base=1, slot_base=2, slot_bytes=3, epoch=4, seq=5)
+            fields = dict(fields, binding=PoolBinding(**dict(slot, **{name: value})))
+        else:
+            assume(name in fields)
+            fields = dict(fields, **{name: value})
+        with pytest.raises(WireFormatError, match="out of range"):
+            _encode(type(message)(**fields))
+
+    @given(_small_messages)
+    def test_every_bit_flip_and_truncation_raises(self, message):
+        frame = _encode(message)
+        for cut in range(len(frame)):
+            with pytest.raises(WireFormatError):
+                decode_message(frame[:cut])
+        flipped = bytearray(frame)
+        for bit in range(8 * len(frame)):
+            flipped[bit >> 3] ^= 1 << (bit & 7)
+            for decode in _DECODERS:
+                with pytest.raises(WireFormatError):
+                    decode(flipped)
+            flipped[bit >> 3] ^= 1 << (bit & 7)
+        assert flipped == frame
+
+    @given(st.binary(max_size=4096))
+    def test_arbitrary_bytes_never_escape_as_another_exception(self, data):
+        _refuses_or_round_trips(data)
+
+    @given(st.sampled_from([_REQUEST, _RESPONSE]), st.integers(0, 0xFFFF),
+           st.binary(max_size=256), st.sampled_from([0, 1, WIRE_VERSION, 3]))
+    def test_arbitrary_tail_in_a_valid_envelope(self, kind, flags, tail, version):
+        _refuses_or_round_trips(_seal(kind, flags, tail, version=version))
+        # The interesting flag space is seven bits wide; stay inside it too.
+        _refuses_or_round_trips(_seal(kind, flags & 0x7F, tail))
+
+    @given(_messages, st.data())
+    def test_arbitrary_splice_into_a_valid_frame(self, message, data):
+        frame = _encode(message)
+        start = data.draw(st.integers(0, len(frame)))
+        end = data.draw(st.integers(start, min(len(frame), start + 16)))
+        spliced = frame[:start] + data.draw(st.binary(max_size=16)) + frame[end:]
+        _refuses_or_round_trips(spliced)
+        if len(spliced) >= _OVERHEAD:
+            _refuses_or_round_trips(_resealed(spliced))

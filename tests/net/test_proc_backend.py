@@ -8,10 +8,12 @@ scenario with ``asyncio.run`` directly.
 import asyncio
 import socket
 import struct
+import zlib
 
 import pytest
 
 from repro.core.message import (
+    WIRE_VERSION,
     RpcRequest,
     RpcResponse,
     decode_request,
@@ -417,8 +419,26 @@ class TestDataPath:
                 loop.sock_connect(sock, (endpoint.host, endpoint.port)), 5)
             return sock
 
+        def sealed(tail, flags, version=WIRE_VERSION):
+            # A request envelope the CRC and length checks accept, so the
+            # tail parser is what has to refuse the body.
+            header = struct.pack("!BBHIQII", 1, version, flags, 7, 1, 0, len(tail))
+            return header + struct.pack("!I", zlib.crc32(tail, zlib.crc32(header))) + tail
+
+        echo_fixed = struct.pack("!qH", 0, 4) + b"echo"
+        v1_tail = b'{"created_ns":0,"payload":null,"rpc_type":"echo"}'
+        malformed = [
+            sealed(echo_fixed + b"[" * 200_000, 2 << 5),  # deep-nested json payload
+            sealed(echo_fixed + b"\x00" * 15, 1 << 2),    # truncated trace section
+            sealed(struct.pack("!qH", 0, 9) + b"echo", 0),  # rpc_type_len overrun
+            struct.pack("!BBHIQIII", 1, 1, 0, 7, 1, 0, len(v1_tail),
+                        zlib.crc32(v1_tail)) + v1_tail,    # a version-1 frame
+        ]
+        loop_errors: list = []
+
         async def scenario():
             loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, context: loop_errors.append(context))
             server = ProcRpcServer(LOOPBACK, _echo)
             endpoint = await server.start()
             good = ProcRpcClient(endpoint, client_id=1)
@@ -442,7 +462,23 @@ class TestDataPath:
                 wire[-1] ^= 0xFF
                 await loop.sock_sendall(corrupt, encode_frame(bytes(wire)))
                 await loop.sock_sendall(corrupt, encode_frame(encode_request(request)))
-                (answer,) = await read_frames(loop, corrupt, FrameDecoder(), 1)
+                decoder = FrameDecoder()
+                (answer,) = await read_frames(loop, corrupt, decoder, 1)
+
+                # Same peer: well framed, CRC-valid, malformed inside.  Each
+                # costs one decode error — no exception reaches the loop —
+                # and the good request behind it is still answered, while
+                # the other client keeps completing calls.
+                errors_after = []
+                for body in malformed:
+                    await loop.sock_sendall(corrupt, encode_frame(body))
+                    await loop.sock_sendall(corrupt, encode_frame(encode_request(request)))
+                    (again,) = await read_frames(loop, corrupt, decoder, 1)
+                    assert decode_response(again).payload == "raw"
+                    errors_after.append(server.stats.decode_errors)
+                    during = await asyncio.wait_for(
+                        good.sync_call("echo", payload="during"), 5)
+                    assert during.payload == "during"
             finally:
                 hostile.close()
                 corrupt.close()
@@ -452,14 +488,17 @@ class TestDataPath:
             await good.close()
             await server.stop()
             return (dropped, decode_response(answer), before, after, reconnects,
-                    server.stats)
+                    server.stats, errors_after)
 
-        dropped, answer, before, after, reconnects, stats = asyncio.run(scenario())
+        dropped, answer, before, after, reconnects, stats, errors_after = (
+            asyncio.run(scenario()))
         assert dropped
         assert answer.payload == "raw" and answer.client_id == 7
-        assert stats.decode_errors == 1 and stats.failed == 0
+        assert errors_after == [2, 3, 4, 5]  # the CRC-corrupt body was the first
+        assert stats.decode_errors == 1 + len(malformed) and stats.failed == 0
         assert (before.payload, after.payload) == ("before", "after")
-        assert reconnects == 0 and stats.completed == 3
+        assert reconnects == 0 and stats.completed == 3 + 2 * len(malformed)
+        assert loop_errors == []
 
 
 class TestObsReuse:

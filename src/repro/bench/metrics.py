@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 __all__ = ["LatencyRecorder", "LatencyStats", "throughput_mops"]
 
 from ..sim.engine import NS_PER_S
@@ -55,35 +53,56 @@ class LatencyRecorder:
         for value in latencies:
             self.record(value)
 
-    def stats(self) -> LatencyStats:
+    def _ordered(self) -> list[int]:
         if not self._samples:
             raise ValueError("no latency samples recorded")
-        arr = np.asarray(self._samples, dtype=np.float64)
+        return sorted(self._samples)
+
+    def stats(self) -> LatencyStats:
+        ordered = self._ordered()
+        n = len(ordered)
+        upper = float(ordered[n // 2])
         return LatencyStats(
-            count=len(arr),
-            median_ns=float(np.median(arr)),
-            mean_ns=float(arr.mean()),
-            p99_ns=float(np.percentile(arr, 99)),
-            max_ns=float(arr.max()),
+            count=n,
+            median_ns=upper if n % 2 else (float(ordered[n // 2 - 1]) + upper) / 2,
+            # Integer-ns sums stay far below 2**53: one exact sum, one division.
+            mean_ns=sum(ordered) / n,
+            p99_ns=_linear_percentile(ordered, 99),
+            max_ns=float(ordered[-1]),
         )
 
     def percentile(self, q: float) -> float:
-        """The q-th percentile (0-100), in ns."""
-        if not self._samples:
-            raise ValueError("no latency samples recorded")
-        return float(np.percentile(np.asarray(self._samples, dtype=np.float64), q))
+        """The q-th percentile (0-100), in ns; ``ValueError`` outside that."""
+        return _linear_percentile(self._ordered(), q)
 
     def cdf(self, points: int = 50) -> list[tuple[float, float]]:
-        """(latency_us, cumulative_fraction) pairs for CDF plotting."""
-        if not self._samples:
-            raise ValueError("no latency samples recorded")
-        arr = np.sort(np.asarray(self._samples, dtype=np.float64))
-        fractions = np.linspace(0, 1, points, endpoint=True)
-        indices = np.minimum((fractions * (len(arr) - 1)).astype(int), len(arr) - 1)
-        return [(arr[i] / 1e3, float(f)) for i, f in zip(indices, fractions)]
+        """(latency_us, cumulative_fraction) pairs for CDF plotting, at
+        ``points`` >= 2 evenly spaced fractions from 0 to 1 inclusive."""
+        if points < 2:
+            raise ValueError(f"a CDF needs at least 2 points, got {points}")
+        ordered = self._ordered()
+        last = len(ordered) - 1
+        step = 1 / (points - 1)
+        fractions = [k * step for k in range(points - 1)] + [1.0]
+        return [(ordered[min(int(f * last), last)] / 1e3, f) for f in fractions]
 
     def clear(self) -> None:
         self._samples.clear()
+
+
+def _linear_percentile(ordered: list[int], q: float) -> float:
+    """The *linear* percentile of ascending samples, in the exact lerp form
+    DESIGN.md §7 fixes: from ``b`` downwards in the upper half of a gap.
+    The two forms round differently, and the digits are program output."""
+    if not 0 <= q <= 100:  # NaN fails both comparisons
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    last = len(ordered) - 1
+    v = last * (q / 100)
+    lo = int(v)
+    a, b = float(ordered[lo]), float(ordered[min(lo + 1, last)])
+    t = v - lo
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
 
 
 def throughput_mops(completed: int, window_ns: int) -> float:

@@ -23,6 +23,7 @@ __all__ = [
     "Cliff",
     "stage_breakdown",
     "detect_cliff",
+    "nearest_rank",
     "percentile_nearest_rank",
 ]
 
@@ -92,15 +93,20 @@ class Cliff:
     ratio: float  #: after / before
 
 
+def nearest_rank(p: float, n: int) -> int:
+    """The 1-based rank ``ceil(p/100 * n)`` of the ``p``-th percentile among
+    ``n`` values, taken in integers at one-decimal resolution: in floats
+    ``99.9 / 100 * 1000`` lands just above 999 and ``ceil`` would return
+    the maximum."""
+    return max(1, -(-round(p * 10) * n // 1000))
+
+
 def percentile_nearest_rank(sorted_values: Sequence[int], p: float) -> int:
     """Nearest-rank ``p``-th percentile of ascending ``sorted_values`` (0
-    when empty).  The rank ``ceil(p/100 * n)`` is taken in integers at
-    one-decimal resolution: in floats ``99.9 / 100 * 1000`` lands just
-    above 999 and ``ceil`` would return the maximum."""
+    when empty)."""
     if not sorted_values:
         return 0
-    rank = max(1, -(-round(p * 10) * len(sorted_values) // 1000))
-    return sorted_values[rank - 1]
+    return sorted_values[nearest_rank(p, len(sorted_values)) - 1]
 
 
 def stage_breakdown(

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .critical import detect_cliff
+from .critical import detect_cliff, nearest_rank
 
 __all__ = ["LogHistogram", "Anomaly", "detect_anomaly"]
 
@@ -86,7 +86,7 @@ class LogHistogram:
         sub-``2**(sub_bits+1)`` region; within relative error above."""
         if not self.total:
             return None
-        rank = max(1, -(-int(p * self.total) // 100))  # ceil(p/100 * total)
+        rank = nearest_rank(p, self.total)
         seen = 0
         for index in sorted(self.counts):
             seen += self.counts[index]

@@ -63,7 +63,8 @@ class Node:
         self.mr_table = MrTable()
         self.cpu = Resource(sim, capacity=cores, name=f"{name}.cpu")
         self.qps: list[QueuePair] = []
-        self._object_memory: dict[int, Any] = {}
+        #: Address -> stored object; public so a bulk loader can fill it.
+        self.object_memory: dict[int, Any] = {}
         self._write_watchers: list[tuple[MemoryRange, Callable[[InboundWrite], None]]] = []
         #: Positions in ``_write_watchers`` by watched range; the list stays
         #: the source of truth so an entry can be swapped in place.
@@ -92,11 +93,11 @@ class Node:
 
     def store(self, addr: int, value: Any) -> None:
         """Write ``value`` into object memory at ``addr``."""
-        self._object_memory[addr] = value
+        self.object_memory[addr] = value
 
     def load(self, addr: int, default: Any = None) -> Any:
         """Read the object stored at ``addr`` (``default`` when unset)."""
-        return self._object_memory.get(addr, default)
+        return self.object_memory.get(addr, default)
 
     # -- queue pairs ---------------------------------------------------------
 
@@ -123,7 +124,7 @@ class Node:
     def deliver_write(self, event: InboundWrite) -> None:
         """Store the payload and notify watchers (called by the verb layer)."""
         if event.payload is not None:
-            self._object_memory[event.addr] = event.payload
+            self.object_memory[event.addr] = event.payload
         watchers = self._write_watchers
         for position in self._watchers_by_addr.covering(event.addr):
             watchers[position][1](event)

@@ -77,10 +77,14 @@ def savings(account: int) -> tuple:
 
 def populate_smallbank(cluster: TxnCluster, n_accounts: int) -> None:
     """Load both tables for every account."""
+    shard_of = cluster.shard_of
+    stores = [participant.store for participant in cluster.participants]
     for account in range(n_accounts):
-        for key in (checking(account), savings(account)):
-            shard = cluster.shard_of(key)
-            cluster.participants[shard].store.insert(key, INITIAL_BALANCE)
+        key = checking(account)
+        # An account's tables co-locate (``shard_of_factory``): one lookup.
+        insert = stores[shard_of(key)].insert
+        insert(key, INITIAL_BALANCE)
+        insert(savings(account), INITIAL_BALANCE)
 
 
 def pick_account(rng: random.Random, config: SmallBankConfig) -> int:

@@ -74,6 +74,14 @@ class TestRecording:
             approx = hist.percentile(p)
             assert abs(approx - exact) / exact <= 1 / 16 + 0.01
 
+    def test_p999_rank_is_not_one_low(self):
+        # ceil(0.999 * 995) = 995: the maximum.  ``int(99.9 * 995) // 100``
+        # truncated the product first and answered rank 994.
+        hist = LogHistogram.from_values(range(1, 996), sub_bits=10)
+        assert hist.percentile(99.9) == 995
+        assert hist.percentile(99) == 986
+        assert hist.percentile(50) == 498
+
     def test_empty_percentile(self):
         assert LogHistogram().percentile(50) is None
 

@@ -27,7 +27,7 @@ after that the NIC's next write to the line is a cheap in-place update.
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -133,11 +133,13 @@ class LastLevelCache:
     def __init__(self, params: Optional[LlcParams] = None, counters: Optional[PcieCounters] = None):
         self.params = params or LlcParams()
         self.counters = counters or PcieCounters()
-        # One OrderedDict per set, by set index: line -> owner tag, LRU
-        # order.  A set exists from its first touch: strided pools reach a
-        # few hundred of the 12,288, and building every one up front would
-        # be most of a node's construction time and memory.
-        self._sets: defaultdict[int, OrderedDict[int, int]] = defaultdict(OrderedDict)
+        # One dict per set, by set index: line -> owner tag, in LRU order
+        # (insertion order; a touch pops and reinserts).  A plain dict of
+        # ints is half an OrderedDict's size and never GC-tracked.  A set
+        # exists from its first touch: strided pools reach a few hundred of
+        # the 12,288, and building every one up front would be most of a
+        # node's construction time and memory.
+        self._sets: defaultdict[int, dict[int, int]] = defaultdict(dict)
         # Fixed for the cache's life; the per-line paths read it here
         # instead of re-deriving it through two ``params`` properties.
         self._n_sets = self.params.n_sets
@@ -157,7 +159,7 @@ class LastLevelCache:
         last = (addr + size - 1) // line
         return range(first, last + 1)
 
-    def _set_of(self, line: int) -> OrderedDict:
+    def _set_of(self, line: int) -> dict[int, int]:
         return self._sets[line % self._n_sets]
 
     def resident(self, addr: int, size: int = 1) -> bool:
@@ -198,7 +200,7 @@ class LastLevelCache:
                 counters.rfo += 1
             cache_set = sets[ln % n_sets]
             if ln in cache_set:
-                cache_set.move_to_end(ln)  # write update, refresh recency
+                cache_set[ln] = cache_set.pop(ln)  # write update, refresh recency
                 update_hits += 1
                 continue
             # Write Allocate: restricted to the DDIO ways of this set.
@@ -228,14 +230,13 @@ class LastLevelCache:
             partial_lines=partial_lines,
         )
 
-    def _evict_main(self, cache_set: OrderedDict) -> None:
+    def _evict_main(self, cache_set: dict[int, int]) -> None:
         """Evict the LRU core-owned line (fallback: LRU overall)."""
         for line, tag in cache_set.items():
             if tag == _MAIN:
                 del cache_set[line]
                 return
-        _line, tag = cache_set.popitem(last=False)
-        if tag == _DDIO:
+        if cache_set.pop(next(iter(cache_set))) == _DDIO:
             self._ddio_resident -= 1
 
     def dma_read(self, addr: int, size: int) -> int:
@@ -261,17 +262,17 @@ class LastLevelCache:
             cache_set = sets[ln % n_sets]
             if ln in cache_set:
                 # Core touched the line: it stops being a write-allocate
-                # victim (promotion out of the DDIO ways).
-                if cache_set[ln] == _DDIO:
+                # victim (promotion out of the DDIO ways); reinserting it
+                # makes it the most recently used.
+                if cache_set.pop(ln) == _DDIO:
                     self._ddio_resident -= 1
                 cache_set[ln] = _MAIN
-                cache_set.move_to_end(ln)
                 hits += 1
             else:
                 misses += 1
                 if len(cache_set) >= self.params.ways:
-                    _line, tag = cache_set.popitem(last=False)  # LRU overall
-                    if tag == _DDIO:
+                    # Evict the LRU line overall: the dict's first.
+                    if cache_set.pop(next(iter(cache_set))) == _DDIO:
                         self._ddio_resident -= 1
                 cache_set[ln] = _MAIN
         self.stats.cpu_hits += hits

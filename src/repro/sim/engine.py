@@ -24,6 +24,7 @@ Example
 
 from __future__ import annotations
 
+import gc
 import heapq
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -410,9 +411,16 @@ class Simulator:
 
         When ``until`` is given, time is advanced to exactly ``until`` even
         if no event falls on that instant.
+
+        Automatic cyclic GC is paused for the run and its prior state
+        restored after: a run makes no cyclic garbage (DESIGN.md §7,
+        guarded by ``tests/sim/test_no_cyclic_garbage.py``), so the
+        collector's passes over the growing heap would find nothing.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        collecting = gc.isenabled()
+        gc.disable()
         self._running = True
         ready = self._ready
         ready_popleft = ready.popleft
@@ -440,3 +448,5 @@ class Simulator:
                 self.now = until
         finally:
             self._running = False
+            if collecting:
+                gc.enable()

@@ -46,8 +46,9 @@ class KvError(Exception):
 class ItemRef(NamedTuple):
     """Location of one item; everything a remote coordinator needs.
 
-    A tuple, not a dataclass: a loaded shard holds one per item, and a
-    tuple of atoms is cheap to build and leaves the cyclic GC's lists.
+    A value built on each lookup: the shard's index holds only the base
+    address (an int), so a loaded shard keeps no per-item object for the
+    cyclic GC to track (a ``NamedTuple`` subclass is tracked for life).
     """
 
     key: Hashable
@@ -86,7 +87,8 @@ class KvStore:
         self.region: MemoryRegion = node.register_memory(
             capacity_items * ITEM_SLOT_BYTES, access=Access.all_remote()
         )
-        self._buckets: list[dict[Hashable, ItemRef]] = [dict() for _ in range(n_buckets)]
+        # Bucket dicts map key -> item base address.
+        self._buckets: list[dict[Hashable, int]] = [dict() for _ in range(n_buckets)]
         self._n_items = 0
         node.watch_writes(self.region.range, self._on_remote_write)
         # Stats.
@@ -102,7 +104,8 @@ class KvStore:
 
     def lookup(self, key: Hashable) -> Optional[ItemRef]:
         """Find a key's item reference (None when absent)."""
-        return self._bucket(key).get(key)
+        base = self._bucket(key).get(key)
+        return None if base is None else ItemRef(key, base)
 
     def insert(self, key: Hashable, value: Any) -> ItemRef:
         """Insert a fresh key (version 1, unlocked)."""
@@ -113,7 +116,7 @@ class KvStore:
         if n_items >= self.capacity_items:
             raise KvError("shard full")
         base = self.region.range.base + n_items * ITEM_SLOT_BYTES
-        ref = bucket[key] = ItemRef(key, base)
+        bucket[key] = base
         self._n_items = n_items + 1
         # World builds insert 10^5 items: write the cells where
         # ``Node.store`` would put them, without the three calls.
@@ -121,7 +124,7 @@ class KvStore:
         cells[base + VALUE_OFF] = value
         cells[base + VERSION_OFF] = 1
         cells[base + LOCK_OFF] = 0
-        return ref
+        return ItemRef(key, base)
 
     def keys(self) -> Iterator[Hashable]:
         for bucket in self._buckets:

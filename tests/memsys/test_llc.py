@@ -1,10 +1,15 @@
 """Tests for the set-associative LLC + DDIO model."""
 
+import gc
+from collections import OrderedDict, defaultdict
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memsys import LastLevelCache, LlcParams
+from repro.memsys.llc import _DDIO, _MAIN, CpuAccessResult, DmaWriteResult
 
 KIB = 1024
 
@@ -239,3 +244,121 @@ class TestLlcProperties:
             else:
                 llc.cpu_access(addr, 64)
                 assert llc.cpu_access(addr, 64).hits == 1
+
+
+class OrderedDictLlc(LastLevelCache):
+    """The oracle: the LLC as it was with one ``OrderedDict`` per set,
+    ``move_to_end`` for recency and ``popitem(last=False)`` for LRU."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self._sets = defaultdict(OrderedDict)
+
+    def dma_write(self, addr, size):
+        params = self.params
+        counters = self.counters
+        line_size = params.line_size
+        update_hits = allocations = full_lines = partial_lines = 0
+        end = addr + size
+        span = self._line_span(addr, size)
+        for ln in span:
+            line_start = ln * line_size
+            if addr <= line_start and end >= line_start + line_size:
+                full_lines += 1
+                counters.itom += 1
+            else:
+                partial_lines += 1
+                counters.rfo += 1
+            cache_set = self._sets[ln % self._n_sets]
+            if ln in cache_set:
+                cache_set.move_to_end(ln)
+                update_hits += 1
+                continue
+            counters.pcie_itom += 1
+            allocations += 1
+            ddio_lines = 0
+            ddio_lru = None
+            for line, tag in cache_set.items():
+                if tag == _DDIO:
+                    if ddio_lru is None:
+                        ddio_lru = line
+                    ddio_lines += 1
+            if ddio_lines >= params.ddio_ways:
+                del cache_set[ddio_lru]
+                self._ddio_resident -= 1
+            elif len(cache_set) >= params.ways:
+                self._evict_main(cache_set)
+            cache_set[ln] = _DDIO
+            self._ddio_resident += 1
+        self.stats.dma_update_hits += update_hits
+        self.stats.dma_allocations += allocations
+        return DmaWriteResult(
+            lines=len(span),
+            update_hits=update_hits,
+            allocations=allocations,
+            full_lines=full_lines,
+            partial_lines=partial_lines,
+        )
+
+    def _evict_main(self, cache_set):
+        for line, tag in cache_set.items():
+            if tag == _MAIN:
+                del cache_set[line]
+                return
+        _line, tag = cache_set.popitem(last=False)
+        if tag == _DDIO:
+            self._ddio_resident -= 1
+
+    def cpu_access(self, addr, size, write=False):
+        hits = misses = 0
+        for ln in self._line_span(addr, size):
+            cache_set = self._sets[ln % self._n_sets]
+            if ln in cache_set:
+                if cache_set[ln] == _DDIO:
+                    self._ddio_resident -= 1
+                cache_set[ln] = _MAIN
+                cache_set.move_to_end(ln)
+                hits += 1
+            else:
+                misses += 1
+                if len(cache_set) >= self.params.ways:
+                    _line, tag = cache_set.popitem(last=False)
+                    if tag == _DDIO:
+                        self._ddio_resident -= 1
+                cache_set[ln] = _MAIN
+        self.stats.cpu_hits += hits
+        self.stats.cpu_misses += misses
+        cost = hits * self.params.cpu_hit_ns + misses * self.params.cpu_miss_ns
+        return CpuAccessResult(lines=hits + misses, hits=hits, misses=misses, cost_ns=cost)
+
+
+class TestLlcMatchesOrderedDictOracle:
+    """Plain-dict sets make every hit, eviction, DDIO victim and counter
+    the ``OrderedDict`` sets made, and are never GC-tracked."""
+
+    @given(
+        ddio_ways=st.integers(min_value=1, max_value=2),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["dma", "cpu"]),
+                st.integers(min_value=0, max_value=40 * 64),  # byte address
+                st.integers(min_value=1, max_value=200),  # size
+            ),
+            max_size=120,
+        ),
+    )
+    def test_every_step_matches(self, ddio_ways, ops):
+        params = LlcParams(capacity_bytes=4 * 4 * 64, ways=4, ddio_ways=ddio_ways)
+        llc, oracle = LastLevelCache(params), OrderedDictLlc(params)
+        for kind, addr, size in ops:
+            if kind == "dma":
+                assert llc.dma_write(addr, size) == oracle.dma_write(addr, size)
+            else:
+                assert llc.cpu_access(addr, size) == oracle.cpu_access(addr, size)
+            assert asdict(llc.stats) == asdict(oracle.stats)
+            assert llc.counters.snapshot() == oracle.counters.snapshot()
+            assert llc.ddio_resident_lines == oracle.ddio_resident_lines
+            assert sorted(llc._sets) == sorted(oracle._sets)
+            for index, cache_set in llc._sets.items():
+                assert list(cache_set.items()) == list(oracle._sets[index].items())
+                assert gc.is_tracked(cache_set) is False

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+
 import pytest
 
 from repro.sim import (
@@ -263,3 +265,64 @@ class TestRun:
     def test_peek_reports_next_event_time(self, sim):
         sim.timeout(5)
         assert sim.peek() == 5
+
+
+class TestRunGcState:
+    """``run()`` pauses automatic cyclic GC and leaves it as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_paused_during_run_and_enabled_after(self, sim):
+        seen = []
+
+        def proc(sim):
+            yield sim.timeout(1)
+            seen.append(gc.isenabled())
+
+        gc.enable()
+        sim.process(proc(sim))
+        sim.run()
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_disabled_stays_disabled(self, sim):
+        sim.timeout(1)
+        gc.disable()
+        sim.run()
+        assert not gc.isenabled()
+
+    def test_restored_when_a_process_raises(self, sim):
+        def bad(sim):
+            yield sim.timeout(1)
+            raise RuntimeError("bug")
+
+        gc.enable()
+        sim.process(bad(sim))
+        with pytest.raises(RuntimeError, match="bug"):
+            sim.run()
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_rejected_nested_run_leaves_gc_alone(self, sim, enabled):
+        seen = []
+
+        def nested(sim):
+            yield sim.timeout(1)
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            with pytest.raises(SimulationError, match="reentrant"):
+                sim.run()
+            seen.append(gc.isenabled())
+
+        sim.process(nested(sim))
+        sim.run()
+        assert seen == [enabled]

@@ -1,0 +1,84 @@
+"""A simulation run makes no cyclic garbage.
+
+``Simulator.run`` pauses automatic cyclic GC on this premise
+(DESIGN.md §7): every object a run frees must be freed by reference
+counting.  Each workload below runs with ``Simulator.run`` wrapped so
+that the cyclic garbage left by each call is counted with the world
+still alive — the world itself is cyclic (simulator, nodes and processes
+point at each other) and is collected after the workload, as usual.  A
+change that adds a per-op reference cycle fails here, naming the
+workload, instead of growing memory silently inside ``run()``.
+"""
+
+import gc
+
+import pytest
+
+from repro.bench import RpcExperiment, run_rpc_experiment
+from repro.faults import FaultPlan
+from repro.sim import Simulator
+from repro.txn import SmallBankConfig, TxnClusterConfig, run_smallbank
+
+US = 1_000
+
+
+def _echo(system, **kwargs):
+    return lambda: run_rpc_experiment(RpcExperiment(
+        system=system,
+        n_clients=8,
+        n_client_machines=2,
+        group_size=8,
+        time_slice_ns=50 * US,
+        warmup_ns=100 * US,
+        measure_ns=300 * US,
+        **kwargs,
+    ))
+
+
+def _smallbank():
+    return run_smallbank(SmallBankConfig(
+        cluster=TxnClusterConfig(
+            n_coordinators=8,
+            n_client_machines=2,
+            items_per_shard=1 << 12,
+            group_size=8,
+            time_slice_ns=50 * US,
+        ),
+        accounts_per_server=50,
+        warmup_ns=100 * US,
+        measure_ns=300 * US,
+    ))
+
+
+WORKLOADS = {
+    "scalerpc_echo": _echo("scalerpc"),
+    "rawwrite_echo": _echo("rawwrite"),
+    "smallbank": _smallbank,
+    "scalerpc_crash_restart": _echo(
+        "scalerpc",
+        fault_plan=FaultPlan.single_crash(at_ns=150 * US, down_ns=100 * US, target=0),
+        rpc_timeout_ns=50 * US,
+        lease_ns=100 * US,
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_run_leaves_no_cyclic_garbage(workload, monkeypatch):
+    run = Simulator.run
+    garbage = []
+
+    def counted_run(sim, until=None):
+        gc.collect()
+        run(sim, until)
+        garbage.append(gc.collect())
+
+    monkeypatch.setattr(Simulator, "run", counted_run)
+    gc.collect()
+    gc.disable()
+    try:
+        WORKLOADS[workload]()
+    finally:
+        gc.enable()
+    assert garbage, f"{workload}: Simulator.run was never called"
+    assert garbage == [0] * len(garbage), f"{workload}: cyclic garbage per run {garbage}"

@@ -21,7 +21,7 @@ class TestInsertLookup:
     def test_insert_then_read(self, store):
         ref = store.insert("k", 42)
         assert store.read(ref) == (42, 1)
-        assert store.lookup("k") is ref
+        assert store.lookup("k") == ref
 
     def test_missing_key(self, store):
         assert store.lookup("nope") is None

@@ -7,6 +7,8 @@ stores through the public API leave — same values, same addresses, same
 dict insertion orders (iteration order is program output: DESIGN.md §7).
 """
 
+import gc
+
 import pytest
 
 from repro.rdma import Fabric, Node
@@ -56,6 +58,19 @@ class TestPopulateIdentity:
             assert list(got.node.object_memory.items()) == list(
                 want.node.object_memory.items()
             )
+
+    def test_index_holds_untracked_addresses(self, worlds):
+        # The index keeps one int per item; ``lookup`` builds the ItemRef,
+        # so a loaded shard holds no per-item object for the cyclic GC.
+        built, _ = worlds
+        for participant in built.participants:
+            store = participant.store
+            for bucket in store._buckets:
+                assert all(type(base) is int for base in bucket.values())
+                assert not any(gc.is_tracked(base) for base in bucket.values())
+            for key in list(store.keys())[::17]:
+                base = store._bucket(key)[key]
+                assert store.lookup(key) == ItemRef(key, base)
 
     def test_cells_through_the_public_accessors(self, worlds):
         built, _ = worlds

@@ -2,16 +2,14 @@
 
 Two guardrails keep the reproduction trustworthy as the codebase grows:
 
-- :mod:`repro.analysis.detlint` — an AST-based determinism lint with
-  codebase-specific rules (no ad-hoc RNGs, no wall-clock reads, no
-  iteration over unordered sets on scheduling paths, ...).  Run it as
-  ``python -m repro.analysis.detlint src tests``.
-- :mod:`repro.analysis.flowlint` — a CFG/dataflow lint on top of a
-  shared one-parse-per-file engine: asyncio yield-point races, blocking
-  calls in ``async def``, orphaned tasks, unbounded network awaits, and
-  the cross-backend stage-vocabulary / protocol-table conformance
-  contracts.  ``python -m repro.analysis.flowlint src tests`` runs the
-  detlint rules too (CI's single lint entry point).
+- :mod:`repro.analysis.flowlint` — the one lint, on a one-parse-per-file
+  engine: the determinism rules (no ad-hoc RNGs, no wall-clock reads, no
+  iteration over unordered sets on scheduling paths, ...), asyncio
+  yield-point races, blocking calls in ``async def``, orphaned tasks,
+  unbounded network awaits, the cross-backend stage-vocabulary /
+  protocol-table conformance contracts, and the interprocedural
+  nondeterminism / resource-typestate checks.  Run it as
+  ``python -m repro.analysis.flowlint src tests``.
 - :mod:`repro.analysis.sanitize` — *SimSanitizer*, an opt-in runtime
   invariant layer (``REPRO_SANITIZE=1``) that instruments the simulation
   kernel and the resource models and reports violations (event-time
@@ -19,14 +17,9 @@ Two guardrails keep the reproduction trustworthy as the codebase grows:
   hazards, end-of-run conservation) as one :class:`SanitizerReport`.
 """
 
-# Lazy re-exports (PEP 562): keeps `python -m repro.analysis.detlint` from
-# importing the submodule twice (runpy warns) and avoids pulling the whole
-# simulation stack in just to run the lint.
+# Lazy re-exports (PEP 562): running the lint does not pull in the
+# sanitizer and, through it, the simulation stack.
 _EXPORTS = {
-    "LintFinding": ("detlint", "Finding"),
-    "lint_paths": ("detlint", "lint_paths"),
-    "FLOW_RULES": ("flowlint", "FLOW_RULES"),
-    "flowlint_paths": ("flowlint", "lint_paths"),
     "SanitizerFinding": ("sanitize", "SanitizerFinding"),
     "SanitizerReport": ("sanitize", "SanitizerReport"),
     "SimSanitizer": ("sanitize", "SimSanitizer"),

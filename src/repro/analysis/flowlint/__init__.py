@@ -1,12 +1,14 @@
-"""flowlint — the control-flow-aware lint for this repository.
+"""flowlint — the one lint for this repository.
 
-Where :mod:`repro.analysis.detlint` is a flat per-node walk, flowlint
-lowers every function to a small CFG (:mod:`.cfg`) whose ``await`` /
-``yield`` points are interleaving edges, runs a forward dataflow over it,
-and layers five concurrency/conformance passes on top (:mod:`.passes`):
-``yield-race``, ``async-blocking``, ``task-orphan`` +
+Every function is lowered to a small CFG (:mod:`.cfg`) whose ``await``
+points are interleaving edges, a forward dataflow runs over it, and the
+per-file passes (:mod:`.passes`) sit on top: the five determinism rules
+that guard the same-seed contract (:mod:`.determinism` — ``rng-call``,
+``wall-clock``, ``set-iter``, ``mutable-default``, ``float-time-eq``),
+then ``yield-race``, ``async-blocking``, ``task-orphan`` +
 ``await-no-timeout``, ``stage-name`` + ``stage-parity``, and
-``proto-transition``.
+``proto-transition``.  Each file is parsed once and every pass reads
+the same tree and import aliases.
 
 On top of the per-file passes sits an *interprocedural* stage run once
 over the whole linted batch: a module-resolution call graph
@@ -19,13 +21,8 @@ leases) for ``resource-leak`` and ``resource-typestate`` violations.
 The suppression *ratchet* (:mod:`.ratchet`) counts every pragma and
 fails CI when any rule's count grows past the checked-in baseline.
 
-It is also the one-parse driver for detlint: each file is parsed once
-and the same tree is handed to :func:`repro.analysis.detlint.lint_tree`,
-so ``python -m repro.analysis.flowlint src tests`` subsumes the detlint
-invocation (CI runs exactly that).  Suppressions are shared — one
-``# detlint: ignore[rule]`` / ``# flowlint: ignore[rule]`` pragma (the
-spellings are interchangeable) silences rule IDs from either catalog,
-and ``skip-file`` skips both.
+Pragmas are comments (:mod:`.pragmas`): ``# flowlint: ignore[rule]`` on
+the offending line, ``# flowlint: skip-file`` for a whole file.
 
 Usage::
 
@@ -46,17 +43,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .. import detlint
-from ..detlint import (
-    Finding,
-    apply_suppressions,
-    collect_suppressions,
-    iter_python_files,
-    skips_file,
-)
-from .passes import FLOW_RULES, ModuleContext, check_stage_parity, make_context, run_passes
 from . import ratchet
 from .callgraph import CallGraph, build_callgraph
+from .determinism import DETERMINISM_RULES
+from .passes import FLOW_RULES, ModuleContext, check_stage_parity, make_context, run_passes
+from .pragmas import Finding, apply_suppressions, iter_python_files, read_pragmas
 from .summaries import compute_summaries, report_transitive
 from .typestate import check_typestate
 
@@ -70,9 +61,8 @@ __all__ = [
     "main",
 ]
 
-#: flowlint's full catalog: the five flow passes plus the determinism
-#: rules it runs through detlint's shared ``lint_tree`` seam.
-ALL_RULES = {**detlint.RULES, **FLOW_RULES}
+#: The full catalog: the determinism rules plus the flow rules.
+ALL_RULES = {**DETERMINISM_RULES, **FLOW_RULES}
 
 
 @dataclass
@@ -89,17 +79,13 @@ class FileResult:
 
 
 def lint_file(
-    source: str,
-    path: str,
-    *,
-    include_generators: bool = False,
-    run_detlint: bool = True,
-    timings: Optional[dict] = None,
+    source: str, path: str, *, timings: Optional[dict] = None
 ) -> FileResult:
-    """Parse once, run the flow passes and (optionally) the determinism
-    rules, and return the suppression-filtered result."""
+    """Parse once, run every per-file pass, and return the
+    suppression-filtered result."""
     result = FileResult(path=path)
-    if skips_file(source):
+    skip, result.suppressions = read_pragmas(source)
+    if skip:
         return result
     try:
         tree = ast.parse(source, filename=path)
@@ -109,46 +95,23 @@ def lint_file(
             "syntax-error", str(exc.msg),
         ))
         return result
-    result.suppressions = collect_suppressions(source)
-    findings: list[Finding] = []
-    if run_detlint:
-        started = time.perf_counter()  # detlint: ignore[wall-clock] — lint self-profiling
-        findings.extend(detlint.lint_tree(tree, path))
-        if timings is not None:
-            timings["detlint"] = timings.get("detlint", 0.0) + (
-                time.perf_counter() - started  # detlint: ignore[wall-clock] — lint self-profiling
-            )
-    ctx = make_context(tree, path, include_generators=include_generators)
-    run_passes(ctx, timings=timings)
-    findings.extend(ctx.findings)
-    findings.sort(key=lambda f: (f.line, f.col, f.rule))
-    result.findings = apply_suppressions(findings, result.suppressions)
+    ctx = run_passes(make_context(tree, path), timings=timings)
+    ctx.findings.sort(key=lambda f: (f.line, f.col, f.rule))
+    result.findings = apply_suppressions(ctx.findings, result.suppressions)
     result.stage_sites = ctx.stage_sites
     result.context = ctx
     return result
 
 
-def lint_source(
-    source: str,
-    path: str,
-    *,
-    include_generators: bool = False,
-    run_detlint: bool = True,
-) -> list[Finding]:
+def lint_source(source: str, path: str) -> list[Finding]:
     """Lint one file's source; returns unsuppressed findings (the
     cross-file ``stage-parity`` pass needs :func:`lint_paths`)."""
-    return lint_file(
-        source, path,
-        include_generators=include_generators,
-        run_detlint=run_detlint,
-    ).findings
+    return lint_file(source, path).findings
 
 
 def lint_paths(
     paths: Iterable[str],
     *,
-    include_generators: bool = False,
-    run_detlint: bool = True,
     timings: Optional[dict] = None,
     artifacts: Optional[dict] = None,
 ) -> list[Finding]:
@@ -161,14 +124,11 @@ def lint_paths(
     receives the built :class:`~.callgraph.CallGraph` under
     ``"callgraph"``.
     """
-    results: list[FileResult] = []
-    for file_path in iter_python_files(paths):
-        results.append(lint_file(
-            file_path.read_text(encoding="utf-8"), str(file_path),
-            include_generators=include_generators,
-            run_detlint=run_detlint,
-            timings=timings,
-        ))
+    results = [
+        lint_file(file_path.read_text(encoding="utf-8"), str(file_path),
+                  timings=timings)
+        for file_path in iter_python_files(paths)
+    ]
     findings = [f for r in results for f in r.findings]
     by_path = {r.path: r for r in results}
 
@@ -183,11 +143,11 @@ def lint_paths(
     # Interprocedural stage: one call graph over the whole batch, then
     # bottom-up summaries, then the reporting passes that need them.
     def timed(key: str, thunk):
-        started = time.perf_counter()  # detlint: ignore[wall-clock] — lint self-profiling
+        started = time.perf_counter()  # flowlint: ignore[wall-clock] — lint self-profiling
         value = thunk()
         if timings is not None:
             timings[key] = timings.get(key, 0.0) + (
-                time.perf_counter() - started  # detlint: ignore[wall-clock] — lint self-profiling
+                time.perf_counter() - started  # flowlint: ignore[wall-clock] — lint self-profiling
             )
         return value
 
@@ -245,22 +205,15 @@ def _as_json(
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.flowlint",
-        description="CFG/dataflow lint (plus the detlint determinism "
-                    "rules) for the ScaleRPC reproduction.",
+        description="Determinism and CFG/dataflow lint for the ScaleRPC "
+                    "reproduction.",
     )
     parser.add_argument("paths", nargs="*", default=["src", "tests"],
                         help="files or directories to lint (default: src tests)")
     parser.add_argument("--json", metavar="FILE", default=None,
                         help="also write a JSON report ('-' for stdout)")
     parser.add_argument("--list-rules", action="store_true",
-                        help="print the combined rule catalog and exit")
-    parser.add_argument("--include-generators", action="store_true",
-                        help="treat sim-generator yields as interleaving "
-                             "points for yield-race (off by default: the "
-                             "model checker owns sim interleavings)")
-    parser.add_argument("--no-detlint", action="store_true",
-                        help="run only the flow passes (CI runs both "
-                             "catalogs through this one entry point)")
+                        help="print the rule catalog and exit")
     parser.add_argument("--callgraph-out", metavar="FILE", default=None,
                         help="write the resolved call graph (functions, "
                              "edges, SCCs) as a JSON artifact")
@@ -285,17 +238,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         ratchet.write_baseline(counts, args.update_baseline)
         print(f"flowlint: baseline written to {args.update_baseline}")
         return 0
-    started = time.perf_counter()  # detlint: ignore[wall-clock] — lint self-profiling
+    started = time.perf_counter()  # flowlint: ignore[wall-clock] — lint self-profiling
     timings: dict[str, float] = {}
     artifacts: dict = {}
-    findings = lint_paths(
-        args.paths,
-        include_generators=args.include_generators,
-        run_detlint=not args.no_detlint,
-        timings=timings,
-        artifacts=artifacts,
-    )
-    elapsed = time.perf_counter() - started  # detlint: ignore[wall-clock] — lint self-profiling
+    findings = lint_paths(args.paths, timings=timings, artifacts=artifacts)
+    elapsed = time.perf_counter() - started  # flowlint: ignore[wall-clock] — lint self-profiling
     timings["total"] = elapsed
     for finding in findings:
         print(finding.render())

@@ -12,10 +12,9 @@ intraprocedural CFG whose blocks hold a linear stream of abstract *ops*:
     value derives from) and a ``mutator`` bit for in-place container
     mutation (``d[k] = v``, ``d.pop(k)``, ``del d[k]``, ...), which is
     the "act" half of a check-then-act sequence.
-``AWAIT`` / ``YIELD``
-    Interleaving points: other tasks (``await`` under asyncio, ``yield``
-    under the sim kernel's cooperative scheduling) may run here and
-    mutate any shared state.
+``AWAIT``
+    An interleaving point: other asyncio tasks may run here and mutate
+    any shared state.
 ``ASSIGN local``
     A local binding, carrying the dependence set of its value so later
     writes can be traced back to the shared reads they derive from (the
@@ -69,7 +68,6 @@ MUTATING_METHODS = frozenset({
 READ = "read"
 WRITE = "write"
 AWAIT = "await"
-YIELD = "yield"
 ASSIGN = "assign"
 CALL = "call"
 RETURN = "return"
@@ -81,7 +79,7 @@ class Op:
 
     kind: str
     #: Canonical shared name (READ/WRITE), local name (ASSIGN), or
-    #: dotted call target (CALL); None for AWAIT/YIELD.
+    #: dotted call target (CALL); None for AWAIT.
     name: Optional[str]
     #: Source location of the step, for findings and read identity.
     loc: tuple
@@ -144,7 +142,7 @@ class Cfg:
 
 def collect_aliases(tree: ast.AST) -> dict[str, str]:
     """Local alias -> canonical dotted prefix, from every import in the
-    file (same resolution detlint uses, factored for one-parse reuse)."""
+    file (computed once per parse and shared by every pass)."""
     aliases: dict[str, str] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -218,19 +216,6 @@ def function_locals(func: ast.AST) -> frozenset[str]:
     return frozenset(bound - declared_global)
 
 
-def is_generator(func: ast.AST) -> bool:
-    """Does the function's own body (nested defs excluded) yield?"""
-    todo = list(func.body)
-    while todo:
-        node = todo.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-        todo.extend(ast.iter_child_nodes(node))
-    return False
-
-
 # ---------------------------------------------------------------------------
 # CFG construction
 # ---------------------------------------------------------------------------
@@ -301,10 +286,6 @@ class _Builder:
             # engine can see `await task` consume a tracked resource.
             self._emit(Op(AWAIT, None, _loc(node), deps=tuple(sorted(deps)),
                           node=node))
-            return deps
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            deps = self.expr(getattr(node, "value", None))
-            self._emit(Op(YIELD, None, _loc(node), node=node))
             return deps
         if isinstance(node, ast.Name):
             if isinstance(node.ctx, ast.Load):

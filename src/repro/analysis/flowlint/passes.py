@@ -2,17 +2,19 @@
 
 Every pass consumes the one-parse-per-file :class:`ModuleContext` the
 driver builds (tree, import aliases, module globals) and appends
-:class:`~repro.analysis.detlint.Finding` records.  Rule IDs:
+:class:`~.pragmas.Finding` records.  The five determinism rules
+(``rng-call``, ``wall-clock``, ``set-iter``, ``mutable-default``,
+``float-time-eq``) are one pass of their own, :mod:`.determinism`.  The
+flow rule IDs:
 
 ``yield-race``       (pass 1, CFG + dataflow)
     A read-modify-write of shared state (``self.*`` attributes, module
     globals) whose read and write are separated by an ``await`` — the
     canonical asyncio lost-update — including the check-then-act form
-    where the "act" is an in-place container mutation.  ``yield`` points
-    in sim generators are interleaving edges too, behind
-    ``include_generators`` (off by default: the sim kernel's
+    where the "act" is an in-place container mutation.  Sim-generator
+    ``yield`` points are not interleaving edges here: the sim kernel's
     interleavings are explored exhaustively by ``repro.analysis.mc``,
-    which owns that territory).
+    which owns that territory.
 ``async-blocking``   (pass 2)
     A loop-stalling synchronous call (``time.sleep``, blocking
     socket/subprocess/urllib entry points, ``input``) inside an
@@ -57,8 +59,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..detlint import Finding
 from . import cfg as C
+from .determinism import pass_determinism
+from .pragmas import Finding
 
 __all__ = ["FLOW_RULES", "ModuleContext", "run_passes"]
 
@@ -113,7 +116,8 @@ class ModuleContext:
     tree: ast.Module
     aliases: dict = field(default_factory=dict)
     globals_: frozenset = field(default_factory=frozenset)
-    include_generators: bool = False
+    #: (def node, enclosing class or None) for every function in the file.
+    functions: list = field(default_factory=list)
     findings: list = field(default_factory=list)
     #: stage literal -> first (line, col) site in this file (pass 4).
     stage_sites: dict = field(default_factory=dict)
@@ -128,17 +132,13 @@ class ModuleContext:
         ))
 
 
-def make_context(
-    source_tree: ast.Module,
-    path: str,
-    include_generators: bool = False,
-) -> ModuleContext:
+def make_context(source_tree: ast.Module, path: str) -> ModuleContext:
     return ModuleContext(
         path=path,
         tree=source_tree,
         aliases=C.collect_aliases(source_tree),
         globals_=C.module_globals(source_tree),
-        include_generators=include_generators,
+        functions=_functions(source_tree),
     )
 
 
@@ -231,14 +231,10 @@ def _race_join(states):
 
 
 def pass_yield_race(ctx: ModuleContext) -> None:
-    for func, cls in _functions(ctx.tree):
-        is_async = isinstance(func, ast.AsyncFunctionDef)
-        is_gen = not is_async and C.is_generator(func)
-        if not is_async and not (is_gen and ctx.include_generators):
+    interleave = {C.AWAIT}
+    for func, cls in ctx.functions:
+        if not isinstance(func, ast.AsyncFunctionDef):
             continue
-        interleave = {C.AWAIT} if is_async else {C.YIELD}
-        if is_async and ctx.include_generators:
-            interleave.add(C.YIELD)  # async generators
         args = func.args.args
         has_self = bool(args) and args[0].arg == "self"
         locals_ = C.function_locals(func)
@@ -265,10 +261,9 @@ def pass_yield_race(ctx: ModuleContext) -> None:
             _race_join,
             _EMPTY_STATE,
         )
-        point = "await" if is_async else "yield"
         reported = set()
 
-        def sink(op, read_loc, _point=point, _reported=reported):
+        def sink(op, read_loc, _reported=reported):
             key = (op.name, op.loc)
             if key in _reported:
                 return
@@ -276,9 +271,9 @@ def pass_yield_race(ctx: ModuleContext) -> None:
             ctx.report(
                 op.node, "yield-race",
                 f"`{op.name}` is read at line {read_loc[0]} and written "
-                f"here with an {_point} in between; another task can "
+                "here with an await in between; another task can "
                 "interleave and this write loses its update — re-read "
-                f"after the {_point}, or mutate before it",
+                "after the await, or mutate before it",
             )
 
         for block in graph.blocks:
@@ -292,7 +287,7 @@ def pass_yield_race(ctx: ModuleContext) -> None:
 # ---------------------------------------------------------------------------
 
 def pass_async_blocking(ctx: ModuleContext) -> None:
-    for func, _cls in _functions(ctx.tree):
+    for func, _cls in ctx.functions:
         if not isinstance(func, ast.AsyncFunctionDef):
             continue
         todo = list(func.body)
@@ -382,7 +377,7 @@ def _attr_task_owned(func: ast.AST, attr: str) -> bool:
 
 
 def pass_task_audit(ctx: ModuleContext) -> None:
-    for func, _cls in _functions(ctx.tree):
+    for func, _cls in ctx.functions:
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         for stmt in ast.walk(func):
@@ -616,6 +611,7 @@ def pass_protocol(ctx: ModuleContext) -> None:
 
 #: (timing key, pass) — the per-file passes in catalog order.
 PASS_TABLE = (
+    ("determinism", pass_determinism),
     ("yield-race", pass_yield_race),
     ("async-blocking", pass_async_blocking),
     ("task-orphan", pass_task_audit),
@@ -634,9 +630,9 @@ def run_passes(
         if timings is None:
             pass_fn(ctx)
             continue
-        started = time.perf_counter()  # detlint: ignore[wall-clock] — lint self-profiling, not sim state
+        started = time.perf_counter()  # flowlint: ignore[wall-clock] — lint self-profiling, not sim state
         pass_fn(ctx)
         timings[name] = timings.get(name, 0.0) + (
-            time.perf_counter() - started  # detlint: ignore[wall-clock] — lint self-profiling
+            time.perf_counter() - started  # flowlint: ignore[wall-clock] — lint self-profiling
         )
     return ctx

@@ -1,8 +1,8 @@
 """The suppression ratchet: lint debt only shrinks.
 
-Every ``# detlint:``/``# flowlint: ignore[...]`` pragma is a justified
-exception, but exceptions accumulate silently — nothing in the finding
-count moves when a PR adds three new suppressions.  The ratchet counts
+Every ``ignore[...]`` pragma comment is a justified exception, but
+exceptions accumulate silently — nothing in the finding count moves
+when a PR adds three new suppressions.  The ratchet counts
 them per rule across the linted trees and compares against a checked-in
 baseline (``tests/analysis/lint_baseline.json``): any rule whose count
 *grows* fails the lint job unless the baseline is updated in the same
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-from ..detlint import collect_suppressions, iter_python_files, skips_file
+from .pragmas import iter_python_files, read_pragmas
 
 __all__ = ["count_suppressions", "check_baseline", "write_baseline"]
 
@@ -27,11 +27,11 @@ def count_suppressions(paths: Iterable[str]) -> dict:
     """Per-rule suppression counts over every ``*.py`` under ``paths``."""
     counts: dict[str, int] = {}
     for file_path in iter_python_files(paths):
-        source = file_path.read_text(encoding="utf-8")
-        if skips_file(source):
+        skip, suppressions = read_pragmas(file_path.read_text(encoding="utf-8"))
+        if skip:
             counts["skip-file"] = counts.get("skip-file", 0) + 1
             continue
-        for rules in collect_suppressions(source).values():
+        for rules in suppressions.values():
             if rules is None:
                 counts["*"] = counts.get("*", 0) + 1
             else:

@@ -7,11 +7,11 @@ condensation (one fixpoint loop per recursive component):
 ``nondet_chain``
     Non-empty when the function transitively reaches a nondeterminism
     leaf — a raw :mod:`random`-module call or a wall-clock read from
-    detlint's :data:`~repro.analysis.detlint.WALL_CLOCK_CALLS` — through
-    sync or async calls.  The chain is the witness call path, leaf last,
-    so the ``nondet-transitive`` report can say *why* a caller is
-    tainted.  Functions living in ``sim/rng.py`` (detlint's sanctioned
-    RNG seam) summarize as clean, and a direct leaf call whose line
+    :data:`~.determinism.WALL_CLOCK_CALLS` — through sync or async
+    calls.  The chain is the witness call path, leaf last, so the
+    ``nondet-transitive`` report can say *why* a caller is tainted.
+    Functions living in ``sim/rng.py`` (the sanctioned RNG seam)
+    summarize as clean, and a direct leaf call whose line
     carries an ``ignore[rng-call]``/``ignore[wall-clock]`` suppression
     does not taint its function — a justified leaf stays justified at
     every caller.
@@ -39,10 +39,11 @@ import ast
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..detlint import Finding, RNG_ALLOWED_SUFFIXES, WALL_CLOCK_CALLS
 from .callgraph import CallGraph, FunctionInfo, SiteTarget
 from .cfg import dotted_name
+from .determinism import WALL_CLOCK_CALLS, in_rng_file, is_rng_call
 from .passes import BLOCKING_CALLS
+from .pragmas import Finding, is_suppressed
 
 __all__ = [
     "FunctionSummary",
@@ -105,27 +106,6 @@ class FunctionSummary:
     may_raise: bool = False
     #: Exception type simple names from raise statements (bounded).
     raises: frozenset = frozenset()
-
-
-def _is_rng_leaf(dotted: Optional[str]) -> bool:
-    if not dotted:
-        return False
-    return (
-        dotted in ("random.Random", "random.SystemRandom")
-        or (dotted.startswith("random.") and dotted.count(".") == 1)
-    )
-
-
-def _suppressed(suppressions: dict, line: int, rules: tuple) -> bool:
-    if line not in suppressions:
-        return False
-    only = suppressions[line]
-    return only is None or any(rule in only for rule in rules)
-
-
-def _in_allowed_rng_file(path: str) -> bool:
-    normalized = path.replace("\\", "/")
-    return any(normalized.endswith(suffix) for suffix in RNG_ALLOWED_SUFFIXES)
 
 
 def _chain(head: str, tail: tuple) -> tuple:
@@ -201,19 +181,19 @@ def _direct_facts(finfo: FunctionInfo, suppressions: dict) -> FunctionSummary:
         if dotted is None:
             continue
         line = getattr(site.call, "lineno", 0)
-        if _is_rng_leaf(dotted) and not summary.nondet_chain:
-            if not _suppressed(suppressions, line, ("rng-call",)):
+        if is_rng_call(dotted) and not summary.nondet_chain:
+            if not is_suppressed(suppressions, line, "rng-call"):
                 summary.nondet_chain = (dotted,)
         if dotted in WALL_CLOCK_CALLS and not summary.nondet_chain:
-            if not _suppressed(suppressions, line, ("wall-clock",)):
+            if not is_suppressed(suppressions, line, "wall-clock"):
                 summary.nondet_chain = (dotted,)
         if dotted in BLOCKING_CALLS and not summary.blocking_chain:
-            if not _suppressed(suppressions, line, ("async-blocking",)):
+            if not is_suppressed(suppressions, line, "async-blocking"):
                 summary.blocking_chain = (dotted,)
         if id(site.call) not in protected and external_may_raise(
                 dotted, site.call):
             summary.may_raise = True
-    if _in_allowed_rng_file(finfo.path):
+    if in_rng_file(finfo.path):
         # The sanctioned RNG seam: callers draw from registry substreams,
         # which is the deterministic discipline, not a violation of it.
         summary.nondet_chain = ()
@@ -227,7 +207,7 @@ def compute_summaries(
 ) -> dict:
     """Summaries for every function, bottom-up over the SCC DAG.
 
-    ``suppressions_by_path`` maps file path -> detlint suppression map
+    ``suppressions_by_path`` maps file path -> pragma suppression map
     (line -> None | rule set); suppressed leaf sites do not taint.
     """
     suppressions_by_path = suppressions_by_path or {}
@@ -255,7 +235,7 @@ def compute_summaries(
                     if callee is None:
                         continue
                     if callee.nondet_chain and not summary.nondet_chain:
-                        if not _in_allowed_rng_file(finfo.path):
+                        if not in_rng_file(finfo.path):
                             summary.nondet_chain = _chain(
                                 site.target, callee.nondet_chain
                             )
@@ -301,14 +281,14 @@ def _render_chain(chain: tuple) -> str:
 def report_transitive(graph: CallGraph, summaries: dict) -> list:
     """``nondet-transitive`` and transitive ``async-blocking`` findings.
 
-    Only call sites in ``src/`` are reported (mirroring detlint's
-    scoping: tests and benchmarks may read the wall clock), and only
-    calls to *internal* tainted functions — the direct leaf inside the
-    callee is detlint's finding, at its own site.
+    Only call sites in ``src/`` are reported (mirroring the determinism
+    pass's scoping: tests and benchmarks may read the wall clock), and
+    only calls to *internal* tainted functions — the direct leaf inside
+    the callee is the determinism pass's finding, at its own site.
     """
     findings: list[Finding] = []
     for finfo in graph.functions.values():
-        if not _under_src(finfo.path) or _in_allowed_rng_file(finfo.path):
+        if not _under_src(finfo.path) or in_rng_file(finfo.path):
             continue
         for site in finfo.sites:
             if site.target is None:

@@ -53,8 +53,8 @@ delegation, not a fresh resource.
 Findings are scoped: each protocol names the source trees whose
 lifecycle it owns, and only ``src/`` files are checked (test code's
 teardown discipline belongs to pytest fixtures, not this engine).
-Suppression is the shared ``# flowlint: ignore[resource-leak]`` /
-``ignore[resource-typestate]`` pragma layer.
+Suppress with the usual ``ignore[resource-leak]`` /
+``ignore[resource-typestate]`` pragma comment.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ import ast
 from dataclasses import dataclass
 from typing import Optional
 
-from ..detlint import Finding
 from . import cfg as C
 from .callgraph import CallGraph
+from .pragmas import Finding
 from .summaries import external_may_raise
 
 __all__ = [

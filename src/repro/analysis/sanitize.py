@@ -1,6 +1,6 @@
 """SimSanitizer — opt-in runtime invariant checking for the simulation stack.
 
-The static lint (:mod:`repro.analysis.detlint`) proves properties of the
+The static lint (:mod:`repro.analysis.flowlint`) proves properties of the
 *source*; this module checks properties of a *run*.  When enabled (set
 ``REPRO_SANITIZE=1``; the test suite installs it per-test via a conftest
 fixture) it monkeypatches the simulation kernel and the resource models

@@ -72,11 +72,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     collected = {}
     for name in names:
-        started = time.time()  # detlint: ignore[wall-clock] — CLI progress timing
+        started = time.time()  # flowlint: ignore[wall-clock] — CLI progress timing
         backend = args.backend if name in BACKEND_FIGURES else "sim"
         result = run_figure(name, quick=not args.full, backend=backend)
         print(result.render())
-        print(f"  ({time.time() - started:.1f}s)\n")  # detlint: ignore[wall-clock]
+        print(f"  ({time.time() - started:.1f}s)\n")  # flowlint: ignore[wall-clock]
         collected[name] = result.as_dict()
     if args.json:
         with open(args.json, "w") as handle:

@@ -18,7 +18,7 @@ The sample with the smallest round trip bounds the error tightest (by
 ``rtt/2``), so that is the one the merge collector uses.
 
 This is the one place in ``src/repro`` that legitimately reads wall-clock
-time: the proc backend *is* reality, not a simulation of it.  The detlint
+time: the proc backend *is* reality, not a simulation of it.  The lint's
 wall-clock rule is suppressed here, and only here, for that reason.
 
 ``skew_ns`` / ``drift_ppm`` are *test injection* knobs: they displace and
@@ -48,11 +48,11 @@ class Clock:
     def __init__(self, skew_ns: int = 0, drift_ppm: int = 0) -> None:
         self.skew_ns = skew_ns
         self.drift_ppm = drift_ppm
-        self._t0 = time.monotonic_ns()  # detlint: ignore[wall-clock] — proc backend is real time
+        self._t0 = time.monotonic_ns()  # flowlint: ignore[wall-clock] — proc backend is real time
 
     def now(self) -> int:
         """Nanoseconds since this clock was created (skew/drift applied)."""
-        t = time.monotonic_ns() - self._t0  # detlint: ignore[wall-clock] — proc backend is real time
+        t = time.monotonic_ns() - self._t0  # flowlint: ignore[wall-clock] — proc backend is real time
         if self.drift_ppm:
             t += t * self.drift_ppm // 1_000_000
         return t + self.skew_ns

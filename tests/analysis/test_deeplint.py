@@ -12,6 +12,7 @@ release-via-helper, container ownership transfer, constructor wrap).
 
 import ast
 import json
+import pathlib
 import textwrap
 
 from repro.analysis.flowlint import lint_paths, main
@@ -45,7 +46,7 @@ def typestate_findings(tmp_path, source, scope="rdma", name="x.py"):
     target = tmp_path / "src" / "repro" / scope / name
     target.parent.mkdir(parents=True)
     target.write_text(textwrap.dedent(source), encoding="utf-8")
-    found = lint_paths([str(tmp_path / "src")], run_detlint=False)
+    found = lint_paths([str(tmp_path / "src")])
     return [f for f in found
             if f.rule in ("resource-leak", "resource-typestate")]
 
@@ -407,7 +408,7 @@ def test_ratchet_counts_and_baseline_comparison(tmp_path):
     tree.mkdir()
     (tree / "a.py").write_text(textwrap.dedent("""
         import time
-        t = time.time()  # detlint: ignore[wall-clock] — justified
+        t = time.time()  # flowlint: ignore[wall-clock] — justified
         u = time.time()  # flowlint: ignore[wall-clock, yield-race]
     """), encoding="utf-8")
     counts = count_suppressions([str(tree)])
@@ -421,6 +422,19 @@ def test_ratchet_counts_and_baseline_comparison(tmp_path):
     assert len(problems) == 1 and "wall-clock" in problems[0]
     # a missing baseline is itself a failure (never silently green)
     assert check_baseline(counts, str(tmp_path / "nope.json"))
+
+
+def test_committed_baseline_matches_the_tree_exactly():
+    # CI fails only on growth; this pins shrinkage too, so a removed
+    # pragma is locked in by re-baselining in the same change.
+    root = pathlib.Path(__file__).resolve().parents[2]
+    counts = count_suppressions([
+        str(root / tree) for tree in ("src", "tests", "benchmarks", "examples")
+    ])
+    baseline = json.loads(
+        (root / "tests" / "analysis" / "lint_baseline.json").read_text()
+    )
+    assert counts == baseline["suppressions"]
 
 
 def test_cli_writes_callgraph_artifact_and_timings(tmp_path, capsys):
@@ -450,18 +464,18 @@ def test_cli_update_baseline_roundtrip(tmp_path, capsys):
     tree = tmp_path / "pkg"
     tree.mkdir()
     (tree / "a.py").write_text(
-        "import time\nt = time.time()  # detlint: ignore[wall-clock]\n",
+        "import time\nt = time.time()  # flowlint: ignore[wall-clock]\n",
         encoding="utf-8",
     )
     baseline = tmp_path / "baseline.json"
     assert main([str(tree), "--update-baseline", str(baseline)]) == 0
-    assert main([str(tree), "--baseline", str(baseline), "--no-detlint"]) == 0
+    assert main([str(tree), "--baseline", str(baseline)]) == 0
     # one more pragma -> ratchet failure
     (tree / "b.py").write_text(
-        "import time\nu = time.time()  # detlint: ignore[wall-clock]\n",
+        "import time\nu = time.time()  # flowlint: ignore[wall-clock]\n",
         encoding="utf-8",
     )
-    assert main([str(tree), "--baseline", str(baseline), "--no-detlint"]) == 1
+    assert main([str(tree), "--baseline", str(baseline)]) == 1
     capsys.readouterr()
 
 

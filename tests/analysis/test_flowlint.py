@@ -11,17 +11,20 @@ import textwrap
 
 from repro.analysis.flowlint import ALL_RULES, lint_paths, lint_source, main
 from repro.analysis.flowlint import cfg as C
+from repro.analysis.flowlint.determinism import DETERMINISM_RULES
 
 SRC = "src/repro/example.py"
 
 
-def findings(source, path=SRC, **kwargs):
-    kwargs.setdefault("run_detlint", False)
-    return lint_source(textwrap.dedent(source), path, **kwargs)
+def findings(source, path=SRC):
+    """Flow-rule findings only (the determinism rules have their own
+    suite, test_detlint.py)."""
+    return [f for f in lint_source(textwrap.dedent(source), path)
+            if f.rule not in DETERMINISM_RULES]
 
 
-def rules_of(source, path=SRC, **kwargs):
-    return [f.rule for f in findings(source, path, **kwargs)]
+def rules_of(source, path=SRC):
+    return [f.rule for f in findings(source, path)]
 
 
 # -- the engine -------------------------------------------------------------
@@ -192,6 +195,8 @@ def test_unrelated_write_after_await_is_clean():
 
 
 def test_generator_yield_race_gated_behind_flag():
+    # Sim-generator yields are the model checker's territory, not an
+    # interleaving point for this pass.
     source = """
         QUEUE = []
 
@@ -201,7 +206,6 @@ def test_generator_yield_race_gated_behind_flag():
             QUEUE.append(n)
         """
     assert rules_of(source) == []
-    assert rules_of(source, include_generators=True) == ["yield-race"]
 
 
 # -- async-blocking ---------------------------------------------------------
@@ -534,9 +538,10 @@ def test_protocol_module_itself_is_exempt():
     ) == []
 
 
-# -- suppressions (shared with detlint) -------------------------------------
+# -- suppressions -----------------------------------------------------------
 
 def test_flowlint_rule_suppressed_with_detlint_spelling():
+    # The retired `detlint:` spelling is inert: the finding stays visible.
     assert rules_of(
         """
         class Counter:
@@ -545,7 +550,7 @@ def test_flowlint_rule_suppressed_with_detlint_spelling():
                 await self.flush()
                 self.count = n + 1  # detlint: ignore[yield-race]
         """
-    ) == []
+    ) == ["yield-race"]
 
 
 def test_bare_flowlint_ignore_covers_flow_rules():
@@ -571,7 +576,7 @@ def test_skip_file_pragma_covers_flow_rules():
     ) == []
 
 
-# -- the one-parse detlint seam ---------------------------------------------
+# -- the determinism pass on the shared parse ------------------------------
 
 def test_detlint_rules_ride_the_same_parse():
     out = lint_source(textwrap.dedent(
@@ -586,6 +591,7 @@ def test_detlint_rules_ride_the_same_parse():
 
 
 def test_no_detlint_flag_runs_only_flow_rules():
+    # Filtering by rule is how a caller narrows to the flow catalog.
     assert rules_of("def f(items=[]):\n    pass\n") == []
 
 
@@ -621,6 +627,19 @@ def test_list_rules_covers_both_catalogs(capsys):
     assert "yield-race" in out and "rng-call" in out
 
 
+def test_rule_catalog_is_pinned():
+    assert sorted(DETERMINISM_RULES) == [
+        "float-time-eq", "mutable-default", "rng-call", "set-iter",
+        "wall-clock",
+    ]
+    assert sorted(ALL_RULES) == sorted([
+        *DETERMINISM_RULES,
+        "async-blocking", "await-no-timeout", "nondet-transitive",
+        "proto-transition", "resource-leak", "resource-typestate",
+        "stage-name", "stage-parity", "task-orphan", "yield-race",
+    ])
+
+
 def test_syntax_error_is_reported_not_raised():
     assert rules_of("def broken(:\n") == ["syntax-error"]
 
@@ -629,7 +648,7 @@ def test_syntax_error_is_reported_not_raised():
 
 def test_repository_is_flowlint_clean():
     """Everything this tree ships — src, tests, benchmarks, examples —
-    must pass flowlint (which includes the detlint rules)."""
+    must pass flowlint, determinism rules included."""
     import pathlib
 
     root = pathlib.Path(__file__).resolve().parents[2]

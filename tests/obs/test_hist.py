@@ -7,7 +7,7 @@ from repro.obs.hist import Anomaly, LogHistogram, detect_anomaly
 
 
 def _pseudo_values(n, bits=48, salt=0):
-    """Deterministic magnitude-spanning values (no RNG: detlint-clean)."""
+    """Deterministic magnitude-spanning values (no RNG: lint-clean)."""
     out = []
     for i in range(n):
         word = _mix64(i ^ (salt << 32))

@@ -1,9 +1,9 @@
 """Cross-transport determinism: same seed, byte-identical run.
 
-detlint proves source-level properties (no ad-hoc RNGs, no set iteration
-on scheduling paths); this test checks the property those rules exist to
-protect: running any registered transport twice with the same seed yields
-a byte-identical serialized trace.  The trace records only per-run
+The lint's determinism rules prove source-level properties (no ad-hoc
+RNGs, no set iteration on scheduling paths); this test checks the
+property those rules exist to protect: running any registered transport
+twice with the same seed yields a byte-identical serialized trace.  The trace records only per-run
 quantities (client index, call index, simulated timestamps) — global
 counters such as ``req_id`` advance across runs within one process and
 must never influence behaviour.

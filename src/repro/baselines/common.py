@@ -198,10 +198,9 @@ class BaseRpcServer(RpcServerApi):
                 payload=result,
                 data_bytes=data_bytes,
             )
-            scratch = self._scratch_cursor.next(response.wire_bytes)
-            write_cost = self.node.llc.cpu_access(
-                scratch, response.wire_bytes, write=True
-            ).cost_ns
+            size = response.wire_bytes
+            scratch = self._scratch_cursor.next(size)
+            write_cost = self.node.llc.cpu_access(scratch, size, write=True).cost_ns
             yield self.sim.timeout(write_cost)
             self._send_response(binding, response)
             self.stats.completed += 1

@@ -68,11 +68,12 @@ class FasstServer(BaseRpcServer):
 
     def _send_response(self, binding: _ClientBinding, response: RpcResponse) -> None:
         qp = self._endpoints[self.worker_index(binding.client_id)].qp
+        size = response.wire_bytes
         post_send(
             qp,
-            response.wire_bytes,
+            size,
             payload=response,
-            local_addr=self._response_scratch(response.wire_bytes),
+            local_addr=self._response_scratch(size),
             dest=binding.send_ref,
             signaled=False,
         )

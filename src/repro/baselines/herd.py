@@ -80,11 +80,12 @@ class HerdServer(BaseRpcServer):
 
     def _send_response(self, binding: _ClientBinding, response: RpcResponse) -> None:
         qp = self._response_qps[self.worker_index(binding.client_id)]
+        size = response.wire_bytes
         post_send(
             qp,
-            response.wire_bytes,
+            size,
             payload=response,
-            local_addr=self._response_scratch(response.wire_bytes),
+            local_addr=self._response_scratch(size),
             dest=binding.send_ref,
             signaled=False,
         )
@@ -112,11 +113,12 @@ class HerdClient(BaseRpcClient):
         )
 
     def _post_request(self, request: RpcRequest) -> None:
+        size = request.wire_bytes
         post_write(
             self.qp,
             local_addr=self.staging.range.base,
-            remote_addr=self._cursor.next(request.wire_bytes),
-            size=request.wire_bytes,
+            remote_addr=self._cursor.next(size),
+            size=size,
             payload=request,
             signaled=False,
         )

@@ -76,11 +76,12 @@ class RawWriteServer(BaseRpcServer):
             # has nowhere to land until recovery reposts the request.
             self.stats.dropped += 1
             return
+        size = response.wire_bytes
         post_write(
             server_qp,
-            local_addr=self._response_scratch(response.wire_bytes),
-            remote_addr=cursor.next(response.wire_bytes),
-            size=response.wire_bytes,
+            local_addr=self._response_scratch(size),
+            remote_addr=cursor.next(size),
+            size=size,
             payload=response,
             signaled=False,
         )
@@ -110,11 +111,12 @@ class RawWriteClient(BaseRpcClient):
         return [self.qp]
 
     def _post_request(self, request: RpcRequest) -> None:
+        size = request.wire_bytes
         post_write(
             self.qp,
             local_addr=self.staging.range.base,
-            remote_addr=self._cursor.next(request.wire_bytes),
-            size=request.wire_bytes,
+            remote_addr=self._cursor.next(size),
+            size=size,
             payload=request,
             signaled=False,
         )

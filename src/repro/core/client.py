@@ -297,12 +297,12 @@ class ScaleRpcClient(RpcClientApi):
             # the recovery path re-announces it after reconnect.
             return
         assert self._cursor is not None
-        addr = self._cursor.next(request.wire_bytes)
+        size = request.wire_bytes
         post_write(
             self.qp,
             local_addr=self.staging.range.base,
-            remote_addr=addr,
-            size=request.wire_bytes,
+            remote_addr=self._cursor.next(size),
+            size=size,
             payload=request,
             signaled=False,
         )
@@ -319,12 +319,13 @@ class ScaleRpcClient(RpcClientApi):
             return
         self.state = client_transition(self.state, ProtocolEvent.ANNOUNCE)
         self.machine.store(self.staging.range.base, batch)
+        sizes = tuple(r.wire_bytes for r in batch)
         entry = EndpointEntry(
             client_id=self.client_id,
             req_addr=self.staging.range.base,
             batch_size=len(batch),
-            total_bytes=sum(r.wire_bytes for r in batch),
-            message_sizes=tuple(r.wire_bytes for r in batch),
+            total_bytes=sum(sizes),
+            message_sizes=sizes,
         )
         post_write(
             self.qp,

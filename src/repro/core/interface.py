@@ -55,7 +55,7 @@ class _NoResponse:
 NO_RESPONSE = _NoResponse()
 
 
-@dataclass
+@dataclass(slots=True)
 class CallHandle:
     """Tracks one in-flight RPC from post to response.
 

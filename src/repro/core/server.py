@@ -85,7 +85,7 @@ class ServerStats:
     suppressed_responses: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _WorkItem:
     """One request routed to a working thread."""
 
@@ -659,11 +659,12 @@ class ScaleRpcServer(RpcServerApi):
             epoch=self.epoch,
         )
         ctx.warmed_up = True  # binding delivered; responses need not repeat it
+        size = notice.wire_bytes
         post_write(
             ctx.qp,
-            local_addr=self._scratch_cursor.next(notice.wire_bytes),
-            remote_addr=ctx.response_cursor.next(notice.wire_bytes),
-            size=notice.wire_bytes,
+            local_addr=self._scratch_cursor.next(size),
+            remote_addr=ctx.response_cursor.next(size),
+            size=size,
             payload=notice,
             signaled=False,
         )
@@ -708,6 +709,7 @@ class ScaleRpcServer(RpcServerApi):
     def _notify_unresponded(self, group: ConnectionGroup) -> None:
         """Explicit context_switch_event writes to silent members."""
         notice = ContextSwitchNotice(epoch=self.epoch)
+        size = notice.wire_bytes
         for ctx in group.members:
             if ctx.responded_this_drain:
                 continue
@@ -718,9 +720,9 @@ class ScaleRpcServer(RpcServerApi):
             cursor = ctx.response_cursor
             post_write(
                 ctx.qp,
-                local_addr=self._scratch_cursor.next(notice.wire_bytes),
-                remote_addr=cursor.next(notice.wire_bytes),
-                size=notice.wire_bytes,
+                local_addr=self._scratch_cursor.next(size),
+                remote_addr=cursor.next(size),
+                size=size,
                 payload=notice,
                 signaled=False,
             )
@@ -860,15 +862,14 @@ class ScaleRpcServer(RpcServerApi):
             ctx.responded_this_drain = True
         if serving:
             ctx.record_request(request.data_bytes)
-        scratch = self._scratch_cursor.next(response.wire_bytes)
-        write_cost = self.node.llc.cpu_access(
-            scratch, response.wire_bytes, write=True
-        ).cost_ns
+        size = response.wire_bytes
+        scratch = self._scratch_cursor.next(size)
+        write_cost = self.node.llc.cpu_access(scratch, size, write=True).cost_ns
         wr = post_write(
             ctx.qp,
             local_addr=scratch,
-            remote_addr=ctx.response_cursor.next(response.wire_bytes),
-            size=response.wire_bytes,
+            remote_addr=ctx.response_cursor.next(size),
+            size=size,
             payload=response,
             signaled=False,
         )

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .pcie import PcieCounters
 
@@ -78,8 +78,7 @@ class LlcParams:
         return self.total_lines // self.ways
 
 
-@dataclass(frozen=True)
-class DmaWriteResult:
+class DmaWriteResult(NamedTuple):
     """Outcome of one DMA write through the LLC."""
 
     lines: int
@@ -89,8 +88,7 @@ class DmaWriteResult:
     partial_lines: int
 
 
-@dataclass(frozen=True)
-class CpuAccessResult:
+class CpuAccessResult(NamedTuple):
     """Outcome of one CPU read/write through the LLC."""
 
     lines: int
@@ -222,13 +220,7 @@ class LastLevelCache:
             self._ddio_resident += 1
         self.stats.dma_update_hits += update_hits
         self.stats.dma_allocations += allocations
-        return DmaWriteResult(
-            lines=len(span),
-            update_hits=update_hits,
-            allocations=allocations,
-            full_lines=full_lines,
-            partial_lines=partial_lines,
-        )
+        return DmaWriteResult(len(span), update_hits, allocations, full_lines, partial_lines)
 
     def _evict_main(self, cache_set: dict[int, int]) -> None:
         """Evict the LRU core-owned line (fallback: LRU overall)."""
@@ -278,7 +270,7 @@ class LastLevelCache:
         self.stats.cpu_hits += hits
         self.stats.cpu_misses += misses
         cost = hits * self.params.cpu_hit_ns + misses * self.params.cpu_miss_ns
-        return CpuAccessResult(lines=hits + misses, hits=hits, misses=misses, cost_ns=cost)
+        return CpuAccessResult(hits + misses, hits, misses, cost)
 
     def flush(self) -> None:
         """Invalidate all lines (counters/stats preserved)."""

@@ -113,8 +113,9 @@ class RangeIndex:
             entry = entries[pos]
             if entry[1] >= end:
                 found.append(entry)
-        if len(found) > 1:
-            found.sort()  # by sequence number, which is unique
+        if len(found) == 1:
+            return [found[0][2]]
+        found.sort()  # by sequence number, which is unique
         return [entry[2] for entry in found]
 
 

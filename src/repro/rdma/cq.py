@@ -8,8 +8,7 @@ inside simulation processes, wait on ``get_event()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..sim.engine import Event, Simulator
 from ..sim.resources import Store
@@ -18,9 +17,8 @@ from .types import Opcode
 __all__ = ["Completion", "CompletionQueue"]
 
 
-@dataclass(frozen=True)
-class Completion:
-    """One completion-queue entry."""
+class Completion(NamedTuple):
+    """One completion-queue entry (built positionally on the data path)."""
 
     wr_id: int
     opcode: Opcode

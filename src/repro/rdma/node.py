@@ -8,8 +8,7 @@ models account for the same addresses at byte granularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from ..memsys.llc import LastLevelCache, LlcParams
 from ..memsys.memory import MemoryRange, PhysicalMemory, RangeIndex
@@ -26,8 +25,7 @@ from .types import NicParams, Transport
 __all__ = ["InboundWrite", "Node", "create_qp_pair"]
 
 
-@dataclass(frozen=True)
-class InboundWrite:
+class InboundWrite(NamedTuple):
     """Notification passed to write watchers when a DMA write lands."""
 
     addr: int

@@ -39,7 +39,7 @@ class VerbError(QpError):
     """Illegal verb: unsupported opcode, oversized message, bad state."""
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkRequest:
     """Handle returned by every ``post_*`` call."""
 
@@ -71,31 +71,24 @@ def _validate(qp: QueuePair, opcode: Opcode, size: int) -> None:
 
 def _complete(qp: QueuePair, wr: WorkRequest, byte_len: int, signaled: bool,
               payload: Any = None, status: str = "success") -> None:
-    completion = Completion(
-        wr_id=wr.wr_id,
-        opcode=wr.opcode,
-        qp_num=qp.qp_num,
-        byte_len=byte_len,
-        payload=payload,
-        timestamp_ns=qp.node.sim.now,
-        status=status,
-    )
+    completion = Completion(wr.wr_id, wr.opcode, qp.qp_num, byte_len, None,
+                            payload, qp.node.sim.now, status)
     if signaled:
         qp.send_cq.push(completion)
     wr.completion.succeed(completion)
 
 
 def _rc_retransmit(qp: QueuePair, local_addr: Optional[int], size: int) -> Generator:
-    """Sender-side reliable delivery: when the fabric drops an RC packet
-    the sender waits out its ACK timeout and retransmits (re-paying the
-    NIC WQE processing), up to ``retry_cnt`` times.  Exhaustion errors
-    the QP — the hardware's IBV_WC_RETRY_EXC_ERR — and returns False so
-    the caller completes the WR with an error status instead of landing
-    the payload.  With ``rc_loss_rate == 0`` this yields nothing and
-    returns immediately, keeping the healthy fast path byte-identical."""
+    """Sender-side reliable delivery after the fabric dropped an RC
+    packet: the sender waits out its ACK timeout and retransmits
+    (re-paying the NIC WQE processing), up to ``retry_cnt`` times.
+    Exhaustion errors the QP — the hardware's IBV_WC_RETRY_EXC_ERR — and
+    returns False so the caller completes the WR with an error status
+    instead of landing the payload.  The caller makes the first loss
+    draw (``not fabric.drops_packet(True) or (yield from ...)``), so a
+    delivered packet builds no generator; with ``rc_loss_rate == 0`` that
+    draw consumes no RNG and this is never entered."""
     fabric = qp.node.fabric
-    if not fabric.drops_packet(True):
-        return True
     sim = qp.node.sim
     for _attempt in range(qp.retry_cnt):
         qp.retransmits += 1
@@ -201,7 +194,8 @@ def _write_flow(qp, wr, local_addr, remote_addr, size, payload, imm_data, signal
     if obs is not None:
         _tx_obs(obs, qp.node, verb, size, service, stall, req_id, request)
     if qp.transport.is_reliable:
-        delivered = yield from _rc_retransmit(qp, local_addr, size)
+        delivered = (not fabric.drops_packet(True)
+                     or (yield from _rc_retransmit(qp, local_addr, size)))
         if not delivered:
             _complete(qp, wr, size, signaled, status="retry-exceeded")
             return
@@ -216,21 +210,16 @@ def _write_flow(qp, wr, local_addr, remote_addr, size, payload, imm_data, signal
     service = yield from target.nic.rx_write(remote_addr, size)
     if obs is not None:
         _rx_obs(obs, target, verb, size, service, req_id, request)
-    event = InboundWrite(
-        addr=remote_addr, size=size, payload=payload, imm_data=imm_data,
-        src_qp_num=qp.qp_num, time_ns=sim.now,
-    )
-    target.deliver_write(event)
+    target.deliver_write(InboundWrite(remote_addr, size, payload, imm_data,
+                                      qp.qp_num, sim.now))
     if imm_data is not None:
         wqe = peer.consume_recv_wqe()
         if wqe is None:
             peer.rnr_drops += 1
         else:
-            peer.recv_cq.push(Completion(
-                wr_id=wqe.wr_id, opcode=Opcode.RECV, qp_num=peer.qp_num,
-                byte_len=size, imm_data=imm_data, payload=payload,
-                timestamp_ns=sim.now, addr=remote_addr,
-            ))
+            peer.recv_cq.push(Completion(wqe.wr_id, Opcode.RECV, peer.qp_num, size,
+                                         imm_data, payload, sim.now, "success",
+                                         remote_addr))
     if qp.transport.is_reliable:
         yield sim.timeout(fabric.params.latency_ns)  # ACK return flight
     _complete(qp, wr, size, signaled)
@@ -301,7 +290,8 @@ def _send_flow(qp, wr, dest_qp, size, payload, local_addr, signaled) -> Generato
     if obs is not None:
         _tx_obs(obs, qp.node, "send", size, service, stall, req_id, request)
     if qp.transport.is_reliable:
-        delivered = yield from _rc_retransmit(qp, local_addr, size)
+        delivered = (not fabric.drops_packet(True)
+                     or (yield from _rc_retransmit(qp, local_addr, size)))
         if not delivered:
             _complete(qp, wr, size, signaled, status="retry-exceeded")
             return
@@ -341,15 +331,10 @@ def _send_flow(qp, wr, dest_qp, size, payload, local_addr, signaled) -> Generato
         service = yield from target.nic.rx_write(wqe.addr, size)
         if obs is not None:
             _rx_obs(obs, target, "send", size, service, req_id, request)
-        target.deliver_write(InboundWrite(
-            addr=wqe.addr, size=size, payload=payload, imm_data=None,
-            src_qp_num=qp.qp_num, time_ns=sim.now,
-        ))
-        dest_qp.recv_cq.push(Completion(
-            wr_id=wqe.wr_id, opcode=Opcode.RECV, qp_num=dest_qp.qp_num,
-            byte_len=size, payload=payload, timestamp_ns=sim.now,
-            addr=wqe.addr,
-        ))
+        target.deliver_write(InboundWrite(wqe.addr, size, payload, None,
+                                          qp.qp_num, sim.now))
+        dest_qp.recv_cq.push(Completion(wqe.wr_id, Opcode.RECV, dest_qp.qp_num, size,
+                                        None, payload, sim.now, "success", wqe.addr))
     if qp.transport.is_reliable:
         yield sim.timeout(fabric.params.latency_ns)
     _complete(qp, wr, size, signaled)

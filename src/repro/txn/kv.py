@@ -109,6 +109,11 @@ class KvStore:
 
     def insert(self, key: Hashable, value: Any) -> ItemRef:
         """Insert a fresh key (version 1, unlocked)."""
+        return ItemRef(key, self._place(key, value))
+
+    def _place(self, key: Hashable, value: Any) -> int:
+        """:meth:`insert` without the reference: returns the item's base
+        address (world builds call it directly)."""
         bucket = self._bucket(key)
         if key in bucket:
             raise KvError(f"duplicate key {key!r}")
@@ -124,7 +129,7 @@ class KvStore:
         cells[base + VALUE_OFF] = value
         cells[base + VERSION_OFF] = 1
         cells[base + LOCK_OFF] = 0
-        return ItemRef(key, base)
+        return base
 
     def keys(self) -> Iterator[Hashable]:
         for bucket in self._buckets:

@@ -82,9 +82,9 @@ def populate_smallbank(cluster: TxnCluster, n_accounts: int) -> None:
     for account in range(n_accounts):
         key = checking(account)
         # An account's tables co-locate (``shard_of_factory``): one lookup.
-        insert = stores[shard_of(key)].insert
-        insert(key, INITIAL_BALANCE)
-        insert(savings(account), INITIAL_BALANCE)
+        place = stores[shard_of(key)]._place
+        place(key, INITIAL_BALANCE)
+        place(savings(account), INITIAL_BALANCE)
 
 
 def pick_account(rng: random.Random, config: SmallBankConfig) -> int:

@@ -6,8 +6,6 @@ path is hit by construction rather than by seed luck; the statistical
 test exercises the real ``fabric.rc_loss`` RNG substream.
 """
 
-import pytest
-
 from repro.rdma import (
     Fabric,
     Node,
@@ -88,15 +86,29 @@ class TestRcRetransmit:
         assert len(arrived) == 50           # RC never loses, only retries
         assert qp_a.retransmits > 0         # and the loss rate actually bit
         assert qp_a.state is QpState.RTS
+        # The loss stream's draws, in order, decide exactly this schedule:
+        # a change to who draws first (the verb or the retransmit loop)
+        # or how often moves these pinned figures.
+        assert qp_a.retransmits == 26
+        assert fabric.rc_packets_lost == 26
+        assert [event.payload for event in arrived] == [
+            0, 1, 2, 4, 5, 6, 8, 9, 10, 14, 17, 20, 21, 23, 24, 25, 26, 28, 29,
+            31, 32, 33, 34, 36, 39, 40, 41, 42, 44, 46, 48, 49,
+            3, 12, 15, 16, 22, 27, 30, 37, 38, 43, 45, 47,
+            7, 11, 18, 19, 13, 35,
+        ]
+        assert sim.now == 52616
 
     def test_zero_loss_rate_draws_nothing(self):
         """Healthy fast path: no RNG draw, no retransmit bookkeeping."""
         sim, fabric, a, b, qp_a, qp_b = _rc_world()
+        rng_state = fabric._rc_loss_rng.getstate()
         src = a.register_memory(4096)
         dst = b.register_memory(4096)
         post_write(qp_a, src.range.base, dst.range.base, 32)
         sim.run()
         assert qp_a.retransmits == 0
+        assert fabric._rc_loss_rng.getstate() == rng_state
 
 
 class TestRnrRetry:

@@ -87,11 +87,14 @@ small_ranges = st.lists(
     st.builds(MemoryRange, st.integers(0, 24), st.integers(1, 8)), max_size=12
 )
 queries = st.lists(st.tuples(st.integers(0, 34), st.integers(0, 10)), min_size=1)
+# 300 examples in tier-1; a larger profile (CI's --hypothesis-profile=fuzz)
+# raises it, where a bare ``max_examples=300`` would cap it.
+range_examples = settings(max_examples=max(300, settings().max_examples))
 
 
 class TestRangeIndex:
     @given(ranges=small_ranges, queries=queries)
-    @settings(max_examples=300)
+    @range_examples
     def test_covering_equals_insertion_order_scan(self, ranges, queries):
         index = RangeIndex()
         pairs = list(zip(ranges, range(len(ranges))))
@@ -101,7 +104,7 @@ class TestRangeIndex:
             assert index.covering(addr, size) == scan(pairs, addr, size)
 
     @given(ranges=small_ranges, removals=st.lists(st.integers(0, 11)), queries=queries)
-    @settings(max_examples=300)
+    @range_examples
     def test_remove_keeps_agreeing_with_the_scan(self, ranges, removals, queries):
         index = RangeIndex()
         pairs = list(zip(ranges, range(len(ranges))))

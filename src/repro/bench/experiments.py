@@ -846,18 +846,19 @@ def fig_failover(quick: bool = True, backend: str = "sim") -> FigureResult:
     correspondingly looser).
     """
     import json
+    from dataclasses import replace
 
     metrics = ("completed", "total", "unavailable_us", "goodput_ratio",
                "view_epoch", "duplicates", "failovers")
 
     def row(result: dict) -> list:
         failovers = sum(
-            pc.get("failovers", 0) for pc in result["per_client"].values()
+            pc["failovers"] for pc in result["per_client"].values()
         )
         return [
             result["completed"], result["total_ops"],
             result["unavailable_ns"] / 1e3,
-            round(result.get("goodput_ratio", 1.0), 4),
+            round(result["goodput_ratio"], 4),
             result["view"]["epoch"], result["duplicate_executions"],
             failovers,
         ]
@@ -888,7 +889,7 @@ def fig_failover(quick: bool = True, backend: str = "sim") -> FigureResult:
 
         config = ReplicaProcConfig(
             ops_per_client=20 if quick else 40,
-            fail_primary_at_s=0.1 if quick else 0.2,
+            fail_primary_at_ns=100_000_000 if quick else 200_000_000,
         )
         result = run_replica_proc(config)
         # Real sockets, real clocks: the bound covers detection plus two
@@ -913,7 +914,7 @@ def fig_failover(quick: bool = True, backend: str = "sim") -> FigureResult:
     config = ReplicaSimConfig() if quick else ReplicaSimConfig(
         n_clients=4, ops_per_client=120, horizon_ns=4_000_000
     )
-    baseline = run_replica_sim(_replace_frozen(config, fail_primary_at_ns=None))
+    baseline = run_replica_sim(replace(config, fail_primary_at_ns=None))
     assert baseline["completed"] == baseline["total_ops"], (
         f"healthy baseline lost ops: {baseline}"
     )
@@ -931,7 +932,7 @@ def fig_failover(quick: bool = True, backend: str = "sim") -> FigureResult:
     assert json.dumps(again, sort_keys=True) == json.dumps(
         result, sort_keys=True
     ), "same-seed replicated runs diverged"
-    with_obs = run_replica_sim(_replace_frozen(config, obs_enabled=True))
+    with_obs = run_replica_sim(replace(config, obs_enabled=True))
     assert json.dumps(with_obs, sort_keys=True) == json.dumps(
         result, sort_keys=True
     ), "telemetry perturbed the replicated run"
@@ -954,13 +955,6 @@ def fig_failover(quick: bool = True, backend: str = "sim") -> FigureResult:
             " byte-identical",
         ],
     )
-
-
-def _replace_frozen(config, **overrides):
-    """dataclasses.replace for the frozen runner configs."""
-    import dataclasses
-
-    return dataclasses.replace(config, **overrides)
 
 
 ALL_FIGURES = {

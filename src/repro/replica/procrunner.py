@@ -1,15 +1,12 @@
 """The replicated deployment on the real-process backend.
 
-The same DESIGN.md section-15 stack as :mod:`repro.replica.simrunner`,
-driven over real sockets: N :class:`~repro.net.procserver.ProcRpcServer`
-listeners on loopback (one per replica, each wrapping the shared
-:class:`~repro.replica.group.ReplicaGroup` through the backend-neutral
-``handler_for`` closures), a GFD asyncio task probing ``replica.hb``
-heartbeats with a real timeout, the same
-:class:`~repro.replica.membership.MembershipService`, and clients whose
-``failover_fn`` hook re-homes the broken connection to the promoted
-backup's endpoint — reposting in-flight requests under their original
-req_ids so the replica log's dedup keeps execution exactly-once.
+The :mod:`repro.replica.scenario` the sim runs, driven by
+:func:`~repro.replica.scenario.drive_async` over real sockets: one
+:class:`~repro.net.procserver.ProcRpcServer` listener per replica on
+loopback, one probe client per replica for the failure detectors, and
+clients whose ``failover_fn`` hook re-homes a broken connection to the
+promoted backup's endpoint, reposting in-flight requests under their
+original req_ids.
 
 Fail-stop here is real: the victim's listener closes and every client
 connection breaks, so recovery rides the proc transport's actual
@@ -17,7 +14,8 @@ reconnect machinery (EOF → bounded reconnect → failover retarget),
 not a simulation of it.  Everything runs in one event loop, which keeps
 the replica group shared in memory exactly as the sim backend does —
 the wire is real for the client/server path, which is the path under
-test.
+test.  Config times are nanoseconds, like the sim's; they become
+seconds only where they reach asyncio.
 """
 
 from __future__ import annotations
@@ -28,18 +26,10 @@ from typing import Optional
 
 from ..net.clock import Clock
 from ..net.procserver import ProcRpcClient, ProcRpcServer
-from ..net.transport import TransportClosed
 from ..transport.topology import Endpoint
-from .group import HEARTBEAT_RPC, OP_RPC, ReplicaGroup
-from .membership import MembershipService
-from .protocol import ReplicaRole
-from .statemachine import ReplicatedStateMachine
+from .scenario import ReplicaWorld, drive_async, lfd, replica_names, summarize, workload
 
 __all__ = ["ReplicaProcConfig", "run_replica_proc"]
-
-#: Client-id stride between replicas (matches the sim runner): failover
-#: re-homes a client without renumbering it.
-_ID_STRIDE = 1000
 
 
 @dataclass(frozen=True)
@@ -51,11 +41,11 @@ class ReplicaProcConfig:
     ops_per_client: int = 30
     #: Closed-loop gap between ops: spreads the workload so the fault
     #: lands mid-flight instead of after a microsecond-scale burst.
-    op_gap_s: float = 0.01
+    op_gap_ns: int = 10_000_000
     host: str = "127.0.0.1"
     # Failure detection (wall clock: this backend is reality).
-    hb_period_s: float = 0.08
-    hb_timeout_s: float = 0.04
+    hb_period_ns: int = 80_000_000
+    hb_timeout_ns: int = 40_000_000
     suspect_after: int = 2
     # Client recovery: one reconnect cycle spans roughly the detection
     # window, so the second cycle sees the promoted backup.
@@ -63,137 +53,62 @@ class ReplicaProcConfig:
     reconnect_backoff_s: float = 0.03
     #: Fail-stop the initial primary this long into the run (None = no
     #: fault; the healthy baseline).
-    fail_primary_at_s: Optional[float] = 0.2
+    fail_primary_at_ns: Optional[int] = 200_000_000
     timeout_s: float = 30.0
 
-    def replica_names(self) -> tuple:
-        return tuple(f"r{i}" for i in range(self.n_replicas))
 
-
-class _ProcWorld:
-    """Mutable run state shared by the workload, GFD, and fault tasks."""
+class _ProcWorld(ReplicaWorld):
+    """The scenario's world over one event loop and one wall clock."""
 
     def __init__(self, config: ReplicaProcConfig):
-        self.config = config
         self.clock = Clock()
-        names = config.replica_names()
-        self.group = ReplicaGroup(
-            names, ReplicatedStateMachine, clock=self.clock.now
-        )
-        self.membership = MembershipService(names, config.suspect_after)
-        self.servers: dict[str, ProcRpcServer] = {}
+        self.now = self.clock.now
+        super().__init__(config)
         self.endpoints: dict[str, Endpoint] = {}
-        self.clients: list[ProcRpcClient] = []
-        self.probes: dict[str, ProcRpcClient] = {}
-        self.completions: list[tuple] = []
-        self.commit_counts: dict[tuple, int] = {}
         self.fail_at_ns: Optional[int] = None
-        self.view_sub = None
-        self.group.commit_watchers.append(self._on_commit)
 
-    def _on_commit(self, _name, _epoch, client_id, req_id) -> None:
-        key = (client_id, req_id)
-        self.commit_counts[key] = self.commit_counts.get(key, 0) + 1
+    def sleep(self, ns: int):
+        return asyncio.sleep(ns / 1e9)
+
+    async def wait(self, handle, timeout_ns: int) -> bool:
+        try:
+            await asyncio.wait_for(handle.event, timeout_ns / 1e9)
+        except asyncio.TimeoutError:
+            return False
+        return True
 
     def failover_fn(self, _client) -> Optional[Endpoint]:
         """Re-home target for a broken client connection: the current
         view's primary, unless it is known dead in the group."""
         primary = self.membership.view.primary
-        if not self.group.replicas[primary].alive:
-            return None
-        return self.endpoints[primary]
-
-    def on_view(self, view) -> None:
-        """Promote (or epoch-advance) the group when a view lands; the
-        clients migrate pull-style through ``failover_fn`` when their
-        broken connections recover."""
-        rep = self.group.replicas.get(view.primary)
-        if rep is None or not rep.alive:
-            return  # elected replica died first; wait for the next view
-        if rep.role is ReplicaRole.BACKUP:
-            self.group.promote(view.primary, view.epoch)
-        else:
-            self.group.advance_epoch(view.primary, view.epoch)
+        return self.endpoints[primary] if self.group.replicas[primary].alive else None
 
 
-async def _workload(world: _ProcWorld, client: ProcRpcClient, ops: int) -> None:
-    """Closed-loop client: one replicated KV/MDS op at a time."""
-    config = world.config
-    for n in range(ops):
-        if n % 5 == 4:
-            payload = {"verb": "mknod", "path": f"/c{client.client_id}/f{n}"}
-        else:
-            payload = {"verb": "put", "key": f"c{client.client_id}.k{n % 4}",
-                       "value": n}
-        await client.sync_call(OP_RPC, payload=payload)
-        world.completions.append(
-            (world.clock.now(), client.client_id, None)
-        )
-        if config.op_gap_s:
-            await asyncio.sleep(config.op_gap_s)
-
-
-async def _probe_once(world: _ProcWorld, name: str) -> bool:
-    """One heartbeat probe of replica ``name``; True iff it answered
-    within ``hb_timeout_s``.  Silence (NO_RESPONSE or a dead listener)
-    is a miss — exactly the sim LFD's contract."""
-    probe = world.probes[name]
-    try:
-        handle = await probe.async_call(HEARTBEAT_RPC, payload={"origin": "gfd"})
-        await probe.flush()
-    except (TransportClosed, ConnectionError):
-        return False
-    try:
-        await asyncio.wait_for(handle.event, world.config.hb_timeout_s)
-        return True
-    except asyncio.TimeoutError:
-        # Withdraw the missed probe so a late frame cannot double-resolve.
-        probe._outstanding.pop(handle.request.req_id, None)
-        return False
-    except (TransportClosed, ConnectionError):
-        return False
-
-
-async def _gfd(world: _ProcWorld) -> None:
-    """The global failure detector: periodic heartbeats to every replica
-    still in the view, reported into the membership service."""
-    while True:
-        await asyncio.sleep(world.config.hb_period_s)
-        for name in world.config.replica_names():
-            if not world.membership.view.is_alive(name):
-                continue
-            alive = await _probe_once(world, name)
-            world.membership.report(name, alive, now=world.clock.now())
-
-
-async def _fail_primary(world: _ProcWorld, name: str, at_s: float) -> None:
+async def _fail_primary(world: _ProcWorld, name: str, at_ns: int) -> None:
     """Fail-stop replica ``name``: mark it dead in the group (silence
     from now on), then close its listener so live connections break."""
-    await asyncio.sleep(at_s)
-    world.fail_at_ns = world.clock.now()
+    await world.sleep(at_ns)
+    world.fail_at_ns = world.now()
     world.group.fail_stop(name)
     await world.servers[name].stop()
 
 
 async def _run(config: ReplicaProcConfig) -> dict:
     world = _ProcWorld(config)
-    names = config.replica_names()
+    names = replica_names(config)
     tasks: list[asyncio.Task] = []
     try:
-        for index, name in enumerate(names):
+        for name in names:
             server = ProcRpcServer(
                 Endpoint(config.host, 0),
                 world.group.handler_for(name),
                 clock=world.clock,
             )
-            server._next_client_id = 1 + index * _ID_STRIDE
             world.endpoints[name] = await server.start()
             world.servers[name] = server
-        world.view_sub = world.membership.subscribe(world.on_view)
-        primary = world.endpoints[names[0]]
         for i in range(config.n_clients):
             client = ProcRpcClient(
-                primary,
+                world.endpoints[names[0]],
                 client_id=i + 1,
                 clock=world.clock,
                 max_attempts=config.reconnect_attempts,
@@ -211,69 +126,33 @@ async def _run(config: ReplicaProcConfig) -> dict:
                 backoff_s=config.reconnect_backoff_s,
             )
             await probe.connect()
-            world.probes[name] = probe
-        tasks.append(asyncio.ensure_future(_gfd(world)))
-        if config.fail_primary_at_s is not None:
+            world.probes.append(probe)
             tasks.append(asyncio.ensure_future(
-                _fail_primary(world, names[0], config.fail_primary_at_s)
+                drive_async(lfd(world, name, probe))
+            ))
+        if config.fail_primary_at_ns is not None:
+            tasks.append(asyncio.ensure_future(
+                _fail_primary(world, names[0], config.fail_primary_at_ns)
             ))
         await asyncio.gather(*(
-            _workload(world, client, config.ops_per_client)
+            drive_async(workload(world, client, config.ops_per_client))
             for client in world.clients
         ))
     finally:
         for task in tasks:
             task.cancel()
-        for task in tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        if world.view_sub is not None:
-            world.view_sub.unsubscribe()
-            world.view_sub = None
-        for client in world.clients + list(world.probes.values()):
+        outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+        world.close()
+        for client in world.clients + world.probes:
             await client.close()
         for server in world.servers.values():
             await server.stop()
-    return _summarize(world)
-
-
-def _summarize(world: _ProcWorld) -> dict:
-    config = world.config
-    completions = sorted(world.completions)
-    duplicates = sum(1 for n in world.commit_counts.values() if n > 1)
-    unavailable_ns = 0
-    if world.fail_at_ns is not None and completions:
-        before = [c for c in completions if c[0] < world.fail_at_ns]
-        after = [c for c in completions if c[0] >= world.fail_at_ns]
-        if before and after:
-            unavailable_ns = after[0][0] - before[-1][0]
-    view = world.membership.view
-    alive_digests = {
-        rep.machine.digest()
-        for rep in world.group.replicas.values()
-        if rep.role is not ReplicaRole.DEAD
-    }
-    return {
-        "backend": "proc",
-        "completed": len(completions),
-        "total_ops": config.n_clients * config.ops_per_client,
-        "per_client": {
-            client.client_id: {
-                "completed": client.completed,
-                "reconnects": client.reconnects,
-                "failovers": client.failovers,
-            }
-            for client in world.clients
-        },
-        "group": world.group.stats.as_dict(),
-        "view": {"epoch": view.epoch, "primary": view.primary,
-                 "changes": world.membership.view_changes},
-        "duplicate_executions": duplicates,
-        "unavailable_ns": unavailable_ns,
-        "replica_digests_agree": len(alive_digests) <= 1,
-    }
+        # A background task's error (say a promotion's ProtocolError) is
+        # the run's failure, not the workload hang or timeout it caused.
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+    return summarize(world, world.fail_at_ns, backend="proc")
 
 
 def run_replica_proc(config: ReplicaProcConfig) -> dict:

@@ -1,42 +1,32 @@
 """The replicated deployment on the simulation backend.
 
-Builds the full DESIGN.md section-15 stack on top of the ordinary sim
-topology: N ScaleRPC servers (one per replica, each wrapping the same
-:class:`~repro.replica.group.ReplicaGroup` through its backend-neutral
-``handler_for`` closures), per-replica local failure detectors probing
-over the real RPC stack (``replica.hb`` heartbeats through announce →
-fetch → respond like any other call), the global
-:class:`~repro.replica.membership.MembershipService`, and clients whose
-rpc-timeout watchdog escalates to failover (``failover_fn`` names the
-current view's primary) while view-change subscriptions *push* migration
-without waiting for a timeout.
+Builds the DESIGN.md section-15 stack on the ordinary sim topology: one
+ScaleRPC server per replica, each wrapping the shared
+:class:`~repro.replica.group.ReplicaGroup` through ``handler_for``; one
+probe client per replica for the :mod:`~repro.replica.scenario` LFDs
+(``replica.hb`` heartbeats travel announce → fetch → respond like any
+call); and clients whose rpc-timeout watchdog escalates to failover
+(``failover_fn``) while view changes *push* migration.
 
-Everything here is deterministic: same seed → byte-identical run, with
-obs on or off (all telemetry sits behind ``obs is not None``).  The
-model checker (:mod:`repro.analysis.mc.replica`) builds these same
-worlds at smaller time constants, so the interleavings it explores are
-the interleavings this runner actually executes.
+Deterministic: same seed → byte-identical run, obs on or off.  The model
+checker (:mod:`repro.analysis.mc.replica`) builds these same worlds at
+smaller time constants, so the interleavings it explores are the ones
+this runner executes.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Generator, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..faults import FaultInjector, FaultPlan
 from ..transport import Topology
-from .group import HEARTBEAT_RPC, OP_RPC, ReplicaGroup
-from .membership import MembershipService
-from .protocol import ReplicaRole
-from .statemachine import ReplicatedStateMachine
+from .scenario import (ID_STRIDE, ReplicaWorld, drive_sim, lfd, replica_names,
+                       summarize, workload)
 
 __all__ = ["ReplicaSimConfig", "ReplicaSimWorld", "build_replica_world",
            "run_replica_sim"]
-
-#: Client-id stride between replicas: adoption re-homes a client without
-#: renumbering it, so each server hands out ids from a disjoint block.
-_ID_STRIDE = 1000
 
 
 @dataclass(frozen=True)
@@ -66,33 +56,48 @@ class ReplicaSimConfig:
     fail_primary_at_ns: Optional[int] = 100_000
     horizon_ns: int = 2_000_000
 
-    def replica_names(self) -> tuple:
-        return tuple(f"r{i}" for i in range(self.n_replicas))
 
+class ReplicaSimWorld(ReplicaWorld):
+    """One built replicated sim deployment (also the MC world object)."""
 
-@dataclass
-class ReplicaSimWorld:
-    """One built replicated deployment (also the MC world object)."""
+    client_stats = ("completed", "timeouts", "reconnects", "failovers")
 
-    name: str
-    config: ReplicaSimConfig
-    sim: object
-    topo: Topology
-    group: ReplicaGroup
-    membership: MembershipService
-    servers: dict
-    clients: list
-    probes: list
-    drivers: list = field(default_factory=list)
-    handles: list = field(default_factory=list)
-    injector: Optional[FaultInjector] = None
-    observer: object = None
-    horizon_ns: int = 8_000_000
-    #: (ts_ns, client_id, req_id) per completed workload op.
-    completions: list = field(default_factory=list)
-    #: Primary commits per (client_id, req_id) — exactly-once witness.
-    commit_counts: dict = field(default_factory=dict)
-    view_sub: object = None
+    def __init__(self, name: str, config: ReplicaSimConfig, topo: Topology,
+                 observer):
+        self.name = name
+        self.topo = topo
+        self.sim = topo.sim
+        self.observer = observer
+        super().__init__(config, obs=topo.fabric.obs)
+        self.horizon_ns = config.horizon_ns
+        self.drivers: list = []
+        self.injector: Optional[FaultInjector] = None
+
+    def now(self) -> int:
+        return self.sim.now
+
+    def sleep(self, ns: int):
+        yield self.sim.timeout(ns)
+
+    def wait(self, handle, timeout_ns: int):
+        yield self.sim.timeout(timeout_ns)
+        return handle.event.triggered
+
+    def failover_fn(self, _client):
+        """Watchdog escalation target: the current view's primary, if live."""
+        target = self.servers[self.membership.view.primary]
+        return target if target.alive else None
+
+    def migrate(self, primary: str) -> None:
+        """Push the primary-change notice: migrate every client that is
+        not already homed on the new primary (timeout-free failover)."""
+        target = self.servers[primary]
+        for client in self.clients:
+            if client.server is not target:
+                self.sim.process(
+                    client.failover_to(target),
+                    name=f"c{client.client_id}.failover",
+                )
 
     def snapshot(self) -> tuple:
         """Abstract protocol state (MC branch pruning; determinism tests)."""
@@ -113,68 +118,6 @@ class ReplicaSimWorld:
             tuple(driver.triggered for driver in self.drivers),
         )
 
-    def close(self) -> None:
-        """Release the view subscription (typestate: every subscribe is
-        matched by an unsubscribe, even on error paths — callers pair
-        this with try/finally)."""
-        if self.view_sub is not None:
-            self.view_sub.unsubscribe()
-            self.view_sub = None
-
-
-def _lfd(world: ReplicaSimWorld, name: str, probe) -> Generator:
-    """Local failure detector for replica ``name``.
-
-    Probes over the same RPC stack the workload uses: post a heartbeat,
-    flush (announce), wait ``hb_timeout_ns``, and report hit/miss to the
-    membership service.  An unanswered probe is withdrawn from the probe
-    client's outstanding set so its own watchdog never races the GFD.
-    """
-    config = world.config
-    sim = world.sim
-    obs = world.topo.fabric.obs
-    while True:
-        yield sim.timeout(config.hb_period_ns)
-        if not world.membership.view.is_alive(name):
-            return  # declared dead; this LFD retires
-        handle = yield from probe.async_call(
-            HEARTBEAT_RPC, payload={"origin": "gfd"}
-        )
-        if obs is not None:
-            obs.rpc_stage(handle.request.req_id, "hb_probe", sim.now)
-        yield from probe.flush()
-        yield sim.timeout(config.hb_timeout_ns)
-        alive = handle.event.triggered
-        if alive:
-            if obs is not None:
-                obs.rpc_stage(handle.request.req_id, "hb_ack", sim.now)
-        else:
-            # Withdraw the missed probe: heartbeats are fire-and-forget,
-            # and leaving it outstanding would wake the probe client's
-            # own recovery machinery.
-            probe._outstanding.pop(handle.request.req_id, None)
-        world.membership.report(name, alive, now=sim.now)
-
-
-def _workload(world: ReplicaSimWorld, client, ops: int) -> Generator:
-    """Closed-loop client: one replicated KV/MDS op at a time."""
-    sim = world.sim
-    for n in range(ops):
-        if n % 5 == 4:
-            payload = {"verb": "mknod", "path": f"/c{client.client_id}/f{n}"}
-        else:
-            payload = {"verb": "put", "key": f"c{client.client_id}.k{n % 4}",
-                       "value": n}
-        handle = yield from client.async_call(OP_RPC, payload=payload)
-        world.handles.append(handle)
-        yield from client.flush()
-        yield from client.poll_completions([handle])
-        world.completions.append(
-            (sim.now, client.client_id, handle.request.req_id)
-        )
-        if world.config.op_gap_ns:
-            yield sim.timeout(world.config.op_gap_ns)
-
 
 def build_replica_world(
     config: ReplicaSimConfig,
@@ -187,7 +130,7 @@ def build_replica_world(
     ``config.fail_primary_at_ns`` (or to no faults when that is None);
     pass an explicit plan for partition/rack scenarios.
     """
-    names = config.replica_names()
+    names = replica_names(config)
     topo = Topology.build(
         server_names=names,
         n_client_machines=2,
@@ -205,70 +148,40 @@ def build_replica_world(
             "n_clients": config.n_clients,
             "seed": config.seed,
         }).install(topo.fabric)
-    obs = topo.fabric.obs
-    group = ReplicaGroup(
-        names,
-        ReplicatedStateMachine,
-        obs=obs,
-        clock=lambda: sim.now,
-    )
-    membership = MembershipService(names, config.suspect_after, obs=obs)
-    servers = {}
+    world = ReplicaSimWorld(name, config, topo, observer)
     for index, (replica_name, node) in enumerate(zip(names, topo.server_nodes)):
         server = topo.build_server(
             config.transport,
-            group.handler_for(replica_name),
+            world.group.handler_for(replica_name),
             node=node,
             group_size=config.group_size,
             time_slice_ns=config.time_slice_ns,
             rpc_timeout_ns=config.rpc_timeout_ns,
         )
-        # Disjoint id blocks so adoption never collides (see _ID_STRIDE).
-        server._client_ids = itertools.count(1 + index * _ID_STRIDE)
-        servers[replica_name] = server
-    world = ReplicaSimWorld(
-        name=name,
-        config=config,
-        sim=sim,
-        topo=topo,
-        group=group,
-        membership=membership,
-        servers=servers,
-        clients=[],
-        probes=[],
-        observer=observer,
-        horizon_ns=config.horizon_ns,
-    )
+        # Disjoint id blocks so adoption never collides (see ID_STRIDE).
+        server._client_ids = itertools.count(1 + index * ID_STRIDE)
+        world.servers[replica_name] = server
     # Workload clients all start on the initial primary.
-    primary = servers[names[0]]
-    for i in range(config.n_clients):
+    primary = world.servers[names[0]]
+    for _ in range(config.n_clients):
         client = primary.connect(topo.next_machine())
-        client.failover_fn = _make_failover_fn(world)
+        client.failover_fn = world.failover_fn
         world.clients.append(client)
-    # One probe client per replica (the LFD's transport endpoint).
-    for replica_name in names:
-        probe = servers[replica_name].connect(topo.next_machine())
-        world.probes.append(probe)
-    # View-change subscription: promote/advance the group and push
-    # primary-change notices (proactive client migration).
-    world.view_sub = membership.subscribe(_make_view_callback(world))
-    # Exactly-once witness: count primary commits per request identity.
-    group.commit_watchers.append(_make_commit_watcher(world))
-    for server in servers.values():
+    for server in world.servers.values():
+        world.probes.append(server.connect(topo.next_machine()))
+    for server in world.servers.values():
         server.start()
     for client in world.clients:
         world.drivers.append(sim.process(
-            _workload(world, client, config.ops_per_client),
+            drive_sim(workload(world, client, config.ops_per_client)),
             name=f"drv{client.client_id}",
         ))
     for replica_name, probe in zip(names, world.probes):
-        sim.process(_lfd(world, replica_name, probe), name=f"lfd.{replica_name}")
-    if plan is None:
-        if config.fail_primary_at_ns is not None:
-            plan = FaultPlan.fail_stop(config.fail_primary_at_ns, names[0])
-        else:
-            plan = FaultPlan.none()
-    if not plan.empty:
+        sim.process(drive_sim(lfd(world, replica_name, probe)),
+                    name=f"lfd.{replica_name}")
+    if plan is None and config.fail_primary_at_ns is not None:
+        plan = FaultPlan.fail_stop(config.fail_primary_at_ns, names[0])
+    if plan is not None and not plan.empty:
         world.injector = FaultInjector(
             sim,
             topo.fabric,
@@ -276,50 +189,11 @@ def build_replica_world(
             world.clients,
             plan,
             topo.rng,
-            servers=servers,
-            replica_group=group,
+            servers=world.servers,
+            replica_group=world.group,
         )
         world.injector.start()
     return world
-
-
-def _make_failover_fn(world: ReplicaSimWorld):
-    """Watchdog escalation target: the current view's primary, if live."""
-    def failover_fn(_client):
-        target = world.servers[world.membership.view.primary]
-        return target if target.alive else None
-    return failover_fn
-
-
-def _make_view_callback(world: ReplicaSimWorld):
-    def on_view(view) -> None:
-        rep = world.group.replicas.get(view.primary)
-        if rep is None or not rep.alive:
-            # The elected replica died before the view landed (backup
-            # dies during promotion): wait for the next view to supersede
-            # this one — promotion from a later epoch stays legal.
-            return
-        if rep.role is ReplicaRole.BACKUP:
-            world.group.promote(view.primary, view.epoch)
-        else:
-            world.group.advance_epoch(view.primary, view.epoch)
-        # Push the primary-change notice: migrate every client that is
-        # not already homed on the new primary (timeout-free failover).
-        target = world.servers[view.primary]
-        for client in world.clients:
-            if client.server is not target:
-                world.sim.process(
-                    client.failover_to(target),
-                    name=f"c{client.client_id}.failover",
-                )
-    return on_view
-
-
-def _make_commit_watcher(world: ReplicaSimWorld):
-    def on_commit(_name, _epoch, client_id, req_id) -> None:
-        key = (client_id, req_id)
-        world.commit_counts[key] = world.commit_counts.get(key, 0) + 1
-    return on_commit
 
 
 def run_replica_sim(config: ReplicaSimConfig,
@@ -337,69 +211,13 @@ def run_replica_sim(config: ReplicaSimConfig,
         world.close()
         if world.observer is not None:
             world.observer.uninstall()
-    completions = sorted(world.completions)
-    total_ops = config.n_clients * config.ops_per_client
-    duplicates = sum(1 for n in world.commit_counts.values() if n > 1)
-    fail_at = config.fail_primary_at_ns
-    unavailable_ns = 0
-    goodput_ratio = 1.0
-    if fail_at is not None and completions:
-        before = [c for c in completions if c[0] < fail_at]
-        after = [c for c in completions if c[0] >= fail_at]
-        if before and after:
-            unavailable_ns = after[0][0] - before[-1][0]
-            goodput_ratio = _goodput_ratio(
-                [c[0] for c in before], [c[0] for c in after]
-            )
-    view = world.membership.view
-    alive_digests = {
-        rep.machine.digest()
-        for rep in world.group.replicas.values()
-        if rep.role is not ReplicaRole.DEAD
-    }
-    return {
-        "backend": "sim",
-        "transport": config.transport,
-        "seed": config.seed,
-        "completed": len(completions),
-        "total_ops": total_ops,
-        "per_client": {
-            client.client_id: {
-                "completed": client.completed,
-                "timeouts": client.timeouts,
-                "reconnects": client.reconnects,
-                "failovers": client.failovers,
-            }
-            for client in world.clients
-        },
-        "group": world.group.stats.as_dict(),
-        "snapshot": {
-            name: list(entry)
-            for name, entry in world.group.snapshot().items()
-        },
-        "view": {"epoch": view.epoch, "primary": view.primary,
-                 "changes": world.membership.view_changes},
-        "duplicate_executions": duplicates,
-        "unavailable_ns": unavailable_ns,
-        "goodput_ratio": goodput_ratio,
-        "replica_digests_agree": len(alive_digests) <= 1,
-        "fault_schedule": (
+    return summarize(
+        world,
+        config.fail_primary_at_ns,
+        backend="sim",
+        transport=config.transport,
+        seed=config.seed,
+        fault_schedule=(
             world.injector.schedule() if world.injector is not None else []
         ),
-    }
-
-
-def _goodput_ratio(before: list, after: list) -> float:
-    """Post-recovery completion rate relative to pre-fault, from the K
-    completion gaps closest to the fault on each side (robust to the
-    workload draining near the end of the run)."""
-    k = min(8, len(before) - 1, len(after) - 1)
-    if k < 1:
-        return 1.0
-    pre_gap = (before[-1] - before[-1 - k]) / k
-    post_gap = (after[k] - after[0]) / k
-    if post_gap <= 0:
-        return 1.0
-    if pre_gap <= 0:
-        return 0.0 if post_gap > 0 else 1.0
-    return pre_gap / post_gap
+    )

@@ -14,11 +14,11 @@ def result():
     return run_replica_proc(ReplicaProcConfig(
         n_clients=2,
         ops_per_client=12,
-        op_gap_s=0.005,
-        hb_period_s=0.04,
-        hb_timeout_s=0.02,
+        op_gap_ns=5_000_000,
+        hb_period_ns=40_000_000,
+        hb_timeout_ns=20_000_000,
         reconnect_backoff_s=0.02,
-        fail_primary_at_s=0.06,
+        fail_primary_at_ns=60_000_000,
         timeout_s=20.0,
     ))
 
@@ -54,8 +54,8 @@ def test_healthy_baseline_never_changes_view():
     result = run_replica_proc(ReplicaProcConfig(
         n_clients=1,
         ops_per_client=6,
-        op_gap_s=0.002,
-        fail_primary_at_s=None,
+        op_gap_ns=2_000_000,
+        fail_primary_at_ns=None,
         timeout_s=20.0,
     ))
     assert result["completed"] == result["total_ops"]

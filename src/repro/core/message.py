@@ -254,10 +254,14 @@ _KIND_REQUEST, _KIND_RESPONSE = 1, 2
 _KIND_NAMES = {_KIND_REQUEST: "request", _KIND_RESPONSE: "response"}
 
 _WIRE_HEADER = struct.Struct("!BBHIQII")
+_HEADER_END = _WIRE_HEADER.size  # the CRC sits between header and tail
 _WIRE_PREAMBLE = struct.Struct("!BBHIQIII")  # header + CRC in one unpack
 _TAIL_START = _WIRE_PREAMBLE.size
-_REQUEST_FIXED = struct.Struct("!qH")
-_RPC_TYPE_START = _TAIL_START + _REQUEST_FIXED.size
+_MAX_TAIL = MAX_WIRE_BYTES - _TAIL_START
+_CRC = struct.Struct("!I")
+_REQUEST_FIXED = struct.Struct("!qH")  # created_ns | rpc_type_len
+_REQUEST_PREAMBLE = struct.Struct("!BBHIQIIIqH")  # preamble + request fixed
+_RPC_TYPE_START = _REQUEST_PREAMBLE.size
 _BINDING = struct.Struct("!QQIQQ")
 _TRACE_IDS = struct.Struct("!QQ")  # TRACE_EXT_BYTES
 _TRACE_STAMPED = struct.Struct("!QQqq")  # + TRACE_TS_BYTES
@@ -266,10 +270,11 @@ _FLAG_FAILED = 1 << 0  # response only
 _FLAG_CONTEXT_SWITCH = 1 << 1  # response only
 _FLAG_TRACE = 1 << 2
 _FLAG_TRACE_TS = 1 << 3  # only with _FLAG_TRACE
+_TRACE_BITS = _FLAG_TRACE | _FLAG_TRACE_TS
 _FLAG_BINDING = 1 << 4  # response only
 _PAYLOAD_NONE, _PAYLOAD_TEXT, _PAYLOAD_JSON = 0 << 5, 1 << 5, 2 << 5
 _PAYLOAD_MASK = 3 << 5
-_REQUEST_FLAGS = _FLAG_TRACE | _FLAG_TRACE_TS | _PAYLOAD_MASK
+_REQUEST_FLAGS = _TRACE_BITS | _PAYLOAD_MASK
 _RESPONSE_FLAGS = (_REQUEST_FLAGS | _FLAG_FAILED | _FLAG_CONTEXT_SWITCH
                    | _FLAG_BINDING)
 
@@ -313,82 +318,64 @@ def _encode_payload(payload: Any) -> tuple[int, bytes]:
         ) from None
 
 
-def _frame(kind: int, flags: int, message, fixed: bytes) -> bytes:
-    """Finish a frame whose kind-specific sections are ``fixed``: append
-    the trace section, tag the payload, fill the header, seal with the CRC."""
-    tag, payload = _encode_payload(message.payload)
-    flags |= tag
-    trace = message.trace
-    if trace is not None and trace.has_ts:
-        flags |= _FLAG_TRACE | _FLAG_TRACE_TS
-        fixed += _TRACE_STAMPED.pack(trace.trace_id, trace.span_id,
-                                     trace.ts_a, trace.ts_b)
-    elif trace is not None:
-        flags |= _FLAG_TRACE
-        fixed += _TRACE_IDS.pack(trace.trace_id, trace.span_id)
-    tail_len = len(fixed) + len(payload)
-    if tail_len > MAX_WIRE_BYTES - _TAIL_START:
-        raise WireFormatError(f"encoded message is {tail_len + _TAIL_START} "
-                              f"bytes; limit {MAX_WIRE_BYTES}")
-    header = _WIRE_HEADER.pack(kind, WIRE_VERSION, flags, message.client_id,
-                               message.req_id, message.data_bytes, tail_len)
-    crc = zlib.crc32(payload, zlib.crc32(fixed, zlib.crc32(header)))
-    return b"".join((header, crc.to_bytes(4, "big"), fixed, payload))
+def _trace_section(trace: TraceContext) -> tuple[int, bytes]:
+    """The trace extension's flag bits and bytes (``struct.error`` on an
+    out-of-range field is the encoder's to report)."""
+    if trace.has_ts:
+        return _TRACE_BITS, _TRACE_STAMPED.pack(
+            trace.trace_id, trace.span_id, trace.ts_a, trace.ts_b)
+    return _FLAG_TRACE, _TRACE_IDS.pack(trace.trace_id, trace.span_id)
 
 
-def _open(data, want_kind: int, allowed_flags: int):
-    """Run every frame-level check; return the header fields and the one
-    ``memoryview`` of the frame that the tail parser slices."""
+def _too_large(tail_len: int) -> WireFormatError:
+    return WireFormatError(f"encoded message is {tail_len + _TAIL_START} "
+                           f"bytes; limit {MAX_WIRE_BYTES}")
+
+
+def _refusal(data, want_kind: int, allowed_flags: int) -> WireFormatError:
+    """Why a decoder refused ``data``: the first frame-level fault, in the
+    order the layout comment lists the checks.  Decoders test all of them
+    at once and come here only to name the one that failed."""
     size = len(data)
     if size > MAX_WIRE_BYTES:
-        raise WireFormatError(f"frame is {size} bytes; limit {MAX_WIRE_BYTES}")
+        return WireFormatError(f"frame is {size} bytes; limit {MAX_WIRE_BYTES}")
     if size < _TAIL_START:
-        raise WireFormatError(f"truncated header ({size} bytes)")
-    (kind, version, flags, client_id, req_id, data_bytes, tail_len,
-     crc) = _WIRE_PREAMBLE.unpack_from(data)
+        return WireFormatError(f"truncated header ({size} bytes)")
+    kind, version, flags, *_, tail_len, crc = _WIRE_PREAMBLE.unpack_from(data)
     if version != WIRE_VERSION:
-        raise WireFormatError(f"unknown wire version {version}")
+        return WireFormatError(f"unknown wire version {version}")
     if kind not in _KIND_NAMES:
-        raise WireFormatError(f"unknown message kind {kind}")
+        return WireFormatError(f"unknown message kind {kind}")
     if kind != want_kind:
-        raise WireFormatError(f"expected a {_KIND_NAMES[want_kind]} frame, "
-                              f"got kind {kind}")
+        return WireFormatError(f"expected a {_KIND_NAMES[want_kind]} frame, "
+                               f"got kind {kind}")
     if tail_len != size - _TAIL_START:
-        raise WireFormatError(f"tail length mismatch: header says {tail_len}, "
-                              f"got {size - _TAIL_START}")
+        return WireFormatError(f"tail length mismatch: header says {tail_len}, "
+                               f"got {size - _TAIL_START}")
     view = memoryview(data)
-    if zlib.crc32(view[_TAIL_START:], zlib.crc32(view[:_WIRE_HEADER.size])) != crc:
-        raise WireFormatError("CRC mismatch (corrupt frame)")
+    if zlib.crc32(view[_TAIL_START:], zlib.crc32(view[:_HEADER_END])) != crc:
+        return WireFormatError("CRC mismatch (corrupt frame)")
     if flags & ~allowed_flags:
-        raise WireFormatError(f"flag bits {flags & ~allowed_flags:#x} are "
-                              f"not valid on a {_KIND_NAMES[kind]} frame")
-    if flags & _FLAG_TRACE_TS and not flags & _FLAG_TRACE:
-        raise WireFormatError("trace stamps flagged without a trace section")
-    return flags, client_id, req_id, data_bytes, view
+        return WireFormatError(f"flag bits {flags & ~allowed_flags:#x} are "
+                               f"not valid on a {_KIND_NAMES[kind]} frame")
+    if flags & _TRACE_BITS == _FLAG_TRACE_TS:
+        return WireFormatError("trace stamps flagged without a trace section")
+    return WireFormatError(f"malformed {_KIND_NAMES[kind]} tail: "
+                           f"{tail_len} bytes cannot hold its fixed fields")
 
 
-def _trace_and_payload(flags: int, view: memoryview, offset: int):
-    """The two sections every tail ends with (``struct.error`` on a short
-    trace section is the caller's to report)."""
-    trace = None
-    if flags & _FLAG_TRACE:
-        layout = _TRACE_STAMPED if flags & _FLAG_TRACE_TS else _TRACE_IDS
-        trace = TraceContext(*layout.unpack_from(view, offset))
-        offset += layout.size
-    body = view[offset:]
-    tag = flags & _PAYLOAD_MASK
-    try:
-        if tag == _PAYLOAD_TEXT:
-            return trace, str(body, "utf-8")
-        if tag == _PAYLOAD_JSON:
-            return trace, _decode_json(str(body, "ascii"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8/JSON, deep nesting
-        raise WireFormatError(f"undecodable payload: {exc}") from None
+def _untext_payload(tag: int, body: memoryview):
+    """A payload whose tag is not *text*: *none*, *json*, or refused."""
+    if tag == _PAYLOAD_JSON:
+        try:
+            return _decode_json(str(body, "ascii"))
+        except (ValueError, RecursionError) as exc:  # bad JSON, deep nesting
+            raise WireFormatError(f"undecodable payload: {exc}") from None
     if tag != _PAYLOAD_NONE:
         raise WireFormatError(f"unknown payload tag {tag >> 5}")
     if len(body):
         raise WireFormatError(f"{len(body)} bytes trail an empty payload")
-    return trace, None
+    return None
 
 
 def encode_request(request: RpcRequest) -> bytes:
@@ -396,66 +383,128 @@ def encode_request(request: RpcRequest) -> bytes:
     rpc_type = request.rpc_type
     if type(rpc_type) is not str:
         raise WireFormatError(f"rpc_type must be a str, got {rpc_type!r}")
+    flags, payload = _encode_payload(request.payload)
+    trace = request.trace
     try:
         name = rpc_type.encode()
         fixed = _REQUEST_FIXED.pack(request.created_ns, len(name)) + name
-        return _frame(_KIND_REQUEST, 0, request, fixed)
+        if trace is not None:
+            trace_flags, section = _trace_section(trace)
+            flags |= trace_flags
+            fixed += section
+        tail_len = len(fixed) + len(payload)
+        if tail_len > _MAX_TAIL:
+            raise _too_large(tail_len)
+        header = _WIRE_HEADER.pack(_KIND_REQUEST, WIRE_VERSION, flags,
+                                   request.client_id, request.req_id,
+                                   request.data_bytes, tail_len)
     except (struct.error, UnicodeEncodeError) as exc:
         raise WireFormatError(f"request field out of range: {exc}") from None
+    crc = zlib.crc32(payload, zlib.crc32(fixed, zlib.crc32(header)))
+    return b"".join((header, _CRC.pack(crc), fixed, payload))
 
 
 def decode_request(data) -> RpcRequest:
-    """Decode a request frame (``bytes``, ``bytearray`` or ``memoryview``);
-    raises :exc:`WireFormatError` if invalid."""
-    flags, client_id, req_id, data_bytes, view = _open(
-        data, _KIND_REQUEST, _REQUEST_FLAGS)
+    """Decode a request frame (``bytes``, ``bytearray`` or ``memoryview`` —
+    sliced in place, never copied); raises :exc:`WireFormatError` if invalid."""
+    size = len(data)
+    if not _RPC_TYPE_START <= size <= MAX_WIRE_BYTES:
+        raise _refusal(data, _KIND_REQUEST, _REQUEST_FLAGS)
+    (kind, version, flags, client_id, req_id, data_bytes, tail_len, crc,
+     created_ns, name_len) = _REQUEST_PREAMBLE.unpack_from(data)
+    view = data if type(data) is memoryview else memoryview(data)
+    if (kind != _KIND_REQUEST or version != WIRE_VERSION
+            or tail_len != size - _TAIL_START or flags & ~_REQUEST_FLAGS
+            or flags & _TRACE_BITS == _FLAG_TRACE_TS
+            or zlib.crc32(view[_TAIL_START:], zlib.crc32(view[:_HEADER_END])) != crc):
+        raise _refusal(data, _KIND_REQUEST, _REQUEST_FLAGS)
+    offset = _RPC_TYPE_START + name_len
+    if offset > size:
+        raise WireFormatError(f"rpc_type_len {name_len} overruns the tail")
+    trace = None
     try:
-        created_ns, name_len = _REQUEST_FIXED.unpack_from(view, _TAIL_START)
-        offset = _RPC_TYPE_START + name_len
-        if offset > len(view):
-            raise WireFormatError(f"rpc_type_len {name_len} overruns the tail")
         rpc_type = str(view[_RPC_TYPE_START:offset], "utf-8")
-        trace, payload = _trace_and_payload(flags, view, offset)
+        if flags & _FLAG_TRACE:
+            layout = _TRACE_STAMPED if flags & _FLAG_TRACE_TS else _TRACE_IDS
+            trace = TraceContext(*layout.unpack_from(view, offset))
+            offset += layout.size
     except (struct.error, UnicodeDecodeError) as exc:
         raise WireFormatError(f"malformed request tail: {exc}") from None
+    if flags & _PAYLOAD_MASK == _PAYLOAD_TEXT:
+        try:
+            payload = str(view[offset:], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise WireFormatError(f"undecodable payload: {exc}") from None
+    else:
+        payload = _untext_payload(flags & _PAYLOAD_MASK, view[offset:])
     return RpcRequest(
         client_id, rpc_type, payload, data_bytes, req_id, created_ns, trace)
 
 
 def encode_response(response: RpcResponse) -> bytes:
     """Encode one :class:`RpcResponse` to its deterministic wire form."""
-    flags = (_FLAG_FAILED if response.failed else 0) | (
-        _FLAG_CONTEXT_SWITCH if response.context_switch else 0
-    )
-    binding = response.binding
+    flags, payload = _encode_payload(response.payload)
+    flags |= (_FLAG_FAILED if response.failed else 0) | (
+        _FLAG_CONTEXT_SWITCH if response.context_switch else 0)
+    binding, trace = response.binding, response.trace
     fixed = b""
     try:
         if binding is not None:
             flags |= _FLAG_BINDING
             fixed = _BINDING.pack(binding.pool_base, binding.slot_base,
                                   binding.slot_bytes, binding.epoch, binding.seq)
-        return _frame(_KIND_RESPONSE, flags, response, fixed)
+        if trace is not None:
+            trace_flags, section = _trace_section(trace)
+            flags |= trace_flags
+            fixed += section
+        tail_len = len(fixed) + len(payload)
+        if tail_len > _MAX_TAIL:
+            raise _too_large(tail_len)
+        header = _WIRE_HEADER.pack(_KIND_RESPONSE, WIRE_VERSION, flags,
+                                   response.client_id, response.req_id,
+                                   response.data_bytes, tail_len)
     except struct.error as exc:
         raise WireFormatError(f"response field out of range: {exc}") from None
+    crc = zlib.crc32(payload, zlib.crc32(fixed, zlib.crc32(header)))
+    return b"".join((header, _CRC.pack(crc), fixed, payload))
 
 
 def decode_response(data) -> RpcResponse:
-    """Decode a response frame (``bytes``, ``bytearray`` or ``memoryview``);
-    raises :exc:`WireFormatError` if invalid."""
-    flags, client_id, req_id, data_bytes, view = _open(
-        data, _KIND_RESPONSE, _RESPONSE_FLAGS)
+    """Decode a response frame (``bytes``, ``bytearray`` or ``memoryview`` —
+    sliced in place, never copied); raises :exc:`WireFormatError` if invalid."""
+    size = len(data)
+    if not _TAIL_START <= size <= MAX_WIRE_BYTES:
+        raise _refusal(data, _KIND_RESPONSE, _RESPONSE_FLAGS)
+    (kind, version, flags, client_id, req_id, data_bytes, tail_len,
+     crc) = _WIRE_PREAMBLE.unpack_from(data)
+    view = data if type(data) is memoryview else memoryview(data)
+    if (kind != _KIND_RESPONSE or version != WIRE_VERSION
+            or tail_len != size - _TAIL_START or flags & ~_RESPONSE_FLAGS
+            or flags & _TRACE_BITS == _FLAG_TRACE_TS
+            or zlib.crc32(view[_TAIL_START:], zlib.crc32(view[:_HEADER_END])) != crc):
+        raise _refusal(data, _KIND_RESPONSE, _RESPONSE_FLAGS)
     offset = _TAIL_START
-    binding = None
+    binding = trace = None
     try:
         if flags & _FLAG_BINDING:
             binding = PoolBinding(*_BINDING.unpack_from(view, offset))
             offset += _BINDING.size
-        trace, payload = _trace_and_payload(flags, view, offset)
+        if flags & _FLAG_TRACE:
+            layout = _TRACE_STAMPED if flags & _FLAG_TRACE_TS else _TRACE_IDS
+            trace = TraceContext(*layout.unpack_from(view, offset))
+            offset += layout.size
     except struct.error as exc:
         raise WireFormatError(f"malformed response tail: {exc}") from None
+    if flags & _PAYLOAD_MASK == _PAYLOAD_TEXT:
+        try:
+            payload = str(view[offset:], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise WireFormatError(f"undecodable payload: {exc}") from None
+    else:
+        payload = _untext_payload(flags & _PAYLOAD_MASK, view[offset:])
     return RpcResponse(
-        req_id, client_id, payload, data_bytes, bool(flags & _FLAG_FAILED),
-        bool(flags & _FLAG_CONTEXT_SWITCH), binding, trace)
+        req_id, client_id, payload, data_bytes, flags & _FLAG_FAILED != 0,
+        flags & _FLAG_CONTEXT_SWITCH != 0, binding, trace)
 
 
 def decode_message(data):

@@ -8,6 +8,11 @@ it returns complete frames — and bounded: a corrupted or hostile length
 prefix is rejected before any oversized allocation.  It owns the receive
 buffer, so the socket path (:mod:`repro.net.transport`) reads straight
 into it and :meth:`FrameDecoder.feed` is the same parser behind a copy.
+
+:meth:`FrameDecoder.commit` passes each body on as a ``memoryview`` into
+that buffer, with no copy and valid only during the callback: a consumer
+that keeps a body copies it, as ``feed`` does.  Outgoing, framing supplies
+only the :func:`length_prefix`; the sender joins prefix and body once.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ __all__ = [
     "LENGTH_PREFIX_BYTES",
     "MAX_FRAME_BYTES",
     "RECV_BUFFER_BYTES",
+    "length_prefix",
     "encode_frame",
     "FrameDecoder",
 ]
@@ -39,13 +45,18 @@ class FramingError(ValueError):
     """The byte stream violated the framing protocol."""
 
 
-def encode_frame(body: bytes) -> bytes:
-    """Prefix ``body`` with its length."""
+def length_prefix(body: bytes) -> bytes:
+    """The length prefix that frames ``body`` (written before it)."""
     if len(body) > MAX_FRAME_BYTES:
         raise FramingError(
             f"frame body is {len(body)} bytes; limit {MAX_FRAME_BYTES}"
         )
-    return _LENGTH.pack(len(body)) + body
+    return _LENGTH.pack(len(body))
+
+
+def encode_frame(body: bytes) -> bytes:
+    """Prefix ``body`` with its length."""
+    return length_prefix(body) + body
 
 
 class FrameDecoder:
@@ -69,10 +80,11 @@ class FrameDecoder:
         """The free tail of the receive buffer (never empty)."""
         return self._view[self._end:]
 
-    def commit(self, nbytes: int, on_frame: Callable[[bytes], object]) -> None:
+    def commit(self, nbytes: int, on_frame: Callable[[memoryview], object]) -> None:
         """``nbytes`` were written at the start of :meth:`writable`: call
-        ``on_frame(body)`` for every frame they complete, then leave
-        room for the rest of a partial one."""
+        ``on_frame(body)`` for every frame they complete — ``body`` a
+        view into the receive buffer, valid only during that call — then
+        leave room for the rest of a partial one."""
         buffer, view = self._buffer, self._view
         start = self._start
         end = self._end = self._end + nbytes
@@ -88,7 +100,7 @@ class FrameDecoder:
                 need = LENGTH_PREFIX_BYTES + length
                 break
             start = self._start = body + length
-            on_frame(view[body:start].tobytes())
+            on_frame(view[body:start])
         if start == end:
             self._start = self._end = 0
             return
@@ -115,7 +127,7 @@ class FrameDecoder:
             chunk = data[offset:offset + len(self._buffer) - tail]
             self._buffer[tail:tail + len(chunk)] = chunk
             offset += len(chunk)
-            self.commit(len(chunk), frames.append)
+            self.commit(len(chunk), lambda body: frames.append(bytes(body)))
         return frames
 
     @property

@@ -41,6 +41,7 @@ from ..core.message import (
     decode_response,
     encode_request,
     encode_response,
+    next_request_id,
 )
 from ..obs import Observer
 from ..obs.dist import rpc_trace_id, span_id
@@ -138,28 +139,27 @@ class ProcRpcServer(RpcServiceInterface):
 
     # -- request path ------------------------------------------------------
 
-    def _response_bytes(self, request: RpcRequest, payload: Any) -> int:
-        if callable(self.response_bytes):
-            return self.response_bytes(request, payload)
-        return self.response_bytes
-
-    def _on_frame(self, connection: FramedConnection, body: bytes) -> None:
+    def _on_frame(self, connection: FramedConnection, body: memoryview) -> None:
         obs = self.obs
-        received = self.clock.now()  # frame arrival, before decode
+        # The clock is read only for someone who looks: the observer's
+        # stages and span, or a traced request's echoed dispatch/done stamps.
+        received = self.clock.now() if obs is not None else 0  # before decode
         try:
             request = decode_request(body)
         except WireFormatError:
             self.stats.decode_errors += 1
             return  # reject the frame; the stream itself is still framed
-        key = (request.client_id, request.req_id)
         trace = request.trace
-        dispatched = self.clock.now()
-        if obs is not None:
-            if trace is not None:
-                obs.rpc_trace(key, trace.trace_id)
-            obs.rpc_stage(key, "req_rx", received)
-            obs.rpc_stage(key, "dispatch", dispatched)
-            obs.rpc_stage(key, "exec", dispatched)
+        timed = obs is not None or trace is not None
+        if timed:
+            key = (request.client_id, request.req_id)
+            dispatched = self.clock.now()
+            if obs is not None:
+                if trace is not None:
+                    obs.rpc_trace(key, trace.trace_id)
+                obs.rpc_stage(key, "req_rx", received)
+                obs.rpc_stage(key, "dispatch", dispatched)
+                obs.rpc_stage(key, "exec", dispatched)
         try:
             result = self.handler(request)
             failed = False
@@ -173,36 +173,31 @@ class ProcRpcServer(RpcServiceInterface):
             # caller's own timeout machinery decides what silence means.
             self.stats.suppressed += 1
             return
-        done = self.clock.now()
+        data_bytes = self.response_bytes
+        if callable(data_bytes):
+            data_bytes = data_bytes(request, result)
         # Echo the trace context whenever the request carried one — even
         # with no server observer installed: the dispatch/done stamps are
         # what the *client's* OffsetEstimator feeds on, so clock sync
         # must not depend on server-side telemetry being enabled.
         echo = None
-        if trace is not None:
-            echo = TraceContext(
-                trace_id=trace.trace_id,
-                span_id=span_id(trace.trace_id, "server"),
-                ts_a=dispatched,
-                ts_b=done,
-            )
-        response = RpcResponse(
-            req_id=request.req_id,
-            client_id=request.client_id,
-            payload=result,
-            data_bytes=self._response_bytes(request, result),
-            failed=failed,
-            trace=echo,
-        )
-        if obs is not None:
-            obs.rpc_stage(key, "done", done)
-            obs.span(
-                f"server.{self.transport_name}", request.rpc_type,
-                dispatched, done, {"client": request.client_id},
-            )
+        if timed:
+            done = self.clock.now()
+            if trace is not None:
+                echo = TraceContext(trace.trace_id,
+                                    span_id(trace.trace_id, "server"),
+                                    dispatched, done)
+            if obs is not None:
+                obs.rpc_stage(key, "done", done)
+                obs.span(
+                    f"server.{self.transport_name}", request.rpc_type,
+                    dispatched, done, {"client": request.client_id},
+                )
         # Queued, not written: the connection writes every response of
         # this read in one call when the read's last frame is handled.
-        connection.send(encode_response(response))
+        connection.send(encode_response(RpcResponse(
+            request.req_id, request.client_id, result, data_bytes, failed,
+            False, None, echo)))
         self.stats.completed += 1
 
     @property
@@ -252,6 +247,9 @@ class ProcRpcClient(RpcCallerInterface):
             obs.metrics.histogram("rpc.rtt_ns") if obs is not None else None
         )
         self.completed = 0
+        #: Response frames dropped as undecodable (mirrors
+        #: :attr:`ProcServerStats.decode_errors`).
+        self.decode_errors = 0
         self._outstanding: dict[int, CallHandle] = {}
         self._recovery: Optional[asyncio.Task] = None
         self._closing = False
@@ -294,18 +292,10 @@ class ProcRpcClient(RpcCallerInterface):
     ) -> CallHandle:
         """Post one request without waiting; returns its handle."""
         now = self.clock.now()
-        request = RpcRequest(
-            client_id=self.client_id,
-            rpc_type=rpc_type,
-            payload=payload,
-            data_bytes=data_bytes,
-            created_ns=now,
-        )
+        request = RpcRequest(self.client_id, rpc_type, payload, data_bytes,
+                             next_request_id(), now)
         handle = CallHandle(
-            request,
-            event=asyncio.get_running_loop().create_future(),
-            posted_ns=now,
-        )
+            request, asyncio.get_running_loop().create_future(), now)
         self._outstanding[request.req_id] = handle
         if self.obs is not None:
             # Trace context is strictly observer-gated: with obs off the
@@ -360,12 +350,17 @@ class ProcRpcClient(RpcCallerInterface):
 
     # -- receive / recovery ------------------------------------------------
 
-    def _on_frame(self, _connection: FramedConnection, body: bytes) -> None:
-        received = self.clock.now()  # frame arrival, before decode
+    def _on_frame(self, _connection: FramedConnection, body: memoryview) -> None:
+        obs = self.obs
+        received = self.clock.now() if obs is not None else 0  # before decode
         try:
             response = decode_response(body)
         except WireFormatError:
-            return  # drop the frame; matching request will repost on reconnect
+            # Which request it answered is unknowable and the stream is still
+            # framed, so nothing reconnects: that handle stays outstanding
+            # until its caller gives up or a later connection loss reposts it.
+            self.decode_errors += 1
+            return
         handle = self._outstanding.pop(response.req_id, None)
         if handle is None:
             return
@@ -382,11 +377,9 @@ class ProcRpcClient(RpcCallerInterface):
                 handle.posted_ns, trace.ts_a, trace.ts_b,
                 handle.completed_ns,
             )
-        if self.obs is not None:
-            self.obs.rpc_stage(response.req_id, "resp_rx", received)
-            self.obs.rpc_stage(
-                response.req_id, "complete", handle.completed_ns
-            )
+        if obs is not None:
+            obs.rpc_stage(response.req_id, "resp_rx", received)
+            obs.rpc_stage(response.req_id, "complete", handle.completed_ns)
             if self._rtt_hist is not None:
                 self._rtt_hist.record(
                     handle.completed_ns - handle.posted_ns

@@ -7,7 +7,8 @@ deserve first-class treatment, not hidden constructor side effects).
 - :class:`FramedConnection` — one TCP connection, either end, as an
   ``asyncio.BufferedProtocol``: the socket receives straight into the
   :class:`~repro.net.framing.FrameDecoder`'s reusable buffer, every
-  complete frame goes to a *synchronous* callback, and everything the
+  complete frame goes to a *synchronous* callback as a view into that
+  buffer (no copy; valid only during the call), and everything the
   callbacks (or a caller) :meth:`~FramedConnection.send` is written out
   in one ``transport.write``.
 - :class:`StreamClientTransport` — one outgoing connection with explicit
@@ -27,7 +28,7 @@ import asyncio
 from typing import Callable, Optional
 
 from ..transport.topology import Endpoint
-from .framing import FrameDecoder, FramingError, encode_frame
+from .framing import FrameDecoder, FramingError, length_prefix
 
 __all__ = [
     "TransportClosed",
@@ -42,7 +43,9 @@ class TransportClosed(ConnectionError):
 
 
 #: Synchronous callback invoked per inbound frame: (connection, frame body).
-FrameHandler = Callable[["FramedConnection", bytes], None]
+#: The body is a ``memoryview`` into the connection's receive buffer, valid
+#: only until the callback returns: decode it there, or copy what outlives it.
+FrameHandler = Callable[["FramedConnection", memoryview], None]
 #: Invoked once when a connection is gone: (connection, reason) — None for
 #: EOF or a local close, else the socket error or :class:`FramingError`.
 LostHandler = Callable[["FramedConnection", Optional[Exception]], None]
@@ -103,7 +106,7 @@ class FramedConnection(asyncio.BufferedProtocol):
             self._transport.abort()
         self._due_flush()
 
-    def _deliver(self, body: bytes) -> None:
+    def _deliver(self, body: memoryview) -> None:
         if self.is_open:  # a callback may have closed us mid-batch
             self._on_frame(self, body)
 
@@ -132,7 +135,7 @@ class FramedConnection(asyncio.BufferedProtocol):
         """Queue one frame (see the class docstring for when it leaves)."""
         if not self.is_open:
             raise TransportClosed("connection is closed")
-        self._queued.append(encode_frame(body))
+        self._queued += (length_prefix(body), body)  # joined in flush()
         if not self._flush_due:
             self._flush_due = True
             self._loop.call_soon(self._due_flush)

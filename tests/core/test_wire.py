@@ -586,20 +586,24 @@ class TestWireProperties:
         with pytest.raises(WireFormatError, match="out of range"):
             _encode(type(message)(**fields))
 
-    @given(_small_messages)
-    def test_every_bit_flip_and_truncation_raises(self, message):
+    @given(_small_messages, st.booleans())
+    def test_every_bit_flip_and_truncation_raises(self, message, in_a_view):
         frame = _encode(message)
+        # The frame in a bytearray of its own, or as the socket path hands
+        # it over: a memoryview slice in the middle of a larger buffer.
+        held = bytearray(frame)
+        if in_a_view:
+            held = memoryview(bytearray(b"\xa5" * 7) + held + b"\x5a" * 9)[7:-9]
         for cut in range(len(frame)):
             with pytest.raises(WireFormatError):
-                decode_message(frame[:cut])
-        flipped = bytearray(frame)
+                decode_message(held[:cut])
         for bit in range(8 * len(frame)):
-            flipped[bit >> 3] ^= 1 << (bit & 7)
+            held[bit >> 3] ^= 1 << (bit & 7)
             for decode in _DECODERS:
                 with pytest.raises(WireFormatError):
-                    decode(flipped)
-            flipped[bit >> 3] ^= 1 << (bit & 7)
-        assert flipped == frame
+                    decode(held)
+            held[bit >> 3] ^= 1 << (bit & 7)
+        assert held == frame
 
     @given(st.binary(max_size=4096))
     def test_arbitrary_bytes_never_escape_as_another_exception(self, data):

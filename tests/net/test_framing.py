@@ -67,18 +67,33 @@ class TestFrameDecoder:
         assert decoder.feed(b"\x00\x00") == []
         assert decoder.pending_bytes == 2
 
+    def test_commit_delivers_views_of_its_own_buffer(self):
+        decoder = FrameDecoder()
+        stream = encode_frame(b"first") + encode_frame(b"second")
+        free = decoder.writable()
+        free[:len(stream)] = stream
+        seen = []
+
+        def on_frame(body):
+            assert type(body) is memoryview and body.obj is free.obj  # no copy
+            seen.append(bytes(body))
+
+        decoder.commit(len(stream), on_frame)
+        assert seen == [b"first", b"second"]
+
 
 def _receive(decoder: FrameDecoder, data: bytes) -> list:
     """Deliver ``data`` the way the socket path does: ask for the free
     tail, write into it, commit — holding the view across ``commit``,
-    as asyncio does (a resize under it would raise BufferError)."""
+    as asyncio does (a resize under it would raise BufferError).  A body
+    is valid only during its callback, so the callback copies it."""
     frames: list = []
     while data:
         view = decoder.writable()
         assert len(view) > 0
         count = min(len(view), len(data))
         view[:count] = data[:count]
-        decoder.commit(count, frames.append)
+        decoder.commit(count, lambda body: frames.append(bytes(body)))
         data = data[count:]
     return frames
 

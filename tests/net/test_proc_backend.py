@@ -261,6 +261,33 @@ class TestReconnectRecovery:
 
         assert asyncio.run(scenario()) == (0, 0)
 
+    def test_corrupt_response_frame_is_counted_and_its_call_left_pending(self):
+        # Well framed but CRC-corrupt: the stream survives, so nothing
+        # reconnects, and the call it answered cannot be identified.
+        def corrupting(connection, body):
+            request = decode_request(body)
+            wire = bytearray(encode_response(RpcResponse(
+                request.req_id, request.client_id, request.payload)))
+            if request.payload == "corrupt":
+                wire[-1] ^= 0xFF
+            connection.send(bytes(wire))
+
+        async def scenario():
+            listener = StreamServerTransport(LOOPBACK, corrupting)
+            endpoint = await listener.start()
+            client = ProcRpcClient(endpoint, backoff_s=0.01)
+            await client.connect()
+            try:
+                lost = await client.async_call("echo", payload="corrupt")
+                after = await asyncio.wait_for(client.sync_call("echo", payload="ok"), 5)
+                return (after.payload, lost.done, client.outstanding,
+                        client.decode_errors, client.reconnects)
+            finally:
+                await client.close()
+                await listener.stop()
+
+        assert asyncio.run(scenario()) == ("ok", False, 1, 1, 0)
+
 
 def _count_writes(connection) -> list:
     """Wrap the asyncio transport's ``write`` under ``connection``; the

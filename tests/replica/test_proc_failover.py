@@ -4,9 +4,13 @@ backup's endpoint.  Timings are compressed to keep the test around a
 second of wall clock; the full-size run is ``fig_failover --backend
 proc``."""
 
+import asyncio
+from types import SimpleNamespace
+
 import pytest
 
 from repro.replica import ReplicaProcConfig, run_replica_proc
+from repro.replica.procrunner import _ProcWorld
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +65,21 @@ def test_healthy_baseline_never_changes_view():
     assert result["completed"] == result["total_ops"]
     assert result["view"]["changes"] == 0
     assert result["unavailable_ns"] == 0
+
+
+def test_a_probe_wait_does_not_swallow_a_cancel_that_races_its_answer():
+    """Shutdown cancels the failure detectors.  A cancel landing in the loop
+    turn a heartbeat answer lands in must still cancel the LFD; on Python
+    3.11, ``asyncio.wait_for`` returned the answer instead, and the LFD
+    kept probing while the run waited for it forever."""
+    async def scenario():
+        world = _ProcWorld(ReplicaProcConfig())
+        handle = SimpleNamespace(event=asyncio.get_running_loop().create_future())
+        waiting = asyncio.ensure_future(world.wait(handle, 10**9))
+        await asyncio.sleep(0)
+        handle.event.set_result("ack")
+        waiting.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await waiting
+
+    asyncio.run(scenario())

@@ -9,14 +9,13 @@ detects arrival by polling ``Valid`` alone (Section 3.1).
 On the simulated fabric, requests and responses travel as payload objects
 and :func:`wire_size` accounts for the header fields when charging the NIC
 and caches.  For backends that move real bytes (:mod:`repro.net`), the
-same dataclasses have a deterministic, round-trippable binary encoding —
-:func:`encode_request` / :func:`decode_request` and
-:func:`encode_response` / :func:`decode_response`: a fixed header (kind,
-version, flags, ids, modeled data size), a CRC-32 over header and tail,
-``struct``-packed sections for every fixed-shape field, and the payload as
-UTF-8 text or, only when it is free-form, canonical JSON.  Corrupt,
-malformed or oversized frames raise :exc:`WireFormatError` — and nothing
-else — at decode, never silently misparsed.
+same dataclasses have a deterministic, round-trippable binary encoding: a
+frame (:func:`seal`, :func:`decode_requests`, :func:`decode_responses`) is
+a batch of records (ids, modeled data size, ``struct``-packed fixed-shape
+sections, the payload as UTF-8 text or, only when free-form, canonical
+JSON) ended by one CRC-32.  Corrupt, malformed or oversized frames raise
+:exc:`WireFormatError` — and nothing else — at decode, never silently
+misparsed.
 """
 
 from __future__ import annotations
@@ -47,6 +46,9 @@ __all__ = [
     "WireFormatError",
     "wire_size",
     "layout_in_block",
+    "KIND_REQUEST", "KIND_RESPONSE", "seal",
+    "encode_request_record", "encode_response_record",
+    "decode_requests", "decode_responses",
     "encode_request",
     "decode_request",
     "encode_response",
@@ -217,51 +219,52 @@ class ContextSwitchNotice:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic wire format (the real-byte backends' encoding), version 2
+# Deterministic wire format (the real-byte backends' encoding), version 3
 # ---------------------------------------------------------------------------
 #
-# Layout of one encoded message (all integers big-endian):
+# One frame carries the batch of one kind that one flush sends (all
+# integers big-endian, except the CRC):
 #
-#   | kind u8 | version u8 | flags u16 | client_id u32 | req_id u64 |
-#   | data_bytes u32 | tail_len u32 | crc32 u32 | tail bytes          |
-#
+#   | kind u8 | version u8 | count u16 | record * count | crc32 u32 |
+#   record:         flags u16 | client_id u32 | req_id u64 | data_bytes u32
+#                   | tail_len u32 | tail
 #   request tail:   created_ns i64 | rpc_type_len u16 | rpc_type utf-8
 #                   | [trace] | payload
 #   response tail:  [pool_base u64 | slot_base u64 | slot_bytes u32
 #                    | epoch u64 | seq u64] | [trace] | payload
 #   trace:          trace_id u64 | span_id u64 [| ts_a i64 | ts_b i64]
 #
-# A bracketed section is present exactly when its flag bit is set, so the
-# trace extension costs exactly TRACE_EXT_BYTES (+ TRACE_TS_BYTES).  Two
-# more flag bits tag the payload, which runs to the end of the frame:
-# *none* (``None``, zero bytes), *text* (a ``str``, as UTF-8) or *json*
-# (anything else, as canonical JSON — sorted keys, tight separators, ASCII,
-# no NaN — so tuples normalize to lists and equal messages yield equal
-# bytes).  Payloads crossing a process boundary must therefore be
-# JSON-representable; sim-only runs never hit this encoder.  Decoding
-# checks the size bound, version, kind, tail length and the CRC-32 (over
-# header and tail), then rejects unknown or misplaced flag bits, sections
-# overrunning the tail and bytes trailing a *none* payload — with
-# WireFormatError and no other exception, whatever the bytes.
+# Like the paper's Valid field the CRC comes last (little-endian, so a
+# whole frame's CRC-32 is _CRC_RESIDUE).  A bracketed section is present
+# exactly when its flag bit is set, so the trace extension costs exactly
+# TRACE_EXT_BYTES (+ TRACE_TS_BYTES).  Two more flag bits tag the payload,
+# which runs to the end of its record: *none* (``None``, zero bytes), *text*
+# (a ``str``, as UTF-8) or *json* (anything else, as canonical JSON — sorted
+# keys, tight separators, ASCII, no NaN — so equal messages yield equal
+# bytes); payloads crossing a process boundary must be JSON-representable.
+# Decoding checks the bound, version, kind and CRC, then each record's
+# flags, lengths and UTF-8, and that ``count`` records fill the frame —
+# raising WireFormatError and no other exception, whatever the bytes.
 
-WIRE_VERSION = 2
-#: Hard bound on one encoded message; larger frames are rejected on both
-#: encode and decode (a corrupted length prefix must not allocate
-#: unbounded memory).
+WIRE_VERSION = 3
+#: Hard bound on one frame; larger frames are rejected on both encode and
+#: decode (a corrupted length prefix must not allocate unbounded memory).
 MAX_WIRE_BYTES = 1 << 20
+KIND_REQUEST, KIND_RESPONSE = 1, 2
+_KIND_NAMES = {KIND_REQUEST: "request", KIND_RESPONSE: "response"}
 
-_KIND_REQUEST, _KIND_RESPONSE = 1, 2
-_KIND_NAMES = {_KIND_REQUEST: "request", _KIND_RESPONSE: "response"}
-
-_WIRE_HEADER = struct.Struct("!BBHIQII")
-_HEADER_END = _WIRE_HEADER.size  # the CRC sits between header and tail
-_WIRE_PREAMBLE = struct.Struct("!BBHIQIII")  # header + CRC in one unpack
-_TAIL_START = _WIRE_PREAMBLE.size
-_MAX_TAIL = MAX_WIRE_BYTES - _TAIL_START
-_CRC = struct.Struct("!I")
-_REQUEST_FIXED = struct.Struct("!qH")  # created_ns | rpc_type_len
-_REQUEST_PREAMBLE = struct.Struct("!BBHIQIIIqH")  # preamble + request fixed
-_RPC_TYPE_START = _REQUEST_PREAMBLE.size
+_ENVELOPE = struct.Struct("!BBH")  # kind | version | count
+_CRC = struct.Struct("<I")
+_CRC_RESIDUE = 0x2144DF1C  # crc32(m + crc32(m) as little-endian u32), any m
+_RECORD = struct.Struct("!HIQII")
+_REQUEST_RECORD = struct.Struct("!HIQIIqH")  # record + created_ns | rpc_type_len
+# The envelope and the first record's fixed fields, in one unpack.
+_REQUEST_HEAD = struct.Struct("!BBH" + _REQUEST_RECORD.format[1:])
+_RESPONSE_HEAD = struct.Struct("!BBH" + _RECORD.format[1:])
+_ENVELOPE_BYTES, _CRC_BYTES, _RECORD_BYTES, _REQUEST_RECORD_BYTES = (  # as plain ints
+    _ENVELOPE.size, _CRC.size, _RECORD.size, _REQUEST_RECORD.size)
+_MAX_BODY = MAX_WIRE_BYTES - _ENVELOPE_BYTES - _CRC_BYTES  # < 2**16 records of 22+ bytes
+_MAX_TAIL = _MAX_BODY - _RECORD_BYTES  # a record alone in a frame
 _BINDING = struct.Struct("!QQIQQ")
 _TRACE_IDS = struct.Struct("!QQ")  # TRACE_EXT_BYTES
 _TRACE_STAMPED = struct.Struct("!QQqq")  # + TRACE_TS_BYTES
@@ -277,6 +280,9 @@ _PAYLOAD_MASK = 3 << 5
 _REQUEST_FLAGS = _TRACE_BITS | _PAYLOAD_MASK
 _RESPONSE_FLAGS = (_REQUEST_FLAGS | _FLAG_FAILED | _FLAG_CONTEXT_SWITCH
                    | _FLAG_BINDING)
+_REQUEST_FLAG_VALUES, _RESPONSE_FLAG_VALUES = (frozenset(  # all a record may carry
+    f for f in range(a + 1) if not f & ~a and f & _TRACE_BITS != _FLAG_TRACE_TS)
+    for a in (_REQUEST_FLAGS, _RESPONSE_FLAGS))
 
 
 class WireFormatError(ValueError):
@@ -328,43 +334,45 @@ def _trace_section(trace: TraceContext) -> tuple[int, bytes]:
 
 
 def _too_large(tail_len: int) -> WireFormatError:
-    return WireFormatError(f"encoded message is {tail_len + _TAIL_START} "
-                           f"bytes; limit {MAX_WIRE_BYTES}")
+    return WireFormatError(f"a frame of this one record is {tail_len + MAX_WIRE_BYTES - _MAX_TAIL}"
+                           f" bytes; limit {MAX_WIRE_BYTES}")
 
 
-def _refusal(data, want_kind: int, allowed_flags: int) -> WireFormatError:
+def _refusal(data, want_kind: int) -> WireFormatError:
     """Why a decoder refused ``data``: the first frame-level fault, in the
     order the layout comment lists the checks.  Decoders test all of them
     at once and come here only to name the one that failed."""
     size = len(data)
     if size > MAX_WIRE_BYTES:
         return WireFormatError(f"frame is {size} bytes; limit {MAX_WIRE_BYTES}")
-    if size < _TAIL_START:
-        return WireFormatError(f"truncated header ({size} bytes)")
-    kind, version, flags, *_, tail_len, crc = _WIRE_PREAMBLE.unpack_from(data)
+    if size < _ENVELOPE_BYTES:
+        return WireFormatError(f"truncated frame ({size} bytes)")
+    kind, version, count = _ENVELOPE.unpack_from(data)
     if version != WIRE_VERSION:
         return WireFormatError(f"unknown wire version {version}")
     if kind not in _KIND_NAMES:
         return WireFormatError(f"unknown message kind {kind}")
+    name = _KIND_NAMES[want_kind]
     if kind != want_kind:
-        return WireFormatError(f"expected a {_KIND_NAMES[want_kind]} frame, "
-                               f"got kind {kind}")
-    if tail_len != size - _TAIL_START:
-        return WireFormatError(f"tail length mismatch: header says {tail_len}, "
-                               f"got {size - _TAIL_START}")
-    view = memoryview(data)
-    if zlib.crc32(view[_TAIL_START:], zlib.crc32(view[:_HEADER_END])) != crc:
+        return WireFormatError(f"expected a {name} frame, got kind {kind}")
+    if size < (_REQUEST_HEAD if kind == KIND_REQUEST else _RESPONSE_HEAD).size + _CRC_BYTES:
+        return WireFormatError(f"malformed {name} frame: truncated to {size} bytes")
+    if zlib.crc32(data) != _CRC_RESIDUE:
         return WireFormatError("CRC mismatch (corrupt frame)")
-    if flags & ~allowed_flags:
-        return WireFormatError(f"flag bits {flags & ~allowed_flags:#x} are "
-                               f"not valid on a {_KIND_NAMES[kind]} frame")
+    return WireFormatError(f"empty {name} frame: record count {count}")
+
+
+def _record_refusal(kind: int, flags: int, overrun: int) -> WireFormatError:
+    """Why a record was refused: its flags, or a tail overrunning the frame."""
+    allowed, name = _REQUEST_FLAGS if kind == KIND_REQUEST else _RESPONSE_FLAGS, _KIND_NAMES[kind]
+    if flags & ~allowed:
+        return WireFormatError(f"flag bits {flags & ~allowed:#x} are not valid on a {name} record")
     if flags & _TRACE_BITS == _FLAG_TRACE_TS:
         return WireFormatError("trace stamps flagged without a trace section")
-    return WireFormatError(f"malformed {_KIND_NAMES[kind]} tail: "
-                           f"{tail_len} bytes cannot hold its fixed fields")
+    return WireFormatError(f"malformed {name} record: its tail overruns the frame by {overrun}")
 
 
-def _untext_payload(tag: int, body: memoryview):
+def _untext_payload(tag: int, body):
     """A payload whose tag is not *text*: *none*, *json*, or refused."""
     if tag == _PAYLOAD_JSON:
         try:
@@ -378,8 +386,26 @@ def _untext_payload(tag: int, body: memoryview):
     return None
 
 
-def encode_request(request: RpcRequest) -> bytes:
-    """Encode one :class:`RpcRequest` to its deterministic wire form."""
+def seal(kind: int, records: list) -> list[bytes]:
+    """The frames of ``kind`` that carry ``records`` (from the
+    ``encode_*_record`` functions), in order: one frame, or — past
+    MAX_WIRE_BYTES — as many as it takes, each filled in turn."""
+    body = b"".join(records)
+    if len(body) <= _MAX_BODY:
+        frame = _ENVELOPE.pack(kind, WIRE_VERSION, len(records)) + body
+        return [frame + _CRC.pack(zlib.crc32(frame))]
+    frames, first, size = [], 0, 0
+    for index, record in enumerate(records):
+        size += len(record)
+        if size > _MAX_BODY:
+            frames += seal(kind, records[first:index])
+            first, size = index, len(record)
+    return frames + seal(kind, records[first:])
+
+
+def encode_request_record(request: RpcRequest) -> bytes:
+    """Encode one :class:`RpcRequest` to its deterministic record; raises
+    :exc:`WireFormatError` if it cannot be, or could not fit a frame alone."""
     rpc_type = request.rpc_type
     if type(rpc_type) is not str:
         raise WireFormatError(f"rpc_type must be a str, got {rpc_type!r}")
@@ -387,131 +413,168 @@ def encode_request(request: RpcRequest) -> bytes:
     trace = request.trace
     try:
         name = rpc_type.encode()
-        fixed = _REQUEST_FIXED.pack(request.created_ns, len(name)) + name
         if trace is not None:
             trace_flags, section = _trace_section(trace)
             flags |= trace_flags
-            fixed += section
-        tail_len = len(fixed) + len(payload)
+            payload = section + payload  # the sections precede the payload
+        tail_len = _REQUEST_RECORD_BYTES - _RECORD_BYTES + len(name) + len(payload)
         if tail_len > _MAX_TAIL:
             raise _too_large(tail_len)
-        header = _WIRE_HEADER.pack(_KIND_REQUEST, WIRE_VERSION, flags,
-                                   request.client_id, request.req_id,
-                                   request.data_bytes, tail_len)
+        head = _REQUEST_RECORD.pack(flags, request.client_id, request.req_id, request.data_bytes,
+                                    tail_len, request.created_ns, len(name))
     except (struct.error, UnicodeEncodeError) as exc:
         raise WireFormatError(f"request field out of range: {exc}") from None
-    crc = zlib.crc32(payload, zlib.crc32(fixed, zlib.crc32(header)))
-    return b"".join((header, _CRC.pack(crc), fixed, payload))
+    return head + name + payload
 
 
-def decode_request(data) -> RpcRequest:
-    """Decode a request frame (``bytes``, ``bytearray`` or ``memoryview`` —
-    sliced in place, never copied); raises :exc:`WireFormatError` if invalid."""
-    size = len(data)
-    if not _RPC_TYPE_START <= size <= MAX_WIRE_BYTES:
-        raise _refusal(data, _KIND_REQUEST, _REQUEST_FLAGS)
-    (kind, version, flags, client_id, req_id, data_bytes, tail_len, crc,
-     created_ns, name_len) = _REQUEST_PREAMBLE.unpack_from(data)
-    view = data if type(data) is memoryview else memoryview(data)
-    if (kind != _KIND_REQUEST or version != WIRE_VERSION
-            or tail_len != size - _TAIL_START or flags & ~_REQUEST_FLAGS
-            or flags & _TRACE_BITS == _FLAG_TRACE_TS
-            or zlib.crc32(view[_TAIL_START:], zlib.crc32(view[:_HEADER_END])) != crc):
-        raise _refusal(data, _KIND_REQUEST, _REQUEST_FLAGS)
-    offset = _RPC_TYPE_START + name_len
-    if offset > size:
-        raise WireFormatError(f"rpc_type_len {name_len} overruns the tail")
-    trace = None
-    try:
-        rpc_type = str(view[_RPC_TYPE_START:offset], "utf-8")
-        if flags & _FLAG_TRACE:
-            layout = _TRACE_STAMPED if flags & _FLAG_TRACE_TS else _TRACE_IDS
-            trace = TraceContext(*layout.unpack_from(view, offset))
-            offset += layout.size
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise WireFormatError(f"malformed request tail: {exc}") from None
-    if flags & _PAYLOAD_MASK == _PAYLOAD_TEXT:
-        try:
-            payload = str(view[offset:], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireFormatError(f"undecodable payload: {exc}") from None
-    else:
-        payload = _untext_payload(flags & _PAYLOAD_MASK, view[offset:])
-    return RpcRequest(
-        client_id, rpc_type, payload, data_bytes, req_id, created_ns, trace)
-
-
-def encode_response(response: RpcResponse) -> bytes:
-    """Encode one :class:`RpcResponse` to its deterministic wire form."""
+def encode_response_record(response: RpcResponse) -> bytes:
+    """Encode one :class:`RpcResponse` to its deterministic record (see
+    :func:`encode_request_record`)."""
     flags, payload = _encode_payload(response.payload)
     flags |= (_FLAG_FAILED if response.failed else 0) | (
         _FLAG_CONTEXT_SWITCH if response.context_switch else 0)
     binding, trace = response.binding, response.trace
-    fixed = b""
-    try:
-        if binding is not None:
-            flags |= _FLAG_BINDING
-            fixed = _BINDING.pack(binding.pool_base, binding.slot_base,
-                                  binding.slot_bytes, binding.epoch, binding.seq)
+    try:  # the sections precede the payload: the binding, then the trace
         if trace is not None:
             trace_flags, section = _trace_section(trace)
             flags |= trace_flags
-            fixed += section
-        tail_len = len(fixed) + len(payload)
-        if tail_len > _MAX_TAIL:
-            raise _too_large(tail_len)
-        header = _WIRE_HEADER.pack(_KIND_RESPONSE, WIRE_VERSION, flags,
-                                   response.client_id, response.req_id,
-                                   response.data_bytes, tail_len)
+            payload = section + payload
+        if binding is not None:
+            flags |= _FLAG_BINDING
+            payload = _BINDING.pack(binding.pool_base, binding.slot_base, binding.slot_bytes,
+                                    binding.epoch, binding.seq) + payload
+        if len(payload) > _MAX_TAIL:
+            raise _too_large(len(payload))
+        head = _RECORD.pack(flags, response.client_id, response.req_id,
+                            response.data_bytes, len(payload))
     except struct.error as exc:
         raise WireFormatError(f"response field out of range: {exc}") from None
-    crc = zlib.crc32(payload, zlib.crc32(fixed, zlib.crc32(header)))
-    return b"".join((header, _CRC.pack(crc), fixed, payload))
+    return head + payload
+
+
+def decode_requests(data) -> list[RpcRequest]:
+    """Decode a request frame (``bytes``, ``bytearray`` or a ``memoryview``,
+    sliced in place) to its requests, in order; :exc:`WireFormatError` if invalid."""
+    size = len(data)
+    if not _REQUEST_HEAD.size + _CRC_BYTES <= size <= MAX_WIRE_BYTES:
+        raise _refusal(data, KIND_REQUEST)
+    (kind, version, count, flags, client_id, req_id, data_bytes, tail_len,
+     created_ns, name_len) = _REQUEST_HEAD.unpack_from(data)
+    if (kind != KIND_REQUEST or version != WIRE_VERSION or not count
+            or zlib.crc32(data) != _CRC_RESIDUE):
+        raise _refusal(data, KIND_REQUEST)
+    end, start, requests = size - _CRC_BYTES, _ENVELOPE_BYTES, []
+    for index in range(count):
+        trace = None
+        try:  # a record past the frame's last byte is a struct.error
+            if index:  # the first record's fixed fields came with the envelope
+                (flags, client_id, req_id, data_bytes, tail_len, created_ns,
+                 name_len) = _REQUEST_RECORD.unpack_from(data, start)
+            offset = start + _REQUEST_RECORD_BYTES
+            stop = start + _RECORD_BYTES + tail_len
+            if flags not in _REQUEST_FLAG_VALUES or stop > end:
+                raise _record_refusal(KIND_REQUEST, flags, stop - end)
+            if offset + name_len > stop:  # rpc_type, [trace], payload must fit the record
+                raise WireFormatError(f"malformed request record: rpc_type_len {name_len}"
+                                      f" overruns its {tail_len}-byte tail")
+            rpc_type = str(data[offset:offset + name_len], "utf-8")
+            offset += name_len
+            if flags & _FLAG_TRACE:
+                layout = _TRACE_STAMPED if flags & _FLAG_TRACE_TS else _TRACE_IDS
+                trace = TraceContext(*layout.unpack_from(data[offset:stop]))
+                offset += layout.size
+            payload = (str(data[offset:stop], "utf-8") if flags & _PAYLOAD_MASK == _PAYLOAD_TEXT
+                       else _untext_payload(flags & _PAYLOAD_MASK, data[offset:stop]))
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise WireFormatError(f"malformed request record: {exc}") from None
+        requests.append(RpcRequest(
+            client_id, rpc_type, payload, data_bytes, req_id, created_ns, trace))
+        start = stop
+    if start != end:
+        raise WireFormatError(f"{end - start} bytes trail the last of {count} records")
+    return requests
+
+
+def decode_responses(data) -> list[RpcResponse]:
+    """Decode a response frame to its responses, in order (see
+    :func:`decode_requests`)."""
+    size = len(data)
+    if not _RESPONSE_HEAD.size + _CRC_BYTES <= size <= MAX_WIRE_BYTES:
+        raise _refusal(data, KIND_RESPONSE)
+    (kind, version, count, flags, client_id, req_id, data_bytes,
+     tail_len) = _RESPONSE_HEAD.unpack_from(data)
+    if (kind != KIND_RESPONSE or version != WIRE_VERSION or not count
+            or zlib.crc32(data) != _CRC_RESIDUE):
+        raise _refusal(data, KIND_RESPONSE)
+    end, stop, responses = size - _CRC_BYTES, _ENVELOPE_BYTES, []
+    for index in range(count):
+        binding = trace = None
+        try:  # a record past the frame's last byte is a struct.error
+            if index:  # the first record's fixed fields came with the envelope
+                flags, client_id, req_id, data_bytes, tail_len = _RECORD.unpack_from(data, stop)
+            offset = stop + _RECORD_BYTES
+            stop = offset + tail_len
+            if flags not in _RESPONSE_FLAG_VALUES or stop > end:
+                raise _record_refusal(KIND_RESPONSE, flags, stop - end)
+            # [binding], [trace], payload; a section must fit its record
+            if flags & _FLAG_BINDING:
+                binding = PoolBinding(*_BINDING.unpack_from(data[offset:stop]))
+                offset += _BINDING.size
+            if flags & _FLAG_TRACE:
+                layout = _TRACE_STAMPED if flags & _FLAG_TRACE_TS else _TRACE_IDS
+                trace = TraceContext(*layout.unpack_from(data[offset:stop]))
+                offset += layout.size
+            payload = (str(data[offset:stop], "utf-8") if flags & _PAYLOAD_MASK == _PAYLOAD_TEXT
+                       else _untext_payload(flags & _PAYLOAD_MASK, data[offset:stop]))
+        except struct.error as exc:
+            raise WireFormatError(f"malformed response record: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise WireFormatError(f"undecodable payload: {exc}") from None
+        responses.append(RpcResponse(
+            req_id, client_id, payload, data_bytes, flags & _FLAG_FAILED != 0,
+            flags & _FLAG_CONTEXT_SWITCH != 0, binding, trace))
+    if stop != end:
+        raise WireFormatError(f"{end - stop} bytes trail the last of {count} records")
+    return responses
+
+
+_ONE_REQUEST = _ENVELOPE.pack(KIND_REQUEST, WIRE_VERSION, 1)
+_ONE_RESPONSE = _ENVELOPE.pack(KIND_RESPONSE, WIRE_VERSION, 1)
+
+
+def encode_request(request: RpcRequest) -> bytes:
+    """One :class:`RpcRequest` as a one-record frame."""
+    frame = _ONE_REQUEST + encode_request_record(request)
+    return frame + _CRC.pack(zlib.crc32(frame))
+
+
+def encode_response(response: RpcResponse) -> bytes:
+    """One :class:`RpcResponse` as a one-record frame."""
+    frame = _ONE_RESPONSE + encode_response_record(response)
+    return frame + _CRC.pack(zlib.crc32(frame))
+
+
+def _only(messages: list):
+    if len(messages) != 1:
+        raise WireFormatError(f"expected a one-record frame, got {len(messages)} records")
+    return messages[0]
+
+
+def decode_request(data) -> RpcRequest:
+    """Decode a one-record request frame (see :func:`decode_requests`)."""
+    return _only(decode_requests(data))
 
 
 def decode_response(data) -> RpcResponse:
-    """Decode a response frame (``bytes``, ``bytearray`` or ``memoryview`` —
-    sliced in place, never copied); raises :exc:`WireFormatError` if invalid."""
-    size = len(data)
-    if not _TAIL_START <= size <= MAX_WIRE_BYTES:
-        raise _refusal(data, _KIND_RESPONSE, _RESPONSE_FLAGS)
-    (kind, version, flags, client_id, req_id, data_bytes, tail_len,
-     crc) = _WIRE_PREAMBLE.unpack_from(data)
-    view = data if type(data) is memoryview else memoryview(data)
-    if (kind != _KIND_RESPONSE or version != WIRE_VERSION
-            or tail_len != size - _TAIL_START or flags & ~_RESPONSE_FLAGS
-            or flags & _TRACE_BITS == _FLAG_TRACE_TS
-            or zlib.crc32(view[_TAIL_START:], zlib.crc32(view[:_HEADER_END])) != crc):
-        raise _refusal(data, _KIND_RESPONSE, _RESPONSE_FLAGS)
-    offset = _TAIL_START
-    binding = trace = None
-    try:
-        if flags & _FLAG_BINDING:
-            binding = PoolBinding(*_BINDING.unpack_from(view, offset))
-            offset += _BINDING.size
-        if flags & _FLAG_TRACE:
-            layout = _TRACE_STAMPED if flags & _FLAG_TRACE_TS else _TRACE_IDS
-            trace = TraceContext(*layout.unpack_from(view, offset))
-            offset += layout.size
-    except struct.error as exc:
-        raise WireFormatError(f"malformed response tail: {exc}") from None
-    if flags & _PAYLOAD_MASK == _PAYLOAD_TEXT:
-        try:
-            payload = str(view[offset:], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireFormatError(f"undecodable payload: {exc}") from None
-    else:
-        payload = _untext_payload(flags & _PAYLOAD_MASK, view[offset:])
-    return RpcResponse(
-        req_id, client_id, payload, data_bytes, flags & _FLAG_FAILED != 0,
-        flags & _FLAG_CONTEXT_SWITCH != 0, binding, trace)
+    """Decode a one-record response frame (see :func:`decode_requests`)."""
+    return _only(decode_responses(data))
 
 
 def decode_message(data):
-    """Decode either kind of frame (dispatch on the kind byte)."""
+    """Decode a one-record frame of either kind (dispatch on the kind byte)."""
     if not data:
         raise WireFormatError("empty frame")
-    if data[0] == _KIND_RESPONSE:
+    if data[0] == KIND_RESPONSE:
         return decode_response(data)
     return decode_request(data)  # which rejects any third kind
 

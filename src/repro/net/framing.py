@@ -2,7 +2,7 @@
 
 TCP is a byte stream; messages need boundaries.  Every frame is a 4-byte
 big-endian length prefix followed by that many body bytes (the body being
-one encoded message from :mod:`repro.core.message`).  The
+one :mod:`repro.core.message` frame: every record one flush sent).  The
 :class:`FrameDecoder` is incremental — whatever chunks the socket yields,
 it returns complete frames — and bounded: a corrupted or hostile length
 prefix is rejected before any oversized allocation.  It owns the receive
@@ -11,8 +11,8 @@ into it and :meth:`FrameDecoder.feed` is the same parser behind a copy.
 
 :meth:`FrameDecoder.commit` passes each body on as a ``memoryview`` into
 that buffer, with no copy and valid only during the callback: a consumer
-that keeps a body copies it, as ``feed`` does.  Outgoing, framing supplies
-only the :func:`length_prefix`; the sender joins prefix and body once.
+that keeps a body copies it, as ``feed`` does.  Outgoing,
+:func:`encode_frame` prefixes each sealed batch.
 """
 
 from __future__ import annotations
@@ -27,14 +27,13 @@ __all__ = [
     "LENGTH_PREFIX_BYTES",
     "MAX_FRAME_BYTES",
     "RECV_BUFFER_BYTES",
-    "length_prefix",
     "encode_frame",
     "FrameDecoder",
 ]
 
 _LENGTH = struct.Struct("!I")
 LENGTH_PREFIX_BYTES = _LENGTH.size
-#: A frame body is one encoded message, so the message bound applies.
+#: A frame body is one sealed batch, so the wire format's bound applies.
 MAX_FRAME_BYTES = MAX_WIRE_BYTES
 #: Initial size of a decoder's receive buffer; it is replaced by a larger
 #: one only when a single (bounds-checked) frame does not fit.
@@ -45,18 +44,13 @@ class FramingError(ValueError):
     """The byte stream violated the framing protocol."""
 
 
-def length_prefix(body: bytes) -> bytes:
-    """The length prefix that frames ``body`` (written before it)."""
+def encode_frame(body: bytes) -> bytes:
+    """Prefix ``body`` with its length."""
     if len(body) > MAX_FRAME_BYTES:
         raise FramingError(
             f"frame body is {len(body)} bytes; limit {MAX_FRAME_BYTES}"
         )
-    return _LENGTH.pack(len(body))
-
-
-def encode_frame(body: bytes) -> bytes:
-    """Prefix ``body`` with its length."""
-    return length_prefix(body) + body
+    return _LENGTH.pack(len(body)) + body
 
 
 class FrameDecoder:

@@ -37,10 +37,10 @@ from ..core.message import (
     RpcResponse,
     TraceContext,
     WireFormatError,
-    decode_request,
-    decode_response,
-    encode_request,
-    encode_response,
+    decode_requests,
+    decode_responses,
+    encode_request_record,
+    encode_response_record,
     next_request_id,
 )
 from ..obs import Observer
@@ -145,60 +145,58 @@ class ProcRpcServer(RpcServiceInterface):
         # stages and span, or a traced request's echoed dispatch/done stamps.
         received = self.clock.now() if obs is not None else 0  # before decode
         try:
-            request = decode_request(body)
+            requests = decode_requests(body)
         except WireFormatError:
             self.stats.decode_errors += 1
             return  # reject the frame; the stream itself is still framed
-        trace = request.trace
-        timed = obs is not None or trace is not None
-        if timed:
-            key = (request.client_id, request.req_id)
-            dispatched = self.clock.now()
-            if obs is not None:
+        for request in requests:
+            trace = request.trace
+            timed = obs is not None or trace is not None
+            if timed:
+                key = (request.client_id, request.req_id)
+                dispatched = self.clock.now()
+                if obs is not None:
+                    if trace is not None:
+                        obs.rpc_trace(key, trace.trace_id)
+                    obs.rpc_stage(key, "req_rx", received)
+                    obs.rpc_stage(key, "dispatch", dispatched)
+                    obs.rpc_stage(key, "exec", dispatched)
+            try:
+                result = self.handler(request)
+                failed = False
+            except Exception as exc:  # the RPC failed, not the server
+                result = f"{type(exc).__name__}: {exc}"
+                failed = True
+                self.stats.failed += 1
+            if result is NO_RESPONSE:
+                # The backend-neutral "stay silent" contract (replica
+                # redirects, blocked heartbeats): no record goes back, and
+                # the caller's own timeout machinery decides what silence means.
+                self.stats.suppressed += 1
+                continue
+            data_bytes = self.response_bytes
+            if callable(data_bytes):
+                data_bytes = data_bytes(request, result)
+            # Echo the trace context whenever the request carried one — even
+            # with no server observer installed: the dispatch/done stamps are
+            # what the *client's* OffsetEstimator feeds on, so clock sync
+            # must not depend on server-side telemetry being enabled.
+            echo = None
+            if timed:
+                done = self.clock.now()
                 if trace is not None:
-                    obs.rpc_trace(key, trace.trace_id)
-                obs.rpc_stage(key, "req_rx", received)
-                obs.rpc_stage(key, "dispatch", dispatched)
-                obs.rpc_stage(key, "exec", dispatched)
-        try:
-            result = self.handler(request)
-            failed = False
-        except Exception as exc:  # the RPC failed, not the server
-            result = f"{type(exc).__name__}: {exc}"
-            failed = True
-            self.stats.failed += 1
-        if result is NO_RESPONSE:
-            # The backend-neutral "stay silent" contract (replica
-            # redirects, blocked heartbeats): no frame goes back, and the
-            # caller's own timeout machinery decides what silence means.
-            self.stats.suppressed += 1
-            return
-        data_bytes = self.response_bytes
-        if callable(data_bytes):
-            data_bytes = data_bytes(request, result)
-        # Echo the trace context whenever the request carried one — even
-        # with no server observer installed: the dispatch/done stamps are
-        # what the *client's* OffsetEstimator feeds on, so clock sync
-        # must not depend on server-side telemetry being enabled.
-        echo = None
-        if timed:
-            done = self.clock.now()
-            if trace is not None:
-                echo = TraceContext(trace.trace_id,
-                                    span_id(trace.trace_id, "server"),
-                                    dispatched, done)
-            if obs is not None:
-                obs.rpc_stage(key, "done", done)
-                obs.span(
-                    f"server.{self.transport_name}", request.rpc_type,
-                    dispatched, done, {"client": request.client_id},
-                )
-        # Queued, not written: the connection writes every response of
-        # this read in one call when the read's last frame is handled.
-        connection.send(encode_response(RpcResponse(
-            request.req_id, request.client_id, result, data_bytes, failed,
-            False, None, echo)))
-        self.stats.completed += 1
+                    echo = TraceContext(trace.trace_id, span_id(trace.trace_id, "server"),
+                                        dispatched, done)
+                if obs is not None:
+                    obs.rpc_stage(key, "done", done)
+                    obs.span(f"server.{self.transport_name}", request.rpc_type,
+                             dispatched, done, {"client": request.client_id})
+            # Queued, not written: the connection seals every response of
+            # this read into one frame when the read's last frame is handled.
+            connection.send(encode_response_record(RpcResponse(
+                request.req_id, request.client_id, result, data_bytes, failed,
+                False, None, echo)))
+            self.stats.completed += 1
 
     @property
     def connections(self) -> int:
@@ -294,9 +292,6 @@ class ProcRpcClient(RpcCallerInterface):
         now = self.clock.now()
         request = RpcRequest(self.client_id, rpc_type, payload, data_bytes,
                              next_request_id(), now)
-        handle = CallHandle(
-            request, asyncio.get_running_loop().create_future(), now)
-        self._outstanding[request.req_id] = handle
         if self.obs is not None:
             # Trace context is strictly observer-gated: with obs off the
             # request encodes byte-identically to the pre-extension wire
@@ -305,10 +300,15 @@ class ProcRpcClient(RpcCallerInterface):
             request.trace = TraceContext(
                 trace_id=trace_id, span_id=span_id(trace_id, "client")
             )
+        # Encode before registering: an unencodable post raises here, leaving no handle.
+        record = encode_request_record(request)
+        handle = CallHandle(request, asyncio.get_running_loop().create_future(), now)
+        self._outstanding[request.req_id] = handle
+        if self.obs is not None:
             self.obs.rpc_trace(request.req_id, trace_id)
             self.obs.rpc_stage(request.req_id, "post", now)
         try:
-            self.transport.send(encode_request(request))
+            self.transport.send(record)
         except TransportClosed:
             if not self._recovery_pending():
                 self._outstanding.pop(request.req_id, None)
@@ -354,36 +354,33 @@ class ProcRpcClient(RpcCallerInterface):
         obs = self.obs
         received = self.clock.now() if obs is not None else 0  # before decode
         try:
-            response = decode_response(body)
+            responses = decode_responses(body)
         except WireFormatError:
-            # Which request it answered is unknowable and the stream is still
-            # framed, so nothing reconnects: that handle stays outstanding
-            # until its caller gives up or a later connection loss reposts it.
+            # Which requests it answered is unknowable and the stream is still
+            # framed, so nothing reconnects: those handles stay outstanding
+            # until their callers give up or a later connection loss reposts them.
             self.decode_errors += 1
             return
-        handle = self._outstanding.pop(response.req_id, None)
-        if handle is None:
-            return
-        handle.response = response
-        handle.completed_ns = self.clock.now()
-        if not handle.event.done():
-            handle.event.set_result(response)
-        self.completed += 1
-        trace = response.trace
-        if trace is not None and trace.has_ts:
-            # The full NTP four-timestamp exchange: (post, dispatch,
-            # done, complete), the middle pair in the server's clock.
-            self.offset_estimator.add_sample(
-                handle.posted_ns, trace.ts_a, trace.ts_b,
-                handle.completed_ns,
-            )
-        if obs is not None:
-            obs.rpc_stage(response.req_id, "resp_rx", received)
-            obs.rpc_stage(response.req_id, "complete", handle.completed_ns)
-            if self._rtt_hist is not None:
-                self._rtt_hist.record(
-                    handle.completed_ns - handle.posted_ns
-                )
+        for response in responses:
+            handle = self._outstanding.pop(response.req_id, None)
+            if handle is None:
+                continue
+            handle.response = response
+            handle.completed_ns = self.clock.now()
+            if not handle.event.done():
+                handle.event.set_result(response)
+            self.completed += 1
+            trace = response.trace
+            if trace is not None and trace.has_ts:
+                # The full NTP four-timestamp exchange: (post, dispatch,
+                # done, complete), the middle pair in the server's clock.
+                self.offset_estimator.add_sample(
+                    handle.posted_ns, trace.ts_a, trace.ts_b, handle.completed_ns)
+            if obs is not None:
+                obs.rpc_stage(response.req_id, "resp_rx", received)
+                obs.rpc_stage(response.req_id, "complete", handle.completed_ns)
+                if self._rtt_hist is not None:
+                    self._rtt_hist.record(handle.completed_ns - handle.posted_ns)
 
     def _on_lost(self, connection: FramedConnection, exc: Optional[Exception]) -> None:
         """The connection is gone.  A broken stream (``FramingError`` on
@@ -456,7 +453,7 @@ class ProcRpcClient(RpcCallerInterface):
             # No await from here on: the new connection's own loss
             # must find this task finished, so it starts the next one.
             for handle in self._outstanding.values():
-                self.transport.send(encode_request(handle.request))
+                self.transport.send(encode_request_record(handle.request))
             self.transport.connection.flush()
             return
         self._fail_outstanding(exhausted)

@@ -9,8 +9,8 @@ deserve first-class treatment, not hidden constructor side effects).
   :class:`~repro.net.framing.FrameDecoder`'s reusable buffer, every
   complete frame goes to a *synchronous* callback as a view into that
   buffer (no copy; valid only during the call), and everything the
-  callbacks (or a caller) :meth:`~FramedConnection.send` is written out
-  in one ``transport.write``.
+  callbacks (or a caller) :meth:`~FramedConnection.send` leaves as one
+  sealed frame (more only past a frame's bound).
 - :class:`StreamClientTransport` — one outgoing connection with explicit
   :meth:`connect` and bounded-retry :meth:`reconnect` (exponential
   backoff).
@@ -27,8 +27,9 @@ from __future__ import annotations
 import asyncio
 from typing import Callable, Optional
 
+from ..core.message import KIND_REQUEST, KIND_RESPONSE, seal
 from ..transport.topology import Endpoint
-from .framing import FrameDecoder, FramingError, length_prefix
+from .framing import FrameDecoder, FramingError, encode_frame
 
 __all__ = [
     "TransportClosed",
@@ -54,22 +55,24 @@ LostHandler = Callable[["FramedConnection", Optional[Exception]], None]
 class FramedConnection(asyncio.BufferedProtocol):
     """One framed TCP connection, as either end sees it.
 
-    Frames queued with :meth:`send` leave in one ``transport.write``: at
-    the end of the read that produced them (a server answering a batch),
-    on an explicit :meth:`flush` (a client posting one), or else from a
-    single ``call_soon`` flush in the same loop turn.
+    The records :meth:`send` queues leave as one frame (more only past a
+    frame's bound): at the end of the read that produced them (a server
+    answering a batch), on an explicit :meth:`flush` (a client posting
+    one), or else from a single ``call_soon`` flush in the same loop turn.
+    The dialling end sends requests; the accepting end, responses.
     """
 
     def __init__(self, on_frame: FrameHandler, on_lost: LostHandler, *,
-                 throttle_reads: bool = False):
+                 accepting: bool = False):
         self._on_frame = on_frame
         self._on_lost = on_lost
+        self._kind = KIND_RESPONSE if accepting else KIND_REQUEST
         #: The accepting end stops *reading* while its writes are paused
         #: (every frame read queues one to write, so a peer that does not
         #: read would grow this process without bound).  The dialling end
         #: keeps reading — two paused peers would deadlock — and its
         #: writers wait in :meth:`flush` instead.
-        self._throttle_reads = throttle_reads
+        self._throttle_reads = accepting
         self._loop = asyncio.get_running_loop()
         self._decoder = FrameDecoder()
         self._transport: Optional[asyncio.Transport] = None
@@ -131,11 +134,11 @@ class FramedConnection(asyncio.BufferedProtocol):
 
     # -- the API the layers above use --------------------------------------
 
-    def send(self, body: bytes) -> None:
-        """Queue one frame (see the class docstring for when it leaves)."""
+    def send(self, record: bytes) -> None:
+        """Queue one record (see the class docstring for when it leaves)."""
         if not self.is_open:
             raise TransportClosed("connection is closed")
-        self._queued += (length_prefix(body), body)  # joined in flush()
+        self._queued.append(record)
         if not self._flush_due:
             self._flush_due = True
             self._loop.call_soon(self._due_flush)
@@ -145,13 +148,14 @@ class FramedConnection(asyncio.BufferedProtocol):
         self.flush()
 
     def flush(self) -> Optional[asyncio.Future]:
-        """Write everything queued in one call.  Returns None, or — while
-        the transport has asked writers to pause — the future to wait on
-        (through ``asyncio.shield``: every waiter shares it)."""
+        """Write everything queued, one call per frame.  Returns None, or —
+        while the transport has asked writers to pause — the future to
+        wait on (through ``asyncio.shield``: every waiter shares it)."""
         queued = self._queued
         if queued and self.is_open:
             self._queued = []
-            self._transport.write(b"".join(queued))
+            for frame in seal(self._kind, queued):
+                self._transport.write(encode_frame(frame))
         return self._resumed
 
     def close(self) -> asyncio.Future:
@@ -230,15 +234,15 @@ class StreamClientTransport:
         await self.connect()
         self.reconnects += 1
 
-    def send(self, body: bytes) -> None:
-        """Queue one frame (pair with :meth:`flush`)."""
+    def send(self, record: bytes) -> None:
+        """Queue one record (pair with :meth:`flush`)."""
         if self.connection is None:
             raise TransportClosed(f"not connected to {self.endpoint}")
-        self.connection.send(body)
+        self.connection.send(record)
 
     async def flush(self) -> None:
-        """Write queued frames to the kernel in one call; waits only
-        while the transport has paused writers."""
+        """Write what is queued to the kernel; waits only while the
+        transport has paused writers."""
         if self.connection is None or not self.connection.is_open:
             raise TransportClosed(f"not connected to {self.endpoint}")
         paused = self.connection.flush()
@@ -276,7 +280,7 @@ class StreamServerTransport:
         return self.endpoint
 
     def _accept(self) -> FramedConnection:
-        connection = FramedConnection(self.on_frame, self._forget, throttle_reads=True)
+        connection = FramedConnection(self.on_frame, self._forget, accepting=True)
         if self._stopped:
             connection.close()  # the kernel took it before stop(): hang up
         else:

@@ -3,11 +3,13 @@
 The real-byte backends (repro.net) depend on three properties tested
 here: round-trips are lossless, encoding is deterministic byte-for-byte,
 and corrupt, malformed or oversized frames raise WireFormatError — and
-nothing else — instead of being silently misparsed.
+nothing else — instead of being silently misparsed.  Each holds for a
+frame of one record (the ``encode_*`` / ``decode_*`` singulars) and for a
+frame of a batch (``seal`` / ``decode_requests`` / ``decode_responses``).
 
 Frames are hand-built here from the layout comment in
-``repro/core/message.py`` (``_seal``), not from its private constants:
-the bits ARE the format.
+``repro/core/message.py`` (``_frame`` / ``_seal``), not from its private
+constants: the bits ARE the format.
 """
 
 import struct
@@ -18,6 +20,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.core.message import (
+    KIND_REQUEST,
+    KIND_RESPONSE,
     MAX_WIRE_BYTES,
     TRACE_EXT_BYTES,
     TRACE_TS_BYTES,
@@ -29,14 +33,21 @@ from repro.core.message import (
     WireFormatError,
     decode_message,
     decode_request,
+    decode_requests,
     decode_response,
+    decode_responses,
     encode_request,
+    encode_request_record,
     encode_response,
+    encode_response_record,
+    seal,
 )
 
-_HEADER = struct.Struct("!BBHIQII")
-_CRC = struct.Struct("!I")
-_OVERHEAD = _HEADER.size + _CRC.size
+_ENVELOPE = struct.Struct("!BBH")  # kind | version | record count
+_RECORD = struct.Struct("!HIQII")  # flags | client_id | req_id | data_bytes | tail_len
+_CRC = struct.Struct("<I")
+_HEAD = _ENVELOPE.size + _RECORD.size  # a one-record frame's bytes before its tail
+_V2_HEADER = struct.Struct("!BBHIQII")  # versions 1 and 2: one message per frame
 
 _REQUEST, _RESPONSE = 1, 2
 _FLAG_FAILED = 1 << 0
@@ -49,12 +60,32 @@ _TEXT, _JSON = 1 << 5, 2 << 5  # payload tags; 0 is *none*, 3 is unassigned
 U32, U64, I64 = 2**32 - 1, 2**64 - 1, 2**63 - 1
 
 
+def _frame(kind, records, *, version=WIRE_VERSION, count=None) -> bytes:
+    """An envelope and a right CRC around any record bytes."""
+    body = _ENVELOPE.pack(kind, version, len(records) if count is None else count)
+    body += b"".join(records)
+    return body + _CRC.pack(zlib.crc32(body))
+
+
 def _seal(kind, flags, tail, *, version=WIRE_VERSION, client_id=1, req_id=1,
           data_bytes=0) -> bytes:
-    """A well-formed envelope (right tail length, right CRC) around any tail."""
-    header = _HEADER.pack(kind, version, flags, client_id, req_id, data_bytes,
-                          len(tail))
-    return header + _CRC.pack(zlib.crc32(tail, zlib.crc32(header))) + tail
+    """A well-formed one-record frame (right tail length, right CRC)
+    around any tail."""
+    record = _RECORD.pack(flags, client_id, req_id, data_bytes, len(tail)) + tail
+    return _frame(kind, [record], version=version)
+
+
+def _v2_frame(kind, flags, tail, *, version=2, crc=None) -> bytes:
+    """A frame of the one-message layout versions 1 and 2 used."""
+    header = _V2_HEADER.pack(kind, version, flags, 1, 1, 0, len(tail))
+    if crc is None:
+        crc = zlib.crc32(tail, zlib.crc32(header))
+    return header + struct.pack("!I", crc) + tail
+
+
+def _tail(frame: bytes) -> bytes:
+    """The tail of a one-record frame."""
+    return frame[_HEAD:-_CRC.size]
 
 
 def _request_tail(rpc_type=b"echo", created_ns=0, rest=b"") -> bytes:
@@ -69,7 +100,8 @@ def _request(**overrides) -> RpcRequest:
 
 
 def _flags(frame: bytes) -> int:
-    return _HEADER.unpack_from(frame)[2]
+    """The flags of a frame's first record."""
+    return _RECORD.unpack_from(frame, _ENVELOPE.size)[0]
 
 
 def _encode(message) -> bytes:
@@ -186,7 +218,7 @@ class TestResponseRoundTrip:
 class TestCorruptFrames:
     def test_truncated_header(self):
         with pytest.raises(WireFormatError, match="truncated"):
-            decode_request(encode_request(_request())[: _HEADER.size - 1])
+            decode_request(encode_request(_request())[: _HEAD - 1])
 
     def test_flipped_tail_byte_fails_crc(self):
         frame = bytearray(encode_request(_request()))
@@ -198,13 +230,15 @@ class TestCorruptFrames:
         # The CRC covers the header too: a flipped req_id bit must not
         # decode cleanly as a different message.
         frame = bytearray(encode_request(_request()))
-        frame[15] ^= 0x01  # lowest bit of req_id
+        frame[17] ^= 0x01  # lowest bit of req_id
         with pytest.raises(WireFormatError, match="CRC"):
             decode_request(bytes(frame))
 
     def test_truncated_tail_rejected(self):
+        # No field gives a frame's total length (the stream framing does),
+        # so what refuses a cut frame is the CRC that must end it.
         frame = encode_request(_request())
-        with pytest.raises(WireFormatError, match="tail length"):
+        with pytest.raises(WireFormatError, match="CRC"):
             decode_request(frame[:-1])
 
     def test_unknown_version_rejected(self):
@@ -217,10 +251,20 @@ class TestCorruptFrames:
         # The canonical-JSON format this one replaced; there is no second
         # decoder.  (Version 1's CRC covered the tail only.)
         tail = b'{"created_ns":0,"payload":null,"rpc_type":"echo"}'
-        frame = (_HEADER.pack(_REQUEST, 1, 0, 1, 1, 0, len(tail))
-                 + _CRC.pack(zlib.crc32(tail)) + tail)
+        frame = _v2_frame(_REQUEST, 0, tail, version=1, crc=zlib.crc32(tail))
         for decode in (decode_request, decode_message):
             with pytest.raises(WireFormatError, match="unknown wire version 1"):
+                decode(frame)
+
+    def test_version_2_frame_rejected(self):
+        # One message per frame, its CRC after the header: the layout
+        # version 3 replaced.  Kind and version still lead, so it is named.
+        request = _v2_frame(_REQUEST, _TEXT, _request_tail(rest=b"hi"))
+        response = _v2_frame(_RESPONSE, _TEXT, b"hi")
+        for decode, frame in ((decode_request, request), (decode_requests, request),
+                              (decode_message, request), (decode_response, response),
+                              (decode_responses, response), (decode_message, response)):
+            with pytest.raises(WireFormatError, match="unknown wire version 2"):
                 decode(frame)
 
     def test_unknown_kind_rejected(self):
@@ -311,8 +355,8 @@ class TestHostileTails:
 
     def test_rpc_type_and_created_ns_are_typed(self):
         # v1 decoded {"rpc_type":5,"payload":1,"created_ns":"x"} to an
-        # RpcRequest with an int rpc_type and a str created_ns.  v2 has no
-        # frame that says that, and refuses to encode one.
+        # RpcRequest with an int rpc_type and a str created_ns.  v2 and v3
+        # have no frame that says that, and refuse to encode one.
         with pytest.raises(WireFormatError, match="rpc_type must be a str"):
             encode_request(_request(rpc_type=5))
         with pytest.raises(WireFormatError, match="out of range"):
@@ -367,7 +411,7 @@ class TestTraceExtension:
         # it is exactly the fixed fields plus the payload.
         frame = encode_request(_request(payload="pay"))
         assert not _flags(frame) & (_FLAG_TRACE | _FLAG_TRACE_TS)
-        assert frame[_OVERHEAD:] == _request_tail(created_ns=5_000, rest=b"pay")
+        assert _tail(frame) == _request_tail(created_ns=5_000, rest=b"pay")
         assert decode_request(frame).trace is None
 
     def test_extension_size_on_the_wire_is_what_wire_bytes_charges(self):
@@ -408,11 +452,10 @@ class TestTraceExtension:
         # CRC is not what catches it): the section it promises is missing.
         frame = encode_request(_request(payload=None))
         with pytest.raises(WireFormatError, match="malformed request"):
-            decode_request(_seal(_REQUEST, _flags(frame) | _FLAG_TRACE,
-                                 frame[_OVERHEAD:]))
-        # Un-resealed, the header CRC refuses it first.
+            decode_request(_seal(_REQUEST, _flags(frame) | _FLAG_TRACE, _tail(frame)))
+        # Un-resealed, the frame's CRC refuses it first.
         forged = bytearray(frame)
-        struct.pack_into("!H", forged, 2, _flags(frame) | _FLAG_TRACE)
+        struct.pack_into("!H", forged, _ENVELOPE.size, _flags(frame) | _FLAG_TRACE)
         with pytest.raises(WireFormatError, match="CRC"):
             decode_request(bytes(forged))
 
@@ -435,43 +478,68 @@ class TestDecodeMessageDispatch:
 
 
 # A change to any of these bytes is a change of wire format: bump
-# WIRE_VERSION (and re-pin) rather than editing the expectation.
+# WIRE_VERSION (and re-pin) rather than editing the expectation.  Each row
+# is envelope | record fixed fields | tail | CRC (little-endian).
 _PINNED = [
     (RpcRequest(client_id=7, rpc_type="echo", payload=None, data_bytes=32,
                 req_id=1234, created_ns=5000),
-     "010200000000000700000000000004d2000000200000000e2d118161"
-     "000000000000138800046563686f"),
+     "01030001" "00000000000700000000000004d2000000200000000e"
+     "000000000000138800046563686f"
+     "5d6b32f7"),
     (RpcRequest(client_id=7, rpc_type="echo", payload="héllo", data_bytes=32,
                 req_id=1234, created_ns=-5000),
-     "010200200000000700000000000004d20000002000000014f20b4d98"
-     "ffffffffffffec7800046563686f68c3a96c6c6f"),
+     "01030001" "00200000000700000000000004d20000002000000014"
+     "ffffffffffffec7800046563686f68c3a96c6c6f"
+     "06e54ed1"),
     (RpcRequest(client_id=7, rpc_type="kv.put", payload={"k": (1, 2.5), "a": None},
                 data_bytes=64, req_id=U64, created_ns=0,
                 trace=TraceContext(0xABCDEF, 0x123456)),
-     "0102004400000007ffffffffffffffff0000004000000036e2b35a00"
+     "01030001" "004400000007ffffffffffffffff0000004000000036"
      "000000000000000000066b762e707574"
      "0000000000abcdef0000000000123456"
-     "7b2261223a6e756c6c2c226b223a5b312c322e355d7d"),
+     "7b2261223a6e756c6c2c226b223a5b312c322e355d7d"
+     "a0e2d488"),
     (RpcResponse(req_id=9, client_id=3, payload="ok", data_bytes=48),
-     "02020020000000030000000000000009000000300000000263dcd930"
-     "6f6b"),
+     "02030001" "00200000000300000000000000090000003000000002"
+     "6f6b"
+     "2e3a18dc"),
     (RpcResponse(req_id=9, client_id=3, payload=[True, "\ud800"], data_bytes=0,
                  failed=True, context_switch=True,
                  binding=PoolBinding(4096, 8192, 1024, 3, 7),
                  trace=TraceContext(7, 9, ts_a=-1000, ts_b=2000)),
-     "0202005f0000000300000000000000090000000000000053f35b9f0c"
+     "02030001" "005f0000000300000000000000090000000000000053"
      "000000000000100000000000000020000000040000000000000000030000000000000007"
      "00000000000000070000000000000009fffffffffffffc1800000000000007d0"
-     "5b747275652c225c7564383030225d"),
+     "5b747275652c225c7564383030225d"
+     "046b45ab"),
 ]
+_PINNED_BATCH = (
+    [RpcRequest(client_id=1, rpc_type="a", payload="x", data_bytes=8, req_id=1,
+                created_ns=10),
+     RpcRequest(client_id=2, rpc_type="bc", payload=None, data_bytes=16, req_id=2,
+                created_ns=-1),
+     RpcRequest(client_id=3, rpc_type="d", payload=[1], data_bytes=0, req_id=3,
+                created_ns=0, trace=TraceContext(5, 6))],
+    "01030003"
+    "0020000000010000000000000001000000080000000c" "000000000000000a00016178"
+    "0000000000020000000000000002000000100000000c" "ffffffffffffffff00026263"
+    "0044000000030000000000000003000000000000001e" "0000000000000000000164"
+    "00000000000000050000000000000006" "5b315d"
+    "1cf6d596",
+)
 
 
 class TestPinnedFrames:
     @pytest.mark.parametrize("message, frame_hex", _PINNED)
     def test_layout_is_pinned_bump_WIRE_VERSION_to_change_it(self, message, frame_hex):
-        assert WIRE_VERSION == 2
+        assert WIRE_VERSION == 3
         assert _encode(message).hex() == frame_hex
         assert decode_message(bytes.fromhex(frame_hex)) == _normalized(message)
+
+    def test_a_three_record_frame_is_pinned(self):
+        batch, frame_hex = _PINNED_BATCH
+        assert _seal_batch(batch).hex() == frame_hex
+        assert decode_requests(bytes.fromhex(frame_hex)) == [_normalized(r) for r in batch]
 
 
 # ---------------------------------------------------------------------------
@@ -512,22 +580,41 @@ _responses = st.builds(
     failed=st.booleans(), context_switch=st.booleans(), binding=_bindings,
     trace=_traces)
 _messages = _requests | _responses
-# Small frames for the properties that decode once per bit.
-_small_messages = (
-    st.builds(RpcRequest, client_id=_u32, rpc_type=st.text(max_size=4),
-              payload=st.none() | st.text(max_size=6) | st.lists(st.integers(), max_size=2),
-              data_bytes=_u32, req_id=_u64, created_ns=_i64, trace=_traces)
-    | st.builds(RpcResponse, req_id=_u64, client_id=_u32,
-                payload=st.none() | st.text(max_size=6), data_bytes=_u32,
-                failed=st.booleans(), binding=_bindings, trace=_traces)
-)
+# Small messages — every payload tag (*none*, *text*, *json*), traces with
+# and without stamps, bindings — for the properties that decode once per
+# bit and for batches: what one flush seals into one frame, of one kind.
+_small_payloads = st.none() | st.text(max_size=6) | st.lists(st.integers(), max_size=2)
+_small_requests = st.builds(
+    RpcRequest, client_id=_u32, rpc_type=st.text(max_size=4), payload=_small_payloads,
+    data_bytes=_u32, req_id=_u64, created_ns=_i64, trace=_traces)
+_small_responses = st.builds(
+    RpcResponse, req_id=_u64, client_id=_u32, payload=_small_payloads, data_bytes=_u32,
+    failed=st.booleans(), binding=_bindings, trace=_traces)
+_small_messages = _small_requests | _small_responses
+_batches = (st.lists(_small_requests, min_size=1, max_size=4)
+            | st.lists(_small_responses, min_size=1, max_size=4))
+_small_batches = (st.lists(_small_requests, min_size=2, max_size=3)
+                  | st.lists(_small_responses, min_size=2, max_size=3))
 
 _DECODERS = (decode_message, decode_request, decode_response)
+_BATCH_DECODERS = (decode_requests, decode_responses)
+
+
+def _seal_batch(batch: list) -> bytes:
+    if isinstance(batch[0], RpcRequest):
+        [frame] = seal(KIND_REQUEST, [encode_request_record(m) for m in batch])
+    else:
+        [frame] = seal(KIND_RESPONSE, [encode_response_record(m) for m in batch])
+    return frame
+
+
+def _batch_decoder(batch: list):
+    return decode_requests if isinstance(batch[0], RpcRequest) else decode_responses
 
 
 def _refuses_or_round_trips(frame: bytes) -> None:
-    """The decode contract on arbitrary bytes: WireFormatError, or a
-    message that the codec maps to itself — no other exception, ever."""
+    """The decode contract on arbitrary bytes: WireFormatError, or
+    messages that the codec maps to themselves — no other exception, ever."""
     for decode in _DECODERS:
         try:
             message = decode(frame)
@@ -536,14 +623,41 @@ def _refuses_or_round_trips(frame: bytes) -> None:
         again = decode(_encode(message))
         assert again == message
         assert _encode(again) == _encode(message)
+    for decode in _BATCH_DECODERS:
+        try:
+            batch = decode(frame)
+        except WireFormatError:
+            continue
+        again = decode(_seal_batch(batch))
+        assert again == batch
+        assert _seal_batch(again) == _seal_batch(batch)
+
+
+def _refused(decode, data) -> bool:
+    """Did ``decode`` raise WireFormatError (and nothing else) on ``data``?
+    The bit-flip properties decode thousands of times per example, which
+    pytest.raises would make several times slower."""
+    try:
+        decode(data)
+    except WireFormatError:
+        return True
+    return False
 
 
 def _resealed(frame: bytes) -> bytes:
-    """``frame`` with its tail length and CRC made right again, so what
-    was spliced in reaches the tail parser instead of dying at the CRC."""
-    kind, version, flags, client_id, req_id, data_bytes, _ = _HEADER.unpack_from(frame)
-    return _seal(kind, flags, frame[_OVERHEAD:], version=version,
-                 client_id=client_id, req_id=req_id, data_bytes=data_bytes)
+    """``frame`` with its CRC made right again, so what was spliced in
+    reaches the record parser instead of dying at the CRC."""
+    body = frame[:-_CRC.size]
+    return body + _CRC.pack(zlib.crc32(body))
+
+
+def _tail_len_offsets(frame: bytes) -> list:
+    """Where each record of a well-formed frame keeps its tail length."""
+    offsets, start = [], _ENVELOPE.size
+    while start < len(frame) - _CRC.size:
+        offsets.append(start + _RECORD.size - 4)
+        start += _RECORD.size + _RECORD.unpack_from(frame, start)[-1]
+    return offsets
 
 
 class TestWireProperties:
@@ -594,14 +708,10 @@ class TestWireProperties:
         held = bytearray(frame)
         if in_a_view:
             held = memoryview(bytearray(b"\xa5" * 7) + held + b"\x5a" * 9)[7:-9]
-        for cut in range(len(frame)):
-            with pytest.raises(WireFormatError):
-                decode_message(held[:cut])
+        assert all(_refused(decode_message, held[:cut]) for cut in range(len(frame)))
         for bit in range(8 * len(frame)):
             held[bit >> 3] ^= 1 << (bit & 7)
-            for decode in _DECODERS:
-                with pytest.raises(WireFormatError):
-                    decode(held)
+            assert all(_refused(decode, held) for decode in _DECODERS), bit
             held[bit >> 3] ^= 1 << (bit & 7)
         assert held == frame
 
@@ -610,7 +720,7 @@ class TestWireProperties:
         _refuses_or_round_trips(data)
 
     @given(st.sampled_from([_REQUEST, _RESPONSE]), st.integers(0, 0xFFFF),
-           st.binary(max_size=256), st.sampled_from([0, 1, WIRE_VERSION, 3]))
+           st.binary(max_size=256), st.sampled_from([0, 2, WIRE_VERSION, 4]))
     def test_arbitrary_tail_in_a_valid_envelope(self, kind, flags, tail, version):
         _refuses_or_round_trips(_seal(kind, flags, tail, version=version))
         # The interesting flag space is seven bits wide; stay inside it too.
@@ -623,5 +733,95 @@ class TestWireProperties:
         end = data.draw(st.integers(start, min(len(frame), start + 16)))
         spliced = frame[:start] + data.draw(st.binary(max_size=16)) + frame[end:]
         _refuses_or_round_trips(spliced)
-        if len(spliced) >= _OVERHEAD:
+        if len(spliced) >= _ENVELOPE.size + _CRC.size:
             _refuses_or_round_trips(_resealed(spliced))
+
+
+class TestBatchProperties:
+    """The same contract for a frame of many records: one flush's batch."""
+
+    @given(_batches)
+    def test_round_trip_equals_tuples_to_lists(self, batch):
+        frame = _seal_batch(batch)
+        decoded = [_normalized(message) for message in batch]
+        assert _batch_decoder(batch)(frame) == decoded
+        held = memoryview(bytearray(b"\xa5" * 3) + frame + b"\x5a" * 5)[3:-5]
+        assert _batch_decoder(batch)(held) == decoded
+
+    @given(_batches)
+    def test_same_batch_same_bytes(self, batch):
+        reordered = [type(m)(**dict(vars(m), payload=_reordered(m.payload))) for m in batch]
+        assert _seal_batch(reordered) == _seal_batch(batch) == _seal_batch(batch)
+
+    @given(_small_batches, st.booleans())
+    def test_every_bit_flip_and_truncation_raises(self, batch, in_a_view):
+        frame, decode = _seal_batch(batch), _batch_decoder(batch)
+        held = bytearray(frame)
+        if in_a_view:
+            held = memoryview(bytearray(b"\xa5" * 7) + held + b"\x5a" * 9)[7:-9]
+        assert all(_refused(decode, held[:cut]) for cut in range(len(frame)))
+        for bit in range(8 * len(frame)):
+            held[bit >> 3] ^= 1 << (bit & 7)
+            assert _refused(decode, held), bit
+            held[bit >> 3] ^= 1 << (bit & 7)
+        assert held == frame
+
+    @given(_batches, st.data())
+    def test_arbitrary_splice_into_a_batch(self, batch, data):
+        frame = _seal_batch(batch)
+        start = data.draw(st.integers(0, len(frame)))
+        end = data.draw(st.integers(start, min(len(frame), start + 16)))
+        spliced = frame[:start] + data.draw(st.binary(max_size=16)) + frame[end:]
+        _refuses_or_round_trips(spliced)
+        if len(spliced) >= _ENVELOPE.size + _CRC.size:
+            _refuses_or_round_trips(_resealed(spliced))
+
+    @given(_batches, st.data())
+    def test_record_count_or_length_that_disagrees_raises(self, batch, data):
+        frame, count = _seal_batch(batch), len(batch)
+        forged = bytearray(frame)
+        struct.pack_into("!H", forged, 2, data.draw(  # often one off, either way
+            (st.integers(0, count + 1) | st.integers(0, 0xFFFF)).filter(lambda n: n != count)))
+        with pytest.raises(WireFormatError):
+            _batch_decoder(batch)(_resealed(bytes(forged)))
+        # A record's tail length: the last one can only overrun the frame
+        # or leave bytes after itself; an earlier one shifts every record
+        # after it, which must still decode to messages or be refused.
+        offsets = _tail_len_offsets(frame)
+        for offset in (offsets[-1], data.draw(st.sampled_from(offsets))):
+            (tail_len,) = struct.unpack_from("!I", frame, offset)
+            forged = bytearray(frame)
+            struct.pack_into("!I", forged, offset, data.draw(
+                (st.integers(0, tail_len + 1) | st.integers(0, U32))
+                .filter(lambda n: n != tail_len)))
+            if offset == offsets[-1]:
+                with pytest.raises(WireFormatError):
+                    _batch_decoder(batch)(_resealed(bytes(forged)))
+            _refuses_or_round_trips(_resealed(bytes(forged)))
+
+    @given(st.sampled_from([_REQUEST, _RESPONSE]), st.integers(0, 0x7F),
+           st.binary(max_size=64))
+    def test_a_version_2_frame_is_refused(self, kind, flags, tail):
+        frame = _v2_frame(kind, flags, tail)
+        for decode in (*_DECODERS, *_BATCH_DECODERS):
+            with pytest.raises(WireFormatError, match="unknown wire version 2"):
+                decode(frame)
+
+
+class TestSealSplitsAtTheFrameBounds:
+    """A batch past one frame's bounds is sealed into several, in order."""
+
+    @staticmethod
+    def _unsealed(frames):
+        assert all(len(frame) <= MAX_WIRE_BYTES for frame in frames)
+        return [r.req_id for frame in frames for r in decode_responses(frame)]
+
+    def test_past_the_byte_bound(self):
+        records = [encode_response_record(RpcResponse(i, 1, "r" * 100_000)) for i in range(25)]
+        frames = seal(KIND_RESPONSE, records)
+        assert len(frames) == 3 and self._unsealed(frames) == list(range(25))
+
+    def test_the_byte_bound_keeps_the_u16_record_count(self):
+        records = [encode_response_record(RpcResponse(i, 1)) for i in range(0x10000)]
+        frames = seal(KIND_RESPONSE, records)  # the smallest records there are
+        assert len(frames) == 2 and self._unsealed(frames) == list(range(0x10000))

@@ -13,13 +13,17 @@ import zlib
 import pytest
 
 from repro.core.message import (
+    MAX_WIRE_BYTES,
     WIRE_VERSION,
     RpcRequest,
     RpcResponse,
+    WireFormatError,
     decode_request,
+    decode_requests,
     decode_response,
     encode_request,
     encode_response,
+    encode_response_record,
 )
 from repro.net import (
     FrameDecoder,
@@ -163,7 +167,7 @@ class TestReconnectRecovery:
             if len(seen) == 1:
                 connection.close()  # starts the close; nothing to await here
                 return
-            connection.send(encode_response(RpcResponse(
+            connection.send(encode_response_record(RpcResponse(
                 req_id=request.req_id, client_id=request.client_id,
                 payload="recovered",
             )))
@@ -184,11 +188,42 @@ class TestReconnectRecovery:
         assert reconnects == 1
         assert len(seen) == 2 and seen[0] == seen[1]  # same req_id reposted
 
+    def test_a_post_that_cannot_be_encoded_leaves_nothing_to_repost(self):
+        # The post raises, and no handle stays behind: had one stayed, the
+        # recovery after the drop below would re-encode it, crash, and
+        # fail every in-flight call with its WireFormatError.
+        dropped = []
+
+        def flaky(connection, body):
+            if not dropped:
+                dropped.append(True)
+                connection.close()
+                return
+            for request in decode_requests(body):
+                connection.send(encode_response_record(RpcResponse(
+                    request.req_id, request.client_id, request.payload)))
+
+        async def scenario():
+            listener = StreamServerTransport(LOOPBACK, flaky)
+            client = ProcRpcClient(await listener.start(), backoff_s=0.01)
+            await client.connect()
+            try:
+                with pytest.raises(WireFormatError):
+                    await client.async_call("echo", payload=object())
+                leaked = client.outstanding
+                handles = [await client.async_call("echo", payload=i) for i in range(3)]
+                await client.flush()
+                responses = await asyncio.wait_for(client.poll_completions(handles), 5)
+                return leaked, [r.payload for r in responses], client.reconnects
+            finally:
+                await client.close()
+                await listener.stop()
+
+        assert asyncio.run(scenario()) == (0, [0, 1, 2], 1)
+
     def test_exhausted_reconnect_fails_outstanding_calls(self):
         async def scenario():
-            listener = StreamServerTransport(
-                LOOPBACK, lambda connection, body: None
-            )
+            listener = StreamServerTransport(LOOPBACK, lambda connection, body: None)
             endpoint = await listener.start()
             client = ProcRpcClient(endpoint, max_attempts=1, backoff_s=0.01)
             await client.connect()
@@ -270,7 +305,7 @@ class TestReconnectRecovery:
                 request.req_id, request.client_id, request.payload)))
             if request.payload == "corrupt":
                 wire[-1] ^= 0xFF
-            connection.send(bytes(wire))
+            connection._transport.write(encode_frame(bytes(wire)))  # as framed
 
         async def scenario():
             listener = StreamServerTransport(LOOPBACK, corrupting)
@@ -354,6 +389,38 @@ class TestDataPath:
         responses, sent = asyncio.run(scenario())
         assert [r.payload for r in responses] == list(range(5))
         assert len(sent) == 1  # the loop turn's single deferred flush
+
+    def test_a_flush_over_the_frame_bound_crosses_as_several_frames(self):
+        n_calls, payload = 300, "q" * 4096  # ~1.2 MB: more than one frame holds
+
+        async def scenario():
+            server = ProcRpcServer(LOOPBACK, _echo)
+            await server.start()
+            client = server.connect()
+            await client.connect()
+            await client.sync_call("echo", payload="warm")
+            connection = client.transport.connection
+            write, written = connection._transport.write, []
+            connection._transport.write = lambda data: (written.append(bytes(data)),
+                                                        write(data))
+            try:
+                with pytest.raises(WireFormatError, match="limit"):
+                    await client.async_call("echo", payload="x" * MAX_WIRE_BYTES)
+                handles = [await client.async_call("echo", payload=payload)
+                           for _ in range(n_calls)]
+                await client.flush()
+                responses = await asyncio.wait_for(client.poll_completions(handles), 20)
+            finally:
+                await client.close()
+                await server.stop()
+            return written, responses
+
+        written, responses = asyncio.run(scenario())
+        frames = FrameDecoder().feed(b"".join(written))
+        assert len(frames) >= 2  # one flush, several frames, each within the bound
+        assert all(len(frame) <= MAX_WIRE_BYTES for frame in frames)
+        assert sum(len(decode_requests(frame)) for frame in frames) == n_calls
+        assert [r.payload for r in responses] == [payload] * n_calls
 
     @pytest.mark.parametrize("size", [70_000, 300_000, 1_000_000])
     def test_payloads_larger_than_the_receive_buffer_round_trip(self, size):
@@ -447,10 +514,11 @@ class TestDataPath:
             return sock
 
         def sealed(tail, flags, version=WIRE_VERSION):
-            # A request envelope the CRC and length checks accept, so the
-            # tail parser is what has to refuse the body.
-            header = struct.pack("!BBHIQII", 1, version, flags, 7, 1, 0, len(tail))
-            return header + struct.pack("!I", zlib.crc32(tail, zlib.crc32(header))) + tail
+            # A one-record request frame the CRC check accepts, so the
+            # record parser is what has to refuse the body.
+            body = (struct.pack("!BBH", 1, version, 1)
+                    + struct.pack("!HIQII", flags, 7, 1, 0, len(tail)) + tail)
+            return body + struct.pack("<I", zlib.crc32(body))
 
         echo_fixed = struct.pack("!qH", 0, 4) + b"echo"
         v1_tail = b'{"created_ns":0,"payload":null,"rpc_type":"echo"}'

@@ -3,10 +3,11 @@
 With no observer installed and untraced requests, the server reads no
 clock at all, and a client reads it twice per RPC: at post
 (``posted_ns``) and at completion (``completed_ns``, which ``CallHandle``
-latency and the benchmark's round trips use).  Every frame body reaches
-its decoder as a view into the connection's receive buffer, never as a
-copy.  Counted, not timed, like ``tests/sim/test_no_frozen_records.py``:
-one echo batch runs under ``sys.setprofile`` after a warm-up call.
+latency and the benchmark's round trips use).  A flushed batch crosses as
+one frame each way, and every frame body reaches its decoder as a view
+into the connection's receive buffer, never as a copy.  Counted, not
+timed, like ``tests/sim/test_no_frozen_records.py``: one echo batch runs
+under ``sys.setprofile`` after a warm-up call.
 """
 
 import asyncio
@@ -22,7 +23,7 @@ BATCH = 16
 
 def test_unobserved_echo_batch_reads_clocks_only_for_the_handle(monkeypatch):
     bodies = []  # (type of the body, type of the memory it views)
-    for name in ("decode_request", "decode_response"):
+    for name in ("decode_requests", "decode_responses"):
         def recording(body, decode=getattr(procserver, name)):
             bodies.append((type(body), type(getattr(body, "obj", None))))
             return decode(body)
@@ -63,5 +64,6 @@ def test_unobserved_echo_batch_reads_clocks_only_for_the_handle(monkeypatch):
     assert [r.payload for r in responses] == [f"p{i}" for i in range(BATCH)]
     assert reads[server_clock] == 0
     assert reads[client_clock] == 2 * BATCH
-    assert bodies == [(memoryview, bytearray)] * (2 * BATCH)
+    # One request frame and one response frame for the whole batch.
+    assert bodies == [(memoryview, bytearray)] * 2
     assert copies == 0

@@ -19,17 +19,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
-from ..core.api import CallHandle, RpcClientApi, RpcServerApi
+from ..core.api import (
+    QPC_SETUP_NS,
+    RECONNECT_BACKOFF_NS,
+    RECONNECT_MAX_ATTEMPTS,
+    RpcClientApi,
+    RpcServerApi,
+)
 from ..core.config import CpuCostModel
 from ..core.message import RpcRequest, RpcResponse
-from ..core.msgpool import SlotCursor
-from ..rdma.mr import Access, MemoryRegion
-from ..rdma.node import Node
+from ..core.msgpool import BlockCursor, SlotCursor
+from ..rdma.mr import MemoryRegion
+from ..rdma.node import InboundWrite, Node
+from ..rdma.qp import QueuePair
 from ..rdma.types import Transport
-from ..rdma.verbs import VerbError
+from ..rdma.verbs import VerbError, post_write
 from ..sim.resources import Store
 
-__all__ = ["BaselineConfig", "BaselineStats", "BaseRpcServer", "BaseRpcClient", "UdEndpoint"]
+__all__ = ["BaselineConfig", "BaselineStats", "BaseRpcServer", "BaseRpcClient", "UdEndpoint",
+           "UdResponseClient"]
 
 Handler = Callable[[RpcRequest], Any]
 CostFn = Callable[[RpcRequest], int]
@@ -50,11 +58,8 @@ class BaselineConfig:
     #: that stops polling kills its own response path instead of absorbing
     #: unbounded completions.
     cq_overrun_fatal: bool = False
-    # -- fault tolerance (mirrors ScaleRpcConfig; all off by default) ------
+    #: Client RPC-timeout watchdog (DESIGN.md section 10); 0 disables.
     rpc_timeout_ns: int = 0
-    reconnect_max_attempts: int = 5
-    reconnect_backoff_ns: int = 30_000
-    qpc_setup_ns: int = 30_000
 
     def __post_init__(self):
         if self.block_size < 64:
@@ -69,10 +74,6 @@ class BaselineConfig:
             raise ValueError("recv_buf_bytes must be at least one cacheline")
         if self.rpc_timeout_ns < 0:
             raise ValueError("rpc_timeout_ns must be non-negative")
-        if self.reconnect_max_attempts < 1:
-            raise ValueError("reconnect_max_attempts must be >= 1")
-        if self.reconnect_backoff_ns <= 0 or self.qpc_setup_ns < 0:
-            raise ValueError("reconnect costs must be positive")
 
     @property
     def slot_bytes(self) -> int:
@@ -99,8 +100,9 @@ class _ClientBinding:
 class BaseRpcServer(RpcServerApi):
     """Worker-thread scaffolding shared by all baselines.
 
-    Subclasses implement ``_admit`` (create transport state for a client)
-    and ``_respond_cost_and_send`` (transport-specific response posting).
+    Subclasses implement ``_admit`` (create transport state for a client),
+    ``_send_response`` (transport-specific response posting) and
+    ``reestablish`` (rebuild it for a reconnecting client).
     """
 
     def __init__(
@@ -167,6 +169,11 @@ class BaseRpcServer(RpcServerApi):
             obs.rpc_stage(request.req_id, "dispatch", self.sim.now)
         self._stores[self.worker_index(request.client_id)].put((request, addr))
 
+    def _on_request(self, event: InboundWrite) -> None:
+        """A request RDMA-written into a static per-client region."""
+        if isinstance(event.payload, RpcRequest):
+            self.dispatch(event.payload, event.addr)
+
     # -- execution ---------------------------------------------------------------
 
     def _worker(self, index: int) -> Generator:
@@ -216,58 +223,39 @@ class BaseRpcServer(RpcServerApi):
 
 
 class BaseRpcClient(RpcClientApi):
-    """Client scaffolding: handle tracking, polling costs, batching."""
+    """Static-mapping client: each request goes straight to the wire
+    through ``_post_request``; responses come back through
+    :meth:`deliver`.  Given a ``request_region`` (RawWrite, HERD), a
+    request is written over ``qp`` into that dedicated server region."""
 
-    #: True for clients that receive responses via ``ibv_poll_cq`` on a UD
-    #: queue pair (HERD, FaSST) — the expensive client mode of Figure 8.
-    uses_cq_polling = False
+    def __init__(self, server: BaseRpcServer, machine: Node, client_id: int,
+                 qp: Optional[QueuePair] = None,
+                 request_region: Optional[MemoryRegion] = None):
+        super().__init__(server, machine, client_id)
+        self.qp = qp
+        if request_region is not None:
+            self._cursor = BlockCursor(
+                request_region.range.base,
+                server.config.block_size,
+                server.config.blocks_per_client,
+            )
 
-    def __init__(self, server: BaseRpcServer, machine: Node, client_id: int):
-        self.server = server
-        self.machine = machine
-        self.sim = machine.sim
-        self.client_id = client_id
-        self._post_ns, self._poll_ns = server.config.costs.client_cost(
-            self.uses_cq_polling
-        )
-        self.outstanding: dict[int, CallHandle] = {}
-        self.staging = machine.register_memory(
-            server.config.slot_bytes, access=Access.all_remote(), huge_pages=False
-        )
-        self.completed = 0
-        # Recovery state (mirrors ScaleRpcClient; DESIGN.md section 10).
-        self._recovering = False
-        self._progress_ns = 0
-        self.timeouts = 0
-        self.reconnects = 0
-        if server.config.rpc_timeout_ns > 0:
-            self.sim.process(self._watchdog(), name=f"c{client_id}.watchdog")
-
-    # -- subclass hook ----------------------------------------------------------
+    # -- transport hook ---------------------------------------------------------
 
     def _post_request(self, request: RpcRequest) -> None:
-        raise NotImplementedError
+        size = request.wire_bytes
+        post_write(
+            self.qp,
+            local_addr=self.staging.range.base,
+            remote_addr=self._cursor.next(size),
+            size=size,
+            payload=request,
+            signaled=False,
+        )
 
     # -- RpcClientApi -------------------------------------------------------------
 
-    def async_call(
-        self, rpc_type: str, payload: Any = None, data_bytes: int = 32
-    ) -> Generator:
-        request = RpcRequest(
-            client_id=self.client_id,
-            rpc_type=rpc_type,
-            payload=payload,
-            data_bytes=data_bytes,
-            created_ns=self.sim.now,
-        )
-        handle = CallHandle(request, self.sim.event(), posted_ns=self.sim.now)
-        self.outstanding[request.req_id] = handle
-        obs = self.machine.fabric.obs
-        if obs is not None:
-            obs.rpc_stage(request.req_id, "post", self.sim.now)
-        yield from self._cpu_backpressure()
-        yield from self.machine.cpu.use(self._post_ns)
-        self._progress_ns = self.sim.now
+    def _post(self, request: RpcRequest) -> None:
         try:
             self._post_request(request)
         except VerbError:
@@ -277,23 +265,6 @@ class BaseRpcClient(RpcClientApi):
             # overrun-errored QP) keeps propagating.
             if not self._crashed:
                 raise
-        return handle
-
-    def flush(self) -> Generator:
-        return None
-        yield  # pragma: no cover - makes this a generator
-
-    def poll_completions(self, handles: list[CallHandle]) -> Generator:
-        responses = []
-        for handle in handles:
-            if not handle.event.triggered:
-                yield handle.event
-            # Poll CPU overlaps with the next op (coroutine multiplexing).
-            self._defer_cpu(self._poll_ns * self.poll_cost_scale)
-            if handle.completed_ns is None:
-                handle.completed_ns = self.sim.now
-            responses.append(handle.response)
-        return responses
 
     # -- response delivery (called by transport-specific receive paths) ------------
 
@@ -302,35 +273,9 @@ class BaseRpcClient(RpcClientApi):
             # The client's polling loop is dead; the response is never
             # consumed (its completion rots in whatever queue carried it).
             return
-        handle = self.outstanding.pop(response.req_id, None)
-        if handle is None:
-            return
-        handle.response = response
-        handle.completed_ns = self.sim.now
-        handle.event.succeed(response)
-        self.completed += 1
-        self._progress_ns = self.sim.now
-        obs = self.machine.fabric.obs
-        if obs is not None:
-            # resp_rx == complete in the sim: no decode step (cf. proc).
-            obs.rpc_stage(response.req_id, "resp_rx", self.sim.now)
-            obs.rpc_stage(response.req_id, "complete", self.sim.now)
+        self._complete(response)
 
     # -- fault recovery (DESIGN.md section 10) -----------------------------
-
-    def _watchdog(self) -> Generator:
-        """No completion progress for ``rpc_timeout_ns`` with requests
-        outstanding triggers the bounded reconnect path."""
-        timeout_ns = self.server.config.rpc_timeout_ns
-        period = max(timeout_ns // 2, 1)
-        while not self._stopped:
-            yield self.sim.timeout(period)
-            if self._crashed or self._recovering or not self.outstanding:
-                continue
-            if self.sim.now - self._progress_ns < timeout_ns:
-                continue
-            self.timeouts += 1
-            yield from self._recover()
 
     def _recover(self) -> Generator:
         """Bounded reconnect + repost with exponential backoff: pay the
@@ -339,33 +284,74 @@ class BaseRpcClient(RpcClientApi):
         wait one backoff period for progress."""
         if self._recovering:
             return
-        config = self.server.config
         self._recovering = True
         try:
-            backoff = config.reconnect_backoff_ns
-            for _attempt in range(config.reconnect_max_attempts):
+            backoff = RECONNECT_BACKOFF_NS
+            for _attempt in range(RECONNECT_MAX_ATTEMPTS):
                 if self._stopped or self._crashed:
                     return
                 if any(not qp.is_ready for qp in self._fault_qps()):
-                    yield self.sim.timeout(config.qpc_setup_ns)
+                    yield self.sim.timeout(QPC_SETUP_NS)
                     if self._crashed:
                         return
                     self.server.reestablish(self)
                     self.reconnects += 1
-                for req_id in sorted(self.outstanding):
-                    handle = self.outstanding.get(req_id)
+                for req_id in sorted(self._outstanding):
+                    handle = self._outstanding.get(req_id)
                     if handle is None or self._crashed:
                         continue
                     yield from self.machine.cpu.use(self._post_ns)
-                    self._post_request(handle.request)
+                    self._post(handle.request)
                 completed_before = self.completed
                 yield self.sim.timeout(backoff)
-                if self.completed > completed_before or not self.outstanding:
+                if self.completed > completed_before or not self._outstanding:
                     self._progress_ns = self.sim.now
                     return
                 backoff *= 2
         finally:
             self._recovering = False
+
+
+class UdResponseClient(BaseRpcClient):
+    """A client whose responses arrive as UD sends on its own
+    :class:`UdEndpoint` and are read by polling its CQ (HERD, FaSST)."""
+
+    uses_cq_polling = True
+
+    def __init__(self, server: BaseRpcServer, machine: Node, client_id: int,
+                 qp: Optional[QueuePair] = None,
+                 request_region: Optional[MemoryRegion] = None):
+        super().__init__(server, machine, client_id, qp, request_region)
+        self.open_response_endpoint()
+
+    def open_response_endpoint(self) -> Any:
+        """Build a fresh UD response endpoint (at admission, and again on
+        reconnect: the crashed process owned the old one's polling loop);
+        returns the address handle the server responds to."""
+        config = self.server.config
+        self.ud = UdEndpoint(
+            self.machine,
+            depth=config.recv_depth,
+            buf_bytes=config.recv_buf_bytes,
+            on_receive=self._on_receive,
+            overrun_fatal=config.cq_overrun_fatal,
+        )
+        return self.ud.handle()
+
+    def crash(self) -> None:
+        """A crash also kills the process polling the UD response CQ."""
+        super().crash()
+        self.ud.stop()
+
+    def stop_polling(self) -> None:
+        """Stop the UD listener too: responses pile up in the recv CQ
+        (fatal under ``cq_overrun_fatal``)."""
+        super().stop_polling()
+        self.ud.stop()
+
+    def _on_receive(self, completion) -> None:
+        if isinstance(completion.payload, RpcResponse):
+            self.deliver(completion.payload)
 
 
 class UdEndpoint:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from ..core.message import RpcRequest, RpcResponse
 from ..rdma.node import Node
 from ..rdma.verbs import post_send
-from .common import BaseRpcClient, BaseRpcServer, UdEndpoint, _ClientBinding
+from .common import BaseRpcServer, UdEndpoint, UdResponseClient, _ClientBinding
 
 __all__ = ["FasstServer", "FasstClient"]
 
@@ -52,15 +52,7 @@ class FasstServer(BaseRpcServer):
         """A reconnecting FaSST client only needs a fresh UD endpoint (its
         single QP carries both directions); the server's shared endpoints
         are untouched — no per-client server state exists to rebuild."""
-        binding = self.bindings[client.client_id]
-        client.ud = UdEndpoint(
-            client.machine,
-            depth=self.config.recv_depth,
-            buf_bytes=self.config.recv_buf_bytes,
-            on_receive=client._on_receive,
-            overrun_fatal=self.config.cq_overrun_fatal,
-        )
-        binding.send_ref = client.ud.handle()
+        self.bindings[client.client_id].send_ref = client.open_response_endpoint()
 
     def _on_receive(self, completion) -> None:
         if isinstance(completion.payload, RpcRequest):
@@ -79,35 +71,15 @@ class FasstServer(BaseRpcServer):
         )
 
 
-class FasstClient(BaseRpcClient):
-    """FaSST client: UD sends requests, polls a UD CQ for responses."""
+class FasstClient(UdResponseClient):
+    """FaSST client: UD sends requests, polls a UD CQ for responses.
 
-    uses_cq_polling = True
-
-    def __init__(self, server: FasstServer, machine: Node, client_id: int):
-        super().__init__(server, machine, client_id)
-        self.ud = UdEndpoint(
-            machine,
-            depth=server.config.recv_depth,
-            buf_bytes=server.config.recv_buf_bytes,
-            on_receive=self._on_receive,
-            overrun_fatal=server.config.cq_overrun_fatal,
-        )
+    One UD QP carries both directions, so when the client stops polling
+    and ``cq_overrun_fatal`` errors out its recv CQ, even its posting
+    path dies."""
 
     def _fault_qps(self) -> list:
         return [self.ud.qp]
-
-    def crash(self) -> None:
-        """A crash also kills the process polling the UD CQ."""
-        super().crash()
-        self.ud.stop()
-
-    def stop_polling(self) -> None:
-        """Stop the UD listener: with ``cq_overrun_fatal`` the recv CQ
-        overruns and errors out the client's only QP, so even its posting
-        path dies (FaSST shares one UD QP for both directions)."""
-        super().stop_polling()
-        self.ud.stop()
 
     def _post_request(self, request: RpcRequest) -> None:
         post_send(
@@ -118,7 +90,3 @@ class FasstClient(BaseRpcClient):
             dest=self.server.endpoint_handle(self.client_id),
             signaled=False,
         )
-
-    def _on_receive(self, completion) -> None:
-        if isinstance(completion.payload, RpcResponse):
-            self.deliver(completion.payload)

@@ -13,13 +13,12 @@ UD receive/poll CPU tax.
 
 from __future__ import annotations
 
-from ..core.message import RpcRequest, RpcResponse
-from ..core.msgpool import BlockCursor
+from ..core.message import RpcResponse
 from ..rdma.mr import Access
-from ..rdma.node import InboundWrite, Node
+from ..rdma.node import Node
 from ..rdma.types import Transport
-from ..rdma.verbs import post_send, post_write
-from .common import BaseRpcClient, BaseRpcServer, UdEndpoint, _ClientBinding
+from ..rdma.verbs import post_send
+from .common import BaseRpcServer, UdResponseClient, _ClientBinding
 
 __all__ = ["HerdServer", "HerdClient"]
 
@@ -52,15 +51,10 @@ class HerdServer(BaseRpcServer):
         self.node.watch_writes(request_region.range, self._on_request)
         return client
 
-    def _on_request(self, event: InboundWrite) -> None:
-        if isinstance(event.payload, RpcRequest):
-            self.dispatch(event.payload, event.addr)
-
     def reestablish(self, client: "HerdClient") -> None:
         """Fresh UC request pair plus a fresh client-side UD response
         endpoint (the crashed process owned the old one's polling loop);
         the static request region and its cursor survive."""
-        binding = self.bindings[client.client_id]
         old = client.qp
         if old.peer is not None:
             old.peer.close()
@@ -69,14 +63,7 @@ class HerdServer(BaseRpcServer):
         client_qp = client.machine.create_qp(Transport.UC)
         client_qp.connect(server_qp)
         client.qp = client_qp
-        client.ud = UdEndpoint(
-            client.machine,
-            depth=self.config.recv_depth,
-            buf_bytes=self.config.recv_buf_bytes,
-            on_receive=client._on_receive,
-            overrun_fatal=self.config.cq_overrun_fatal,
-        )
-        binding.send_ref = client.ud.handle()
+        self.bindings[client.client_id].send_ref = client.open_response_endpoint()
 
     def _send_response(self, binding: _ClientBinding, response: RpcResponse) -> None:
         qp = self._response_qps[self.worker_index(binding.client_id)]
@@ -91,53 +78,11 @@ class HerdServer(BaseRpcServer):
         )
 
 
-class HerdClient(BaseRpcClient):
-    """HERD client: UC-writes requests, polls a UD CQ for responses."""
+class HerdClient(UdResponseClient):
+    """HERD client: UC-writes requests, polls a UD CQ for responses.
 
-    uses_cq_polling = True
-
-    def __init__(self, server, machine, client_id, qp, request_region):
-        super().__init__(server, machine, client_id)
-        self.qp = qp
-        self.ud = UdEndpoint(
-            machine,
-            depth=server.config.recv_depth,
-            buf_bytes=server.config.recv_buf_bytes,
-            on_receive=self._on_receive,
-            overrun_fatal=server.config.cq_overrun_fatal,
-        )
-        self._cursor = BlockCursor(
-            request_region.range.base,
-            server.config.block_size,
-            server.config.blocks_per_client,
-        )
-
-    def _post_request(self, request: RpcRequest) -> None:
-        size = request.wire_bytes
-        post_write(
-            self.qp,
-            local_addr=self.staging.range.base,
-            remote_addr=self._cursor.next(size),
-            size=size,
-            payload=request,
-            signaled=False,
-        )
+    The UC request QP is separate from the UD response QP: a client that
+    stops polling keeps posting requests."""
 
     def _fault_qps(self) -> list:
         return [self.qp, self.ud.qp]
-
-    def crash(self) -> None:
-        """A crash also kills the process polling the UD response CQ."""
-        super().crash()
-        self.ud.stop()
-
-    def stop_polling(self) -> None:
-        """Stop the UD listener too: responses pile up in the recv CQ
-        (fatal under ``cq_overrun_fatal``); the UC request QP is separate
-        and keeps posting."""
-        super().stop_polling()
-        self.ud.stop()
-
-    def _on_receive(self, completion) -> None:
-        if isinstance(completion.payload, RpcResponse):
-            self.deliver(completion.payload)

@@ -14,8 +14,8 @@ observations:
 
 from __future__ import annotations
 
-from ..core.message import RpcRequest, RpcResponse
-from ..core.msgpool import BlockCursor, SlotCursor
+from ..core.message import RpcResponse
+from ..core.msgpool import SlotCursor
 from ..rdma.mr import Access
 from ..rdma.node import InboundWrite, Node
 from ..rdma.types import Transport
@@ -50,10 +50,6 @@ class RawWriteServer(BaseRpcServer):
         self.bindings[client_id] = binding
         self.node.watch_writes(request_region.range, self._on_request)
         return client
-
-    def _on_request(self, event: InboundWrite) -> None:
-        if isinstance(event.payload, RpcRequest):
-            self.dispatch(event.payload, event.addr)
 
     def reestablish(self, client: "RawWriteClient") -> None:
         """Fresh RC pair for a reconnecting client.  The static request
@@ -91,35 +87,16 @@ class RawWriteClient(BaseRpcClient):
     """RC client: writes requests into its server region, polls its local
     response region (no CQ polling — the cheap client mode)."""
 
-    uses_cq_polling = False
-
     def __init__(self, server, machine, client_id, qp, request_region):
-        super().__init__(server, machine, client_id)
-        self.qp = qp
+        super().__init__(server, machine, client_id, qp, request_region)
         # Compact response ring: warms within one lap and stays resident.
         self.responses = machine.register_memory(
             4 * server.config.block_size, access=Access.all_remote(), huge_pages=False
         )
         machine.watch_writes(self.responses.range, self._on_response)
-        self._cursor = BlockCursor(
-            request_region.range.base,
-            server.config.block_size,
-            server.config.blocks_per_client,
-        )
 
     def _fault_qps(self) -> list:
         return [self.qp]
-
-    def _post_request(self, request: RpcRequest) -> None:
-        size = request.wire_bytes
-        post_write(
-            self.qp,
-            local_addr=self.staging.range.base,
-            remote_addr=self._cursor.next(size),
-            size=size,
-            payload=request,
-            signaled=False,
-        )
 
     def _on_response(self, event: InboundWrite) -> None:
         # Polling the local pool reads the message: keep the ring hot.

@@ -606,7 +606,6 @@ def fig_overrun(quick: bool = True) -> FigureResult:
     measure = 300 * US if quick else 1 * MS
     warmup = 200 * US
     stop_at = warmup + 400 * US  # absolute simulation time of the failure
-    epoch = 50 * US
     series: dict[str, list] = {}
     notes = [f"clients stop polling at t={stop_at // US} us (half of them)"]
     times: list[int] = []
@@ -614,9 +613,9 @@ def fig_overrun(quick: bool = True) -> FigureResult:
         result = run_rpc_experiment(RpcExperiment(
             system=system, n_clients=n_clients, batch_size=1,
             warmup_ns=warmup, measure_ns=measure,
-            obs_enabled=True, obs_epoch_ns=epoch,
+            obs_enabled=True,
             cq_overrun_fatal=True,
-            stop_polling_after_ns=stop_at, stop_polling_fraction=0.5,
+            stop_polling_after_ns=stop_at,
         ))
         points = next(
             s["points"] for s in result.obs["series"]

@@ -48,6 +48,11 @@ def obs_export_dir() -> Optional[str]:
 #: ScaleRPC variant of Figure 12), from the transport registry.
 SYSTEMS = bench_systems()
 
+#: Period of the obs metric epochs (the series' time resolution).
+OBS_EPOCH_NS = 50_000
+#: Share of the clients that go dead in the fatal-overrun sweep.
+STOP_POLLING_FRACTION = 0.5
+
 ThinkTimeFn = Callable[[int, random.Random], int]
 
 
@@ -79,14 +84,12 @@ class RpcExperiment:
     # results — the observer only reads state the simulation already
     # maintains; tests/bench/test_harness.py holds both to the golden block.
     obs_enabled: bool = False
-    obs_epoch_ns: int = 50_000
     # Fatal-overrun sweep (ROADMAP): give client-side UD recv CQs a
-    # bounded, fatal depth, and make a fraction of the clients stop
-    # polling at ``stop_polling_after_ns`` (absolute simulation time).
+    # bounded, fatal depth, and make STOP_POLLING_FRACTION of the clients
+    # stop polling at ``stop_polling_after_ns`` (absolute simulation time).
     # Stopped clients keep posting fire-and-forget until their QP dies.
     cq_overrun_fatal: bool = False
     stop_polling_after_ns: Optional[int] = None
-    stop_polling_fraction: float = 0.5
     # Fault plane (DESIGN.md section 10): a declarative FaultPlan executed
     # by a deterministic injector process, plus the recovery knobs the
     # faults exercise.  All default off, so fault-free runs stay
@@ -104,10 +107,6 @@ class RpcExperiment:
             raise ValueError("n_client_machines must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.obs_epoch_ns < 1:
-            raise ValueError("obs_epoch_ns must be >= 1")
-        if not 0.0 < self.stop_polling_fraction <= 1.0:
-            raise ValueError("stop_polling_fraction must be in (0, 1]")
         if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
             raise ValueError("fault_plan must be a FaultPlan (or None)")
         if self.rpc_timeout_ns < 0 or self.lease_ns < 0:
@@ -281,7 +280,7 @@ def run_rpc_experiment(experiment: RpcExperiment) -> RpcResult:
             "n_clients": experiment.n_clients,
             "batch_size": experiment.batch_size,
             "seed": experiment.seed,
-            "obs_epoch_ns": experiment.obs_epoch_ns,
+            "obs_epoch_ns": OBS_EPOCH_NS,
         }).install(topo.fabric)
     handler = lambda request: request.payload
     cost_fn = (
@@ -306,12 +305,12 @@ def run_rpc_experiment(experiment: RpcExperiment) -> RpcResult:
         # p999) and exported with its full bucket table.  Pure telemetry
         # bookkeeping — simulated results are identical with it on.
         batch_hist = observer.metrics.histogram("rpc.batch_latency_ns")
-        observer.metrics.start(sim, experiment.obs_epoch_ns)
+        observer.metrics.start(sim, OBS_EPOCH_NS)
 
     stop_after = experiment.stop_polling_after_ns
     zombies: set[int] = set()
     if stop_after is not None:
-        n_stop = max(1, int(experiment.n_clients * experiment.stop_polling_fraction))
+        n_stop = max(1, int(experiment.n_clients * STOP_POLLING_FRACTION))
         zombies = {client.client_id for client in clients[:n_stop]}
 
     window_start = experiment.warmup_ns

@@ -18,20 +18,70 @@ from __future__ import annotations
 import abc
 from typing import Any, Generator, Optional
 
+from ..rdma.mr import Access
 from ..rdma.node import Node
 from ..sim.engine import Event
 from .interface import CallHandle, RpcCallerInterface, RpcServiceInterface
-from .message import RpcRequest, RpcResponse  # noqa: F401  (re-export)
+from .message import RpcRequest, RpcResponse
 
-__all__ = ["CallHandle", "RpcClientApi", "RpcServerApi"]
+__all__ = ["QPC_SETUP_NS", "RECONNECT_BACKOFF_NS", "RECONNECT_MAX_ATTEMPTS", "CallHandle",
+           "RpcClientApi", "RpcServerApi"]
+
+# -- client recovery policy (DESIGN.md section 10) ---------------------------
+#: Bounded reconnect: attempts per recovery, and the first backoff period
+#: (it doubles per attempt).
+RECONNECT_MAX_ATTEMPTS = 5
+RECONNECT_BACKOFF_NS = 30_000
+#: Control-plane cost of (re)establishing a connection: QPC exchange and
+#: the modify-QP cycle (Swift, arXiv 2501.19051).
+QPC_SETUP_NS = 30_000
 
 
 class RpcClientApi(RpcCallerInterface):
     """Sim-driver client API: the paper's SyncCall / AsyncCall /
-    PollCompletion as simulation generators."""
+    PollCompletion as simulation generators.
 
-    client_id: int
-    machine: Node
+    The transport-neutral half of every sim client lives here: request
+    handles and their completion, the post / poll CPU costs, the request
+    staging region, and the RPC-timeout watchdog.  A transport supplies
+    ``_post`` (put one request on the wire, or hold it for ``flush``) and
+    ``_recover`` (what the watchdog runs when progress stops), and calls
+    :meth:`_complete` when a response arrives.
+    """
+
+    #: True for clients that receive responses via ``ibv_poll_cq`` on a UD
+    #: queue pair (HERD, FaSST) — the expensive client mode of Figure 8;
+    #: RC clients poll their local message pool.
+    uses_cq_polling = False
+    #: Failover escalation (DESIGN.md section 15): when set, ScaleRPC's
+    #: recovery consults ``failover_fn(self)`` for a live replacement
+    #: server before reconnecting to the same endpoint.  The membership
+    #: runner points it at the current view's primary.
+    failover_fn = None
+
+    def __init__(self, server: Any, machine: Node, client_id: int):
+        self.server = server
+        self.machine = machine
+        self.sim = machine.sim
+        self.client_id = client_id
+        config = server.config
+        self._post_ns, self._poll_ns = config.costs.client_cost(self.uses_cq_polling)
+        # Request staging: the source of every request write (and, on
+        # ScaleRPC, the batch the server warmup-reads).
+        self.staging = machine.register_memory(
+            config.slot_bytes, access=Access.all_remote(), huge_pages=False
+        )
+        self._outstanding: dict[int, CallHandle] = {}
+        # Recovery state (DESIGN.md section 10).
+        self._recovering = False
+        self._progress_ns = 0
+        self.completed = 0
+        self.timeouts = 0
+        self.reconnects = 0
+        # The watchdog only exists when a timeout is configured, so the
+        # default (0) run has no extra process and stays byte-identical.
+        if config.rpc_timeout_ns > 0:
+            self.sim.process(self._watchdog(), name=f"c{client_id}.watchdog")
 
     # -- deferred CPU accounting ------------------------------------------
     #
@@ -133,12 +183,32 @@ class RpcClientApi(RpcCallerInterface):
             self._recover(), name=f"c{self.client_id}.recover"
         )
 
-    def _recover(self) -> Generator:
-        """Transport-specific recovery; overridden by concrete clients."""
-        return
-        yield  # pragma: no cover - makes this a generator
-
     @abc.abstractmethod
+    def _recover(self) -> Generator:
+        """Transport-specific recovery: reconnect, then repost what is
+        outstanding (``yield from``)."""
+
+    def _watchdog(self) -> Generator:
+        """Detect a dead connection: no completion progress for
+        ``rpc_timeout_ns`` with requests outstanding runs :meth:`_recover`."""
+        timeout_ns = self.server.config.rpc_timeout_ns
+        period = max(timeout_ns // 2, 1)
+        while not self._stopped:
+            yield self.sim.timeout(period)
+            if self._crashed or self._recovering or not self._outstanding:
+                continue
+            if self.sim.now - self._progress_ns < timeout_ns:
+                continue
+            self.timeouts += 1
+            yield from self._recover()
+
+    # -- the call surface -------------------------------------------------
+
+    @property
+    def outstanding(self) -> int:
+        """Posted calls whose response has not arrived yet."""
+        return len(self._outstanding)
+
     def async_call(
         self, rpc_type: str, payload: Any = None, data_bytes: int = 32
     ) -> Generator:
@@ -146,17 +216,69 @@ class RpcClientApi(RpcCallerInterface):
 
         Use as ``handle = yield from client.async_call(...)``.
         """
+        request = RpcRequest(
+            client_id=self.client_id,
+            rpc_type=rpc_type,
+            payload=payload,
+            data_bytes=data_bytes,
+            created_ns=self.sim.now,
+        )
+        handle = CallHandle(request, self.sim.event(), posted_ns=self.sim.now)
+        self._outstanding[request.req_id] = handle
+        obs = self.machine.fabric.obs
+        if obs is not None:
+            obs.rpc_stage(request.req_id, "post", self.sim.now)
+        yield from self._cpu_backpressure()
+        yield from self.machine.cpu.use(self._post_ns)
+        self._progress_ns = self.sim.now
+        self._post(request)
+        return handle
 
     @abc.abstractmethod
+    def _post(self, request: RpcRequest) -> None:
+        """Put one freshly issued request on its way (or leave it for
+        :meth:`flush`); it stays outstanding until :meth:`_complete`."""
+
     def flush(self) -> Generator:
         """Ensure all posted requests are on their way to the server.
 
-        Batching clients call this once per batch (``yield from``).
+        Batching clients call this once per batch (``yield from``); a
+        client whose ``_post`` already sent them has nothing to do.
         """
+        return None
+        yield  # pragma: no cover - makes this a generator
 
-    @abc.abstractmethod
     def poll_completions(self, handles: list[CallHandle]) -> Generator:
         """Wait for all ``handles`` (``yield from``); returns the responses."""
+        responses = []
+        for handle in handles:
+            if not handle.event.triggered:
+                yield handle.event
+            # Poll CPU overlaps with the next op (coroutine multiplexing).
+            self._defer_cpu(self._poll_ns * self.poll_cost_scale)
+            if handle.completed_ns is None:
+                handle.completed_ns = self.sim.now
+            responses.append(handle.response)
+        return responses
+
+    def _complete(self, response: RpcResponse) -> None:
+        """A response arrived: complete its handle (a duplicate or a
+        response to a call no longer outstanding is ignored)."""
+        handle = self._outstanding.pop(response.req_id, None)
+        if handle is None:
+            return
+        handle.response = response
+        handle.completed_ns = self.sim.now
+        handle.event.succeed(response)
+        self.completed += 1
+        self._progress_ns = self.sim.now
+        obs = self.machine.fabric.obs
+        if obs is not None:
+            # resp_rx coincides with complete: the simulated client
+            # decodes for free (cf. the proc backend, where the two are
+            # distinct instants).
+            obs.rpc_stage(response.req_id, "resp_rx", self.sim.now)
+            obs.rpc_stage(response.req_id, "complete", self.sim.now)
 
     def sync_call(
         self, rpc_type: str, payload: Any = None, data_bytes: int = 32

@@ -19,13 +19,13 @@ pool just after a switch is simply fetched again next round).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from ..rdma.mr import Access
 from ..rdma.node import InboundWrite, Node
 from ..rdma.qp import QueuePair
 from ..rdma.verbs import post_write
-from .api import CallHandle, RpcClientApi
+from .api import QPC_SETUP_NS, RECONNECT_BACKOFF_NS, RECONNECT_MAX_ATTEMPTS, RpcClientApi
 from .message import (
     ActivationNotice,
     ContextSwitchNotice,
@@ -53,8 +53,6 @@ ENTRY_WIRE_BYTES = 16
 class ScaleRpcClient(RpcClientApi):
     """One RPCClient endpoint.  Created via ``ScaleRpcServer.connect``."""
 
-    uses_cq_polling = False  # RC clients poll their local message pool
-
     def __init__(
         self,
         server: "ScaleRpcServer",
@@ -62,22 +60,13 @@ class ScaleRpcClient(RpcClientApi):
         client_id: int,
         qp: QueuePair,
     ):
-        self.server = server
-        self.machine = machine
-        self.sim = machine.sim
-        self.client_id = client_id
+        super().__init__(server, machine, client_id)
         self.qp = qp
-        config = server.config
-        self._post_ns, self._poll_ns = config.costs.client_cost(self.uses_cq_polling)
-        # Client-side memory: request staging (server warmup-reads it) and
-        # the response ring (server writes responses/notices into it).
-        self.staging = machine.register_memory(
-            config.slot_bytes, access=Access.all_remote(), huge_pages=False
-        )
-        # The response ring: a few blocks suffice (responses are consumed
-        # immediately); a compact ring stays LLC-resident after one lap.
+        # The response ring (the server writes responses and notices into
+        # it): a few blocks suffice (responses are consumed immediately);
+        # a compact ring stays LLC-resident after one lap.
         self.responses = machine.register_memory(
-            4 * config.block_size, access=Access.all_remote(), huge_pages=False
+            4 * server.config.block_size, access=Access.all_remote(), huge_pages=False
         )
         machine.watch_writes(self.responses.range, self._on_response)
         self.state = ClientState.IDLE
@@ -87,58 +76,14 @@ class ScaleRpcClient(RpcClientApi):
         # strictly fresher one may rebind the cursor (protocol freshness
         # rule).  Never reset — stale pre-switch activations stay stale.
         self._bound_seq = -1
-        self._outstanding: dict[int, CallHandle] = {}
         self._announce_pending = False
-        # Recovery state (DESIGN.md section 10).
-        self._recovering = False
-        self._progress_ns = 0
-        # Failover escalation (DESIGN.md section 15): when set, the
-        # watchdog consults ``failover_fn(self)`` for a live replacement
-        # server before falling back to same-endpoint reconnect.  The
-        # membership runner points this at the current view's primary.
-        self.failover_fn = None
         # Stats.
-        self.completed = 0
         self.failed_retries = 0
         self.announcements = 0
         self.switch_events = 0
-        self.timeouts = 0
-        self.reconnects = 0
         self.failovers = 0
-        # The watchdog only exists when a timeout is configured, so the
-        # default (0) run has no extra process and stays byte-identical.
-        if config.rpc_timeout_ns > 0:
-            self.sim.process(self._watchdog(), name=f"c{client_id}.watchdog")
 
     # -- public API ---------------------------------------------------------
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._outstanding)
-
-    def async_call(
-        self, rpc_type: str, payload: Any = None, data_bytes: int = 32
-    ) -> Generator:
-        """Post one request (non-blocking); returns its handle."""
-        request = RpcRequest(
-            client_id=self.client_id,
-            rpc_type=rpc_type,
-            payload=payload,
-            data_bytes=data_bytes,
-            created_ns=self.sim.now,
-        )
-        handle = CallHandle(request, self.sim.event(), posted_ns=self.sim.now)
-        self._outstanding[request.req_id] = handle
-        obs = self.machine.fabric.obs
-        if obs is not None:
-            obs.rpc_stage(request.req_id, "post", self.sim.now)
-        yield from self._cpu_backpressure()
-        yield from self.machine.cpu.use(self._post_ns)
-        self._progress_ns = self.sim.now
-        if self.state is ClientState.PROCESS:
-            self._post_direct(request)
-        # Otherwise the request stays local until flush() announces it.
-        return handle
 
     def flush(self) -> Generator:
         """Announce locally-initialized requests (enters WARMUP)."""
@@ -146,21 +91,6 @@ class ScaleRpcClient(RpcClientApi):
             yield from self.machine.cpu.use(self._post_ns)
             self._announce()
         return None
-
-    def poll_completions(self, handles: list[CallHandle]) -> Generator:
-        """Wait for every handle; returns their responses in order."""
-        responses = []
-        for handle in handles:
-            if not handle.event.triggered:
-                yield handle.event
-            self._defer_cpu(self._poll_ns * self.poll_cost_scale)
-            handle.completed_ns = (
-                handle.completed_ns
-                if handle.completed_ns is not None
-                else self.sim.now
-            )
-            responses.append(handle.response)
-        return responses
 
     def disconnect(self) -> None:
         """Leave the server (log out)."""
@@ -171,55 +101,37 @@ class ScaleRpcClient(RpcClientApi):
     def _fault_qps(self) -> list:
         return [self.qp]
 
-    def _watchdog(self) -> Generator:
-        """Detect a dead connection: no completion progress for
-        ``rpc_timeout_ns`` with requests outstanding triggers recovery —
-        failover to the server named by ``failover_fn`` when that is a
-        *different* live endpoint, same-endpoint reconnect otherwise."""
-        timeout_ns = self.server.config.rpc_timeout_ns
-        period = max(timeout_ns // 2, 1)
-        while not self._stopped:
-            yield self.sim.timeout(period)
-            if self._crashed or self._recovering or not self._outstanding:
-                continue
-            if self.sim.now - self._progress_ns < timeout_ns:
-                continue
-            self.timeouts += 1
-            target = self.failover_fn(self) if self.failover_fn is not None else None
-            if target is not None and target is not self.server:
-                yield from self.failover_to(target)
-            else:
-                yield from self._recover()
-
     def _recover(self) -> Generator:
         """Bounded reconnect + re-announce with exponential backoff.
 
-        Each attempt: re-establish the RC connection if it died (paying
-        the Swift-style control-plane QPC setup cost through
-        ``ScaleRpcServer.reestablish``), drop to IDLE through the
-        RECONNECT protocol event, re-announce the outstanding batch, and
-        wait one backoff period for progress.
+        Each attempt first asks ``failover_fn`` for a *different* live
+        server and fails over to it if there is one.  Otherwise it
+        re-establishes the RC connection if it died (paying the
+        Swift-style control-plane QPC setup cost through
+        ``ScaleRpcServer.reestablish``), drops to IDLE through the
+        RECONNECT protocol event, re-announces the outstanding batch, and
+        waits one backoff period for progress.
         """
         if self._recovering:
             return
-        config = self.server.config
         self._recovering = True
         try:
-            backoff = config.reconnect_backoff_ns
-            for _attempt in range(config.reconnect_max_attempts):
+            backoff = RECONNECT_BACKOFF_NS
+            for _attempt in range(RECONNECT_MAX_ATTEMPTS):
                 if self._stopped or self._crashed:
                     return
                 if self.failover_fn is not None:
-                    # Membership may have promoted a backup while we were
-                    # backing off against the dead endpoint: escalate to
-                    # failover instead of burning the remaining attempts.
+                    # Membership may have promoted a backup (before or
+                    # while we were backing off against the dead
+                    # endpoint): escalate to failover instead of burning
+                    # the remaining attempts.
                     target = self.failover_fn(self)
                     if target is not None and target is not self.server:
                         self._recovering = False  # hand the guard over
                         yield from self.failover_to(target)
                         return
                 if not self.qp.is_ready:
-                    yield self.sim.timeout(config.qpc_setup_ns)
+                    yield self.sim.timeout(QPC_SETUP_NS)
                     if self._crashed:
                         return
                     self.server.reestablish(self)
@@ -264,7 +176,7 @@ class ScaleRpcClient(RpcClientApi):
             return
         self._recovering = True
         try:
-            yield self.sim.timeout(self.server.config.qpc_setup_ns)
+            yield self.sim.timeout(QPC_SETUP_NS)
             if self._crashed or self._stopped:
                 return
             if not server.adopt(self):
@@ -289,6 +201,11 @@ class ScaleRpcClient(RpcClientApi):
             self._recovering = False
 
     # -- request posting ------------------------------------------------------
+
+    def _post(self, request: RpcRequest) -> None:
+        if self.state is ClientState.PROCESS:
+            self._post_direct(request)
+        # Otherwise the request stays local until flush() announces it.
 
     def _post_direct(self, request: RpcRequest) -> None:
         """RDMA-write one request into the processing pool (PROCESS state)."""
@@ -400,20 +317,7 @@ class ScaleRpcClient(RpcClientApi):
         if payload.failed:
             self._handle_failed(payload)
         else:
-            handle = self._outstanding.pop(payload.req_id, None)
-            if handle is not None:
-                handle.response = payload
-                handle.completed_ns = self.sim.now
-                handle.event.succeed(payload)
-                self.completed += 1
-                self._progress_ns = self.sim.now
-                obs = self.machine.fabric.obs
-                if obs is not None:
-                    # resp_rx coincides with complete: the simulated
-                    # client decodes for free (cf. the proc backend,
-                    # where the two are distinct instants).
-                    obs.rpc_stage(payload.req_id, "resp_rx", self.sim.now)
-                    obs.rpc_stage(payload.req_id, "complete", self.sim.now)
+            self._complete(payload)
         if payload.context_switch:
             self._enter_idle()
 

@@ -13,6 +13,10 @@ __all__ = ["CpuCostModel", "ScaleRpcConfig"]
 
 US = 1_000
 MS = 1_000_000
+#: Lazy split/merge bounds: [1/2, 3/2] of the default group size (paper
+#: Section 3.2).
+GROUP_MIN_RATIO = 0.5
+GROUP_MAX_RATIO = 1.5
 
 
 @dataclass
@@ -48,43 +52,20 @@ class ScaleRpcConfig:
     block_size: int = 4096
     blocks_per_client: int = 20
     n_server_threads: int = 10
-    message_header_bytes: int = 8  # MsgLen + Valid fields
     dynamic_scheduling: bool = True
     warmup_enabled: bool = True
     # Pre-load the next group's QP contexts into the NIC cache during
     # warmup (off only for ablation studies).
     conn_prefetch_enabled: bool = True
-    # Lazy split/merge bounds: [1/2, 3/2] of the default group size (paper
-    # Section 3.2).
-    group_min_ratio: float = 0.5
-    group_max_ratio: float = 1.5
-    # Priority scheduling: the highest-priority class gets a smaller group
-    # and a longer slice; per-group slices scale with aggregate priority
-    # within [min, max] x time_slice_ns, squeezing time wasted on idle
-    # clients toward the busy ones (paper Section 3.2).
-    priority_group_shrink: float = 0.75
-    priority_slice_min_ratio: float = 0.3
-    priority_slice_max_ratio: float = 2.0
     rebalance_every_slices: int = 8
-    # Begin piggybacking context_switch_event on responses this long
-    # before the slice expires, so the group's clients quiesce by the
-    # switch point and the drain stays short (paper: the event is
-    # piggybacked while the remaining requests are processed).
-    drain_lead_ns: int = 8 * US
     # RPCs whose handler exceeds this run in legacy mode after one failure
     # (paper Section 3.5).
     long_rpc_threshold_ns: int = 80 * US
     # -- fault tolerance (DESIGN.md section 10; all off by default so a
     # fault-free run is byte-identical to the pre-faults model) -----------
     # Client-side watchdog: no completion progress for this long with
-    # requests outstanding triggers backoff + reconnect.  0 disables.
+    # requests outstanding triggers recovery (core/api.py).  0 disables.
     rpc_timeout_ns: int = 0
-    # Bounded reconnect: attempts and initial backoff (doubles per try).
-    reconnect_max_attempts: int = 5
-    reconnect_backoff_ns: int = 30 * US
-    # Control-plane cost of (re)establishing an RC connection — QPC
-    # exchange and modify-QP cycle (Swift, arXiv 2501.19051).
-    qpc_setup_ns: int = 30 * US
     # Server-side lease: a client silent for this long is evicted from its
     # group, reclaiming the scheduler slice and msgpool slot.  0 disables.
     lease_ns: int = 0
@@ -101,14 +82,8 @@ class ScaleRpcConfig:
             raise ValueError("blocks_per_client must be >= 1")
         if self.n_server_threads < 1:
             raise ValueError("n_server_threads must be >= 1")
-        if not 0 < self.group_min_ratio <= 1 <= self.group_max_ratio:
-            raise ValueError("group ratio bounds must bracket 1")
         if self.rpc_timeout_ns < 0 or self.lease_ns < 0:
             raise ValueError("timeout/lease durations must be non-negative")
-        if self.reconnect_max_attempts < 1:
-            raise ValueError("reconnect_max_attempts must be >= 1")
-        if self.reconnect_backoff_ns <= 0 or self.qpc_setup_ns < 0:
-            raise ValueError("reconnect costs must be positive")
 
     @property
     def slot_bytes(self) -> int:
@@ -119,7 +94,7 @@ class ScaleRpcConfig:
     def pool_slots(self) -> int:
         """Slots per physical pool: sized for the largest legal group, so
         lazy split/merge never outgrows the pool."""
-        return max(1, int(self.group_size * self.group_max_ratio))
+        return max(1, int(self.group_size * GROUP_MAX_RATIO))
 
     @property
     def pool_bytes(self) -> int:
@@ -129,6 +104,6 @@ class ScaleRpcConfig:
     def group_bounds(self) -> tuple[int, int]:
         """Legal (min, max) group size before lazy split/merge kicks in."""
         return (
-            max(1, int(self.group_size * self.group_min_ratio)),
-            max(1, int(self.group_size * self.group_max_ratio)),
+            max(1, int(self.group_size * GROUP_MIN_RATIO)),
+            max(1, int(self.group_size * GROUP_MAX_RATIO)),
         )

@@ -20,6 +20,14 @@ from .grouping import ClientContext, GroupManager
 
 __all__ = ["PriorityScheduler"]
 
+# Priority scheduling: the highest-priority class gets a smaller group and
+# a longer slice; per-group slices scale with aggregate priority within
+# [min, max] x time_slice_ns, squeezing time wasted on idle clients toward
+# the busy ones (paper Section 3.2).
+PRIORITY_GROUP_SHRINK = 0.75
+PRIORITY_SLICE_MIN_RATIO = 0.3
+PRIORITY_SLICE_MAX_RATIO = 2.0
+
 
 class PriorityScheduler:
     """Builds and maintains the group partition."""
@@ -85,7 +93,7 @@ class PriorityScheduler:
                 and remaining > default
             ):
                 # The busiest clients get a smaller group (longer slice).
-                size = max(1, int(default * self.config.priority_group_shrink))
+                size = max(1, int(default * PRIORITY_GROUP_SHRINK))
             else:
                 size = min(default, remaining)
             sizes.append(size)
@@ -110,9 +118,9 @@ class PriorityScheduler:
     def _slices_for(self, partition: list[list[ClientContext]]) -> list[int]:
         """Per-group time slices, proportional to aggregate priority.
 
-        Busy groups get up to ``priority_slice_max_ratio`` x the base
+        Busy groups get up to ``PRIORITY_SLICE_MAX_RATIO`` x the base
         slice; idle groups are squeezed down to
-        ``priority_slice_min_ratio`` x — this reallocation of shared time
+        ``PRIORITY_SLICE_MIN_RATIO`` x — this reallocation of shared time
         from idle to busy clients is where the Figure-12 gain comes from.
         """
         base = self.config.time_slice_ns
@@ -125,9 +133,8 @@ class PriorityScheduler:
         mean_weight = sum(weights) / len(weights)
         if mean_weight <= 0:
             return [base] * len(partition)
-        low = self.config.priority_slice_min_ratio
-        high = self.config.priority_slice_max_ratio
         return [
-            int(base * min(high, max(low, weight / mean_weight)))
+            int(base * min(PRIORITY_SLICE_MAX_RATIO,
+                           max(PRIORITY_SLICE_MIN_RATIO, weight / mean_weight)))
             for weight in weights
         ]

@@ -61,6 +61,11 @@ ENTRY_BYTES = 64
 _DRAIN_POLL_NS = 200
 _DRAIN_GRACE_NS = 2_000
 _IDLE_WAIT_NS = 10_000
+#: Begin piggybacking context_switch_event on responses this long before
+#: the slice expires, so the group's clients quiesce by the switch point
+#: and the drain stays short (paper: the event is piggybacked while the
+#: remaining requests are processed).
+_DRAIN_LEAD_NS = 8_000
 
 
 @dataclass
@@ -267,7 +272,7 @@ class ScaleRpcServer(RpcServerApi):
         """Control-plane reconnect for a client whose connection died.
 
         Tears down the dead RC QP pair and builds a fresh one (the caller
-        has already paid the Swift-style ``qpc_setup_ns`` control-plane
+        has already paid the Swift-style ``QPC_SETUP_NS`` control-plane
         cost).  If the lease reaper evicted the client while it was down,
         it is re-admitted with fresh context metadata — and therefore a
         fresh activation numbering, which is why the RECONNECT protocol
@@ -560,7 +565,7 @@ class ScaleRpcServer(RpcServerApi):
                 self._start_warmup(next_group)
             slice_ns = max(serving.time_slice_ns if serving else self.config.time_slice_ns, 1)
             switching = serving is not None and self._warming_group is not serving
-            lead = min(self.config.drain_lead_ns, slice_ns // 3) if switching else 0
+            lead = min(_DRAIN_LEAD_NS, slice_ns // 3) if switching else 0
             if self.synchronizer is not None:
                 yield from self.synchronizer.sleep_slice(self, slice_ns)
                 if switching:

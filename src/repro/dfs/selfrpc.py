@@ -13,15 +13,16 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..core.message import RpcRequest, RpcResponse
-from ..core.msgpool import BlockCursor, SlotCursor
+from ..core.message import RpcRequest
+from ..core.msgpool import SlotCursor
 from ..rdma.cq import CompletionQueue
 from ..rdma.mr import Access
-from ..rdma.node import InboundWrite, Node, create_qp_pair
+from ..rdma.node import Node, create_qp_pair
 from ..rdma.qp import QueuePair
 from ..rdma.types import Transport
 from ..rdma.verbs import post_recv, post_write
-from ..baselines.common import BaseRpcClient, BaseRpcServer, _ClientBinding
+from ..baselines.common import BaseRpcServer, _ClientBinding
+from ..baselines.rawwrite import RawWriteClient, RawWriteServer
 
 __all__ = ["SelfRpcServer", "SelfRpcClient"]
 
@@ -76,42 +77,18 @@ class SelfRpcServer(BaseRpcServer):
                 post_recv(qp, self._dummy.range.base, 64)
             self.dispatch(request, completion.addr)
 
-    def _send_response(self, binding: _ClientBinding, response: RpcResponse) -> None:
-        server_qp, cursor = binding.send_ref
-        if not server_qp.is_ready:
-            # Connection down (crash fault): drop the response; recovery
-            # reposts the request after reconnect.
-            self.stats.dropped += 1
-            return
-        size = response.wire_bytes
-        post_write(
-            server_qp,
-            local_addr=self._response_scratch(size),
-            remote_addr=cursor.next(size),
-            size=size,
-            payload=response,
-            signaled=False,
-        )
+    # Responses are RawWrite's: an RC write into the client's response
+    # ring, dropped while the connection is down.
+    _send_response = RawWriteServer._send_response
 
 
-class SelfRpcClient(BaseRpcClient):
+class SelfRpcClient(RawWriteClient):
     """RC client posting write_imm requests (imm = client id)."""
 
-    uses_cq_polling = False
-
-    def __init__(self, server, machine, client_id, qp, request_region):
-        super().__init__(server, machine, client_id)
-        self.qp = qp
-        # Compact response ring: warms within one lap and stays resident.
-        self.responses = machine.register_memory(
-            4 * server.config.block_size, access=Access.all_remote(), huge_pages=False
-        )
-        machine.watch_writes(self.responses.range, self._on_response)
-        self._cursor = BlockCursor(
-            request_region.range.base,
-            server.config.block_size,
-            server.config.blocks_per_client,
-        )
+    def _fault_qps(self) -> list:
+        # Octopus has no reconnect path here (no ``reestablish``): a crash
+        # swallows posts and ignores responses but leaves the RC pair up.
+        return []
 
     def _post_request(self, request: RpcRequest) -> None:
         size = request.wire_bytes
@@ -124,8 +101,3 @@ class SelfRpcClient(BaseRpcClient):
             imm_data=self.client_id,
             signaled=False,
         )
-
-    def _on_response(self, event: InboundWrite) -> None:
-        self.machine.llc.cpu_access(event.addr, event.size)
-        if isinstance(event.payload, RpcResponse):
-            self.deliver(event.payload)

@@ -15,13 +15,10 @@ class _FakeClient(RpcClientApi):
         self.machine = machine
         self.client_id = client_id
 
-    def async_call(self, rpc_type, payload=None, data_bytes=32):
+    def _post(self, request):
         raise NotImplementedError
 
-    def flush(self):
-        raise NotImplementedError
-
-    def poll_completions(self, handles):
+    def _recover(self):
         raise NotImplementedError
 
 

@@ -38,8 +38,6 @@ class TestScaleRpcConfig:
             {"block_size": 32},
             {"blocks_per_client": 0},
             {"n_server_threads": 0},
-            {"group_min_ratio": 0.0},
-            {"group_max_ratio": 0.9},
         ],
     )
     def test_validation(self, kwargs):

@@ -3,7 +3,11 @@
 
 from repro.core import ScaleRpcConfig
 from repro.core.grouping import ClientContext, GroupManager
-from repro.core.scheduler import PriorityScheduler
+from repro.core.scheduler import (
+    PRIORITY_SLICE_MAX_RATIO,
+    PRIORITY_SLICE_MIN_RATIO,
+    PriorityScheduler,
+)
 
 
 def ctx(client_id, priority=0.0):
@@ -64,8 +68,8 @@ class TestPartition:
         # Slices scale with aggregate priority: busiest first, clamped.
         slices = [g.time_slice_ns for g in groups]
         assert slices[0] > slices[-1]
-        assert slices[0] <= int(config.time_slice_ns * config.priority_slice_max_ratio)
-        assert slices[-1] >= int(config.time_slice_ns * config.priority_slice_min_ratio)
+        assert slices[0] <= int(config.time_slice_ns * PRIORITY_SLICE_MAX_RATIO)
+        assert slices[-1] >= int(config.time_slice_ns * PRIORITY_SLICE_MIN_RATIO)
 
     def test_dynamic_orders_by_priority(self):
         config, manager, sched = build(8, group_size=4)

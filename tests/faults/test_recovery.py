@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis.mc.scenarios import build_world
 from repro.bench.harness import RpcExperiment, run_rpc_experiment
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, FaultSpec
 
 US = 1_000
 MS = 1_000_000
@@ -46,6 +46,28 @@ def test_single_crash_recovers_bounded(system):
     assert 0 < recovery_ns < 2 * MS
     assert faults["client_reconnects"] >= 1
     # The run kept making progress through the fault.
+    assert result.completed_ops > 0
+
+
+@pytest.mark.parametrize("system", ["scalerpc", "rawwrite", "herd", "fasst"])
+def test_crash_during_recovery_repost_is_survived(system):
+    """A second crash lands inside the first recovery's repost loop: the
+    restart at 400 us pays the 30 us QPC setup, and the crash arrives
+    50 ns into the CPU cost of the first repost.  The repost must die
+    with the process (recovery resumes on the next restart), not raise
+    ``VerbError`` out of the run."""
+    plan = FaultPlan.of([
+        FaultSpec("client_crash", at_ns=300 * US, duration_ns=100 * US, target=0),
+        FaultSpec("client_crash", at_ns=430 * US + 50, duration_ns=100 * US,
+                  target=0),
+    ])
+    result = run_rpc_experiment(RpcExperiment(
+        system=system, n_clients=8, batch_size=8,
+        warmup_ns=200 * US, measure_ns=600 * US,
+        fault_plan=plan, rpc_timeout_ns=50 * US,
+    ))
+    assert result.faults["injected"] == 2
+    assert result.faults["recovered"] >= 1
     assert result.completed_ops > 0
 
 

@@ -76,7 +76,7 @@ class TestLifecycle:
         assert completed > 0
 
     def test_epoch_series_present_and_aligned(self):
-        artifact = _small(obs_enabled=True, obs_epoch_ns=50_000).obs
+        artifact = _small(obs_enabled=True).obs
         series = {s["name"]: s for s in artifact["series"]}
         assert "rpc.completed_per_s" in series
         assert "nic.server.conn_hit_rate" in series
@@ -103,10 +103,8 @@ class TestFatalOverrunSweep:
             "herd",
             n_clients=8,
             obs_enabled=True,
-            obs_epoch_ns=50_000,
             cq_overrun_fatal=True,
             stop_polling_after_ns=300_000,
-            stop_polling_fraction=0.5,
         )
         artifact = result.obs
         stops = [i for i in artifact["instants"] if i["name"] == "stop_polling"]
@@ -126,7 +124,6 @@ class TestFatalOverrunSweep:
             obs_enabled=True,
             cq_overrun_fatal=True,
             stop_polling_after_ns=300_000,
-            stop_polling_fraction=0.5,
         )
         rate = next(
             s["points"] for s in result.obs["series"]

@@ -1,14 +1,7 @@
 """Benchmark harness regenerating every table and figure of the paper."""
 
 from .experiments import ALL_FIGURES, run_figure
-from .harness import (
-    SYSTEMS,
-    MultiSeedResult,
-    RpcExperiment,
-    RpcResult,
-    run_multi_seed,
-    run_rpc_experiment,
-)
+from .harness import SYSTEMS, RpcExperiment, RpcResult, run_rpc_experiment
 from .metrics import LatencyRecorder, LatencyStats, throughput_mops
 from .report import FigureResult, format_table
 
@@ -17,8 +10,6 @@ __all__ = [
     "FigureResult",
     "SYSTEMS",
     "LatencyRecorder",
-    "MultiSeedResult",
-    "run_multi_seed",
     "LatencyStats",
     "RpcExperiment",
     "RpcResult",

@@ -1,5 +1,8 @@
 """CLI for regenerating the paper's tables and figures.
 
+After each figure it checks that figure's claims (:mod:`repro.bench.claims`),
+prints ``ok`` or ``BROKEN`` per row, and exits 1 if any row is broken.
+
 Usage::
 
     python -m repro.bench --figure fig8_clients
@@ -16,6 +19,7 @@ import sys
 import time
 
 from ..transport import backend_names
+from .claims import claims_for
 from .experiments import ALL_FIGURES, BACKEND_FIGURES, run_figure
 from .harness import set_obs_export_dir
 
@@ -71,18 +75,27 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {name}", file=sys.stderr)
         return 2
     collected = {}
+    broken: list[str] = []
     for name in names:
         started = time.time()  # flowlint: ignore[wall-clock] — CLI progress timing
         backend = args.backend if name in BACKEND_FIGURES else "sim"
         result = run_figure(name, quick=not args.full, backend=backend)
         print(result.render())
+        for claim in claims_for(name):
+            held = claim.check(result)
+            line = f"{'ok' if held else 'BROKEN'} [{name}] {claim.text}"
+            print(f"  {line}")
+            if not held:
+                broken.append(line)
         print(f"  ({time.time() - started:.1f}s)\n")  # flowlint: ignore[wall-clock]
         collected[name] = result.as_dict()
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(collected, handle, indent=2)
         print(f"wrote {args.json}")
-    return 0
+    for line in broken:
+        print(line, file=sys.stderr)
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":

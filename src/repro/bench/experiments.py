@@ -5,6 +5,9 @@ Each ``figXX`` function runs the corresponding evaluation and returns a
 uses shorter measurement windows and a sparser sweep so the full set
 finishes in minutes; ``quick=False`` runs the paper's full sweeps.
 
+Most figures are one sweep (:func:`_sweep`: every run label over every x)
+or one table (:func:`_table`: one row per run, one column per metric);
+the paper's shape each figure must show is in :mod:`repro.bench.claims`.
 The mapping to paper figures is indexed in DESIGN.md section 3, and
 paper-vs-measured values are recorded in EXPERIMENTS.md.
 """
@@ -12,7 +15,8 @@ paper-vs-measured values are recorded in EXPERIMENTS.md.
 from __future__ import annotations
 
 import os
-from typing import Sequence
+from operator import attrgetter
+from typing import Any, Callable, Mapping, Sequence
 
 from ..dfs import MdtestConfig, run_mdtest
 from ..faults import FaultPlan
@@ -34,7 +38,7 @@ __all__ = [
     "fig1a", "fig1b", "fig3a", "fig3b",
     "fig8_clients", "fig8_machines", "fig9", "fig9_cdf", "fig10",
     "fig11a", "fig11b", "fig12", "fig13",
-    "fig16a", "fig16b",
+    "fig16a", "fig16a_ro", "fig16b",
     "disc_transfer", "disc_dct", "disc_newer_hca", "abl_mechanisms",
     "fig_overrun", "fig_faults", "fig_real", "fig_failover",
     "ALL_FIGURES", "BACKEND_FIGURES", "run_figure",
@@ -45,32 +49,61 @@ MS = 1_000_000
 
 RPC_SYSTEMS = ("scalerpc", "rawwrite", "herd", "fasst")
 TXN_SYSTEMS = ("scaletx", "scaletx-o", "rawwrite", "herd", "fasst")
+MDTEST_OPS = ("Mknod", "Rmnod", "Stat", "ReadDir")
+
+Extract = Callable[[Any], float]
+_tput: Extract = attrgetter("throughput_mops")
+_mtps: Extract = attrgetter("mtps")
 
 
-def _client_counts(quick: bool) -> Sequence[int]:
-    return (40, 120, 240, 400) if quick else (40, 80, 120, 160, 200, 240, 280, 320, 360, 400)
+def _mdtest_metrics(template: str) -> dict[str, Extract]:
+    return {template.format(op=op): lambda r, op=op: r.as_dict()[op] for op in MDTEST_OPS}
+
+
+def _rpc(**fields):
+    return run_rpc_experiment(RpcExperiment(**fields))
+
+
+def _sweep(figure: str, title: str, x_label: str, xs: Sequence,
+           runs: Mapping[str, Callable[[Any], Any]], metrics: Mapping[str, Extract] | None = None,
+           unit: str = "Mops/s", notes: Sequence[str] = ()) -> FigureResult:
+    """Run ``runs[label](x)`` for every label (outer) and x (inner).
+
+    Each metric ``template -> extract`` fills the series
+    ``template.format(label)``; by default a run label is one series of
+    its throughput.
+    """
+    series: dict[str, list] = {}
+    for label, run in runs.items():
+        for x in xs:
+            result = run(x)
+            for template, extract in (metrics or {"{}": _tput}).items():
+                series.setdefault(template.format(label), []).append(extract(result))
+    return FigureResult(figure, title, x_label, xs, series, unit, list(notes))
+
+
+def _table(figure: str, title: str, rows: Mapping[str, Any], metrics: Mapping[Any, Extract],
+           unit: str, notes: Sequence[str], x_label: str = "metric") -> FigureResult:
+    """One row per run result, one column per metric."""
+    series = {label: [extract(result) for extract in metrics.values()]
+              for label, result in rows.items()}
+    return FigureResult(figure, title, x_label, tuple(metrics), series, unit, list(notes))
 
 
 # ---------------------------------------------------------------------------
-# Figure 1: motivation
+# The paper's figures: motivation (Figs. 1, 3) and evaluation (Figs. 8-16)
 # ---------------------------------------------------------------------------
 
 def fig1a(quick: bool = True) -> FigureResult:
     """Octopus (self-identified RPC) metadata throughput vs clients."""
-    counts = (40, 80, 120)
     measure = 600 * US if quick else 1500 * US
-    series: dict[str, list[float]] = {"Mknod": [], "Rmnod": [], "Stat": [], "ReadDir": []}
-    for n in counts:
-        result = run_mdtest(MdtestConfig(rpc_system="selfrpc", n_clients=n, measure_ns=measure))
-        table = result.as_dict()
-        for op in series:
-            series[op].append(table[op])
-    return FigureResult(
-        figure="Figure 1(a)",
-        title="DFS metadata throughput vs clients (Octopus, self-identified RPC)",
-        x_label="clients",
-        x_values=counts,
-        series=series,
+    return _sweep(
+        "Figure 1(a)",
+        "DFS metadata throughput vs clients (Octopus, self-identified RPC)",
+        "clients", (40, 80, 120),
+        {"": lambda n: run_mdtest(MdtestConfig(
+            rpc_system="selfrpc", n_clients=n, measure_ns=measure))},
+        _mdtest_metrics("{op}"),
         notes=["paper: Stat/ReadDir drop ~50% from 40 to 120 clients; Mknod ~5%"],
     )
 
@@ -79,55 +112,35 @@ def fig1b(quick: bool = True) -> FigureResult:
     """Raw verb throughput vs clients."""
     counts = (10, 40, 80, 120, 200, 400, 800) if not quick else (10, 40, 120, 400, 800)
     measure = 400 * US if quick else 1 * MS
-    outbound, inbound, ud = [], [], []
-    for n in counts:
-        outbound.append(run_outbound_write(
-            RawVerbConfig(n_clients=n, measure_ns=measure)).throughput_mops)
-        # Small blocks keep the inbound footprint LLC-resident at any
-        # client count, as in the paper's flat inbound line.
-        inbound.append(run_inbound_write(RawVerbConfig(
-            n_clients=n, block_size=512, warmup_ns=3 * MS, measure_ns=measure,
-        )).throughput_mops)
-        ud.append(run_ud_send(
-            RawVerbConfig(n_clients=n, measure_ns=measure)).throughput_mops)
-    return FigureResult(
-        figure="Figure 1(b)",
-        title="Raw RDMA verb throughput vs clients",
-        x_label="clients",
-        x_values=counts,
-        series={"outbound RC write": outbound, "inbound RC write": inbound, "UD send": ud},
+    return _sweep(
+        "Figure 1(b)", "Raw RDMA verb throughput vs clients", "clients", counts,
+        {
+            "outbound RC write": lambda n: run_outbound_write(
+                RawVerbConfig(n_clients=n, measure_ns=measure)),
+            # Small blocks keep the inbound footprint LLC-resident at any
+            # client count, as in the paper's flat inbound line.
+            "inbound RC write": lambda n: run_inbound_write(RawVerbConfig(
+                n_clients=n, block_size=512, warmup_ns=3 * MS, measure_ns=measure)),
+            "UD send": lambda n: run_ud_send(RawVerbConfig(n_clients=n, measure_ns=measure)),
+        },
         notes=["paper: outbound drops ~20 -> ~2 Mops from 10 to 800 clients; others flat"],
     )
 
-
-# ---------------------------------------------------------------------------
-# Figure 3: resource contention analysis
-# ---------------------------------------------------------------------------
 
 def fig3a(quick: bool = True) -> FigureResult:
     """In/outbound RC write throughput and the PCIe read rate."""
     counts = (10, 40, 80, 120, 200, 400) if not quick else (10, 40, 120, 400)
     measure = 400 * US if quick else 1 * MS
-    out_tput, out_pcie, in_tput, in_pcie = [], [], [], []
-    for n in counts:
-        out = run_outbound_write(RawVerbConfig(n_clients=n, measure_ns=measure))
-        out_tput.append(out.throughput_mops)
-        out_pcie.append(out.pcie_rd_cur_mops)
-        inb = run_inbound_write(RawVerbConfig(
-            n_clients=n, block_size=512, warmup_ns=3 * MS, measure_ns=measure))
-        in_tput.append(inb.throughput_mops)
-        in_pcie.append(inb.pcie_rd_cur_mops)
-    return FigureResult(
-        figure="Figure 3(a)",
-        title="RC write throughput vs PCIe read rate (NIC cache thrashing)",
-        x_label="clients",
-        x_values=counts,
-        series={
-            "outbound tput": out_tput,
-            "outbound PCIeRdCur (M/s)": out_pcie,
-            "inbound tput": in_tput,
-            "inbound PCIeRdCur (M/s)": in_pcie,
+    return _sweep(
+        "Figure 3(a)", "RC write throughput vs PCIe read rate (NIC cache thrashing)",
+        "clients", counts,
+        {
+            "outbound": lambda n: run_outbound_write(
+                RawVerbConfig(n_clients=n, measure_ns=measure)),
+            "inbound": lambda n: run_inbound_write(RawVerbConfig(
+                n_clients=n, block_size=512, warmup_ns=3 * MS, measure_ns=measure)),
         },
+        {"{} tput": _tput, "{} PCIeRdCur (M/s)": lambda r: r.pcie_rd_cur_mops},
         notes=["paper: outbound PCIe reads outgrow its throughput past the peak;"
                " inbound PCIe reads stay low"],
     )
@@ -137,47 +150,32 @@ def fig3b(quick: bool = True) -> FigureResult:
     """Inbound throughput and L3 miss rate vs message block size."""
     sizes = (128, 256, 512, 1024, 2048, 4096) if not quick else (128, 512, 1024, 2048, 4096)
     measure = 400 * US if quick else 1 * MS
-    tput, miss, itom = [], [], []
-    for block in sizes:
-        result = run_inbound_write(RawVerbConfig(
-            n_clients=400, block_size=block, warmup_ns=4 * MS, measure_ns=measure))
-        tput.append(result.throughput_mops)
-        miss.append(result.l3_miss_rate)
-        itom.append(result.pcie_itom_mops)
-    return FigureResult(
-        figure="Figure 3(b)",
-        title="Inbound RC write vs block size (400 clients x 20 blocks)",
-        x_label="block bytes",
-        x_values=sizes,
-        series={"throughput": tput, "L3 miss rate": miss, "PCIeItoM (M/s)": itom},
+    return _sweep(
+        "Figure 3(b)", "Inbound RC write vs block size (400 clients x 20 blocks)",
+        "block bytes", sizes,
+        {"": lambda block: run_inbound_write(RawVerbConfig(
+            n_clients=400, block_size=block, warmup_ns=4 * MS, measure_ns=measure))},
+        {
+            "throughput": _tput,
+            "L3 miss rate": lambda r: r.l3_miss_rate,
+            "PCIeItoM (M/s)": lambda r: r.pcie_itom_mops,
+        },
         notes=["paper: sharp drop once blocks exceed 2 KB (footprint ~ LLC size)"],
     )
 
 
-# ---------------------------------------------------------------------------
-# Figure 8: RPC throughput
-# ---------------------------------------------------------------------------
-
-def fig8_clients(quick: bool = True, batch_sizes: Sequence[int] = (1, 8)) -> FigureResult:
-    """Throughput vs client count for all four RPCs."""
-    counts = _client_counts(quick)
+def fig8_clients(quick: bool = True) -> FigureResult:
+    """Throughput vs client count for all four RPCs, at batch 1 and 8."""
     measure = 1 * MS if quick else 2 * MS
-    series = {}
-    for system in RPC_SYSTEMS:
-        for batch in batch_sizes:
-            values = []
-            for n in counts:
-                result = run_rpc_experiment(RpcExperiment(
-                    system=system, n_clients=n, batch_size=batch,
-                    warmup_ns=600 * US, measure_ns=measure))
-                values.append(result.throughput_mops)
-            series[f"{system} (batch {batch})"] = values
-    return FigureResult(
-        figure="Figure 8 (left)",
-        title="RPC throughput vs clients",
-        x_label="clients",
-        x_values=counts,
-        series=series,
+    return _sweep(
+        "Figure 8 (left)", "RPC throughput vs clients", "clients",
+        (40, 120, 240, 400) if quick else tuple(range(40, 401, 40)),
+        {
+            f"{system} (batch {batch})": lambda n, system=system, batch=batch: _rpc(
+                system=system, n_clients=n, batch_size=batch,
+                warmup_ns=600 * US, measure_ns=measure)
+            for system in RPC_SYSTEMS for batch in (1, 8)
+        },
         notes=["paper: ScaleRPC ~ FaSST stay flat; RawWrite collapses; HERD"
                " declines at small batch"],
     )
@@ -185,140 +183,96 @@ def fig8_clients(quick: bool = True, batch_sizes: Sequence[int] = (1, 8)) -> Fig
 
 def fig8_machines(quick: bool = True) -> FigureResult:
     """Throughput of 40 clients spread over 1..5 physical machines."""
-    machines = (1, 2, 3, 4, 5)
     measure = 800 * US if quick else 2 * MS
-    series = {}
-    for system in RPC_SYSTEMS:
-        values = []
-        for m in machines:
-            result = run_rpc_experiment(RpcExperiment(
+    return _sweep(
+        "Figure 8 (right)", "40 client threads over 1..5 physical machines",
+        "machines", (1, 2, 3, 4, 5),
+        {
+            system: lambda m, system=system: _rpc(
                 system=system, n_clients=40, n_client_machines=m, batch_size=1,
-                warmup_ns=600 * US, measure_ns=measure))
-            values.append(result.throughput_mops)
-        series[system] = values
-    return FigureResult(
-        figure="Figure 8 (right)",
-        title="40 client threads over 1..5 physical machines",
-        x_label="machines",
-        x_values=machines,
-        series=series,
+                warmup_ns=600 * US, measure_ns=measure)
+            for system in RPC_SYSTEMS
+        },
         notes=["paper: RC RPCs saturate with <= 2 machines; UD RPCs need >= 4"],
     )
 
 
-# ---------------------------------------------------------------------------
-# Figure 9: latency
-# ---------------------------------------------------------------------------
-
 def fig9(quick: bool = True) -> FigureResult:
     """Latency distribution at 120 clients (median/mean/max + tput)."""
     measure = 2 * MS if quick else 5 * MS
-    rows = {}
-    x = ("median_us", "mean_us", "max_us", "tput_mops")
-    for batch in (1, 8):
-        for system in RPC_SYSTEMS:
-            result = run_rpc_experiment(RpcExperiment(
+    return _table(
+        "Figure 9", "Latency at 120 clients",
+        {
+            f"{system} (batch {batch})": _rpc(
                 system=system, n_clients=120, batch_size=batch,
-                warmup_ns=600 * US, measure_ns=measure))
-            stats = result.latency
-            rows[f"{system} (batch {batch})"] = [
-                stats.median_ns / 1e3,
-                stats.mean_ns / 1e3,
-                stats.max_ns / 1e3,
-                result.throughput_mops,
-            ]
-    return FigureResult(
-        figure="Figure 9",
-        title="Latency at 120 clients",
-        x_label="metric",
-        x_values=x,
-        series=rows,
-        unit="us / Mops",
-        notes=[
+                warmup_ns=600 * US, measure_ns=measure)
+            for batch in (1, 8) for system in RPC_SYSTEMS
+        },
+        {
+            "median_us": lambda r: r.latency.median_ns / 1e3,
+            "mean_us": lambda r: r.latency.mean_ns / 1e3,
+            "max_us": lambda r: r.latency.max_ns / 1e3,
+            "tput_mops": _tput,
+        },
+        "us / Mops",
+        [
             "paper (batch 1): medians ScaleRPC ~4us, RawWrite 19us, HERD 10us, FaSST 11us",
             "paper: ScaleRPC bimodal (low median, slice-bound max); UD tails >200us at batch 8",
         ],
     )
 
 
-def fig9_cdf(quick: bool = True, batch: int = 1) -> FigureResult:
-    """The latency distribution itself (inverse CDF at key percentiles),
-    mirroring the paper's Figure 9 plot."""
+def fig9_cdf(quick: bool = True) -> FigureResult:
+    """The latency distribution itself (inverse CDF at key percentiles,
+    batch 1), mirroring the paper's Figure 9 plot."""
     measure = 2 * MS if quick else 5 * MS
-    percentiles = (5, 25, 50, 75, 90, 95, 99, 100)
-    series = {}
-    for system in RPC_SYSTEMS:
-        result = run_rpc_experiment(RpcExperiment(
-            system=system, n_clients=120, batch_size=batch,
-            warmup_ns=600 * US, measure_ns=measure))
-        series[system] = [
-            result.recorder.percentile(p) / 1e3 for p in percentiles
-        ]
-    return FigureResult(
-        figure=f"Figure 9 (CDF, batch {batch})",
-        title=f"Latency percentiles at 120 clients, batch {batch}",
+    return _table(
+        "Figure 9 (CDF, batch 1)", "Latency percentiles at 120 clients, batch 1",
+        {
+            system: _rpc(system=system, n_clients=120, batch_size=1,
+                         warmup_ns=600 * US, measure_ns=measure)
+            for system in RPC_SYSTEMS
+        },
+        {p: lambda r, p=p: r.recorder.percentile(p) / 1e3
+         for p in (5, 25, 50, 75, 90, 95, 99, 100)},
+        "us",
+        ["paper: ScaleRPC's CDF is bimodal — a low plateau for most"
+         " requests, then a jump to the slice-bound tail"],
         x_label="percentile",
-        x_values=percentiles,
-        series=series,
-        unit="us",
-        notes=["paper: ScaleRPC's CDF is bimodal — a low plateau for most"
-               " requests, then a jump to the slice-bound tail"],
     )
 
-
-# ---------------------------------------------------------------------------
-# Figure 10: hardware counters
-# ---------------------------------------------------------------------------
 
 def fig10(quick: bool = True) -> FigureResult:
     """PCIeRdCur / PCIeItoM for RawWrite vs ScaleRPC."""
     counts = (40, 120, 200, 400) if quick else (40, 80, 120, 160, 200, 280, 400)
     measure = 1 * MS if quick else 2 * MS
-    series = {}
-    for system in ("rawwrite", "scalerpc"):
-        tput, rdcur, itom = [], [], []
-        for n in counts:
-            result = run_rpc_experiment(RpcExperiment(
+    return _sweep(
+        "Figure 10", "Hardware counters: RawWrite vs ScaleRPC", "clients", counts,
+        {
+            system: lambda n, system=system: _rpc(
                 system=system, n_clients=n, batch_size=1,
-                warmup_ns=600 * US, measure_ns=measure))
-            tput.append(result.throughput_mops)
-            rdcur.append(result.counters.pcie_rd_cur_per_s / 1e6)
-            itom.append(result.counters.pcie_itom_per_s / 1e6)
-        series[f"{system} tput"] = tput
-        series[f"{system} PCIeRdCur (M/s)"] = rdcur
-        series[f"{system} PCIeItoM (M/s)"] = itom
-    return FigureResult(
-        figure="Figure 10",
-        title="Hardware counters: RawWrite vs ScaleRPC",
-        x_label="clients",
-        x_values=counts,
-        series=series,
+                warmup_ns=600 * US, measure_ns=measure)
+            for system in ("rawwrite", "scalerpc")
+        },
+        {
+            "{} tput": _tput,
+            "{} PCIeRdCur (M/s)": lambda r: r.counters.pcie_rd_cur_per_s / 1e6,
+            "{} PCIeItoM (M/s)": lambda r: r.counters.pcie_itom_per_s / 1e6,
+        },
         notes=["paper: RawWrite PCIeRdCur explodes past 40 clients and PCIeItoM"
                " grows with the static pool; ScaleRPC counters track its tput"],
     )
 
 
-# ---------------------------------------------------------------------------
-# Figure 11: sensitivity
-# ---------------------------------------------------------------------------
-
 def fig11a(quick: bool = True) -> FigureResult:
     """Throughput vs time slice (80 clients, group 40)."""
-    slices_us = (30, 50, 100, 150, 200, 250)
     measure = 1 * MS if quick else 3 * MS
-    values = []
-    for slice_us in slices_us:
-        result = run_rpc_experiment(RpcExperiment(
-            system="scalerpc", n_clients=80, batch_size=1,
-            time_slice_ns=slice_us * US,
-            warmup_ns=800 * US, measure_ns=measure))
-        values.append(result.throughput_mops)
-    return FigureResult(
-        figure="Figure 11(a)",
-        title="Sensitivity to the time slice (80 clients, group 40)",
-        x_label="slice (us)",
-        x_values=slices_us,
-        series={"scalerpc": values},
+    return _sweep(
+        "Figure 11(a)", "Sensitivity to the time slice (80 clients, group 40)",
+        "slice (us)", (30, 50, 100, 150, 200, 250),
+        {"scalerpc": lambda slice_us: _rpc(
+            system="scalerpc", n_clients=80, batch_size=1, time_slice_ns=slice_us * US,
+            warmup_ns=800 * US, measure_ns=measure)},
         notes=["paper: 7.6 -> 8.9 Mops from 30us to 250us; 100us is the"
                " throughput/latency sweet spot"],
     )
@@ -326,104 +280,64 @@ def fig11a(quick: bool = True) -> FigureResult:
 
 def fig11b(quick: bool = True) -> FigureResult:
     """Throughput vs group size (two groups of clients)."""
-    groups = (10, 20, 30, 40, 50, 60, 70)
     measure = 1 * MS if quick else 3 * MS
-    values = []
-    for group in groups:
-        result = run_rpc_experiment(RpcExperiment(
+    return _sweep(
+        "Figure 11(b)", "Sensitivity to the group size (2 groups)",
+        "group size", (10, 20, 30, 40, 50, 60, 70),
+        {"scalerpc": lambda group: _rpc(
             system="scalerpc", n_clients=2 * group, group_size=group,
-            batch_size=1, warmup_ns=800 * US, measure_ns=measure))
-        values.append(result.throughput_mops)
-    return FigureResult(
-        figure="Figure 11(b)",
-        title="Sensitivity to the group size (2 groups)",
-        x_label="group size",
-        x_values=groups,
-        series={"scalerpc": values},
+            batch_size=1, warmup_ns=800 * US, measure_ns=measure)},
         notes=["paper: rises to an optimum near 40, slight drop by 70 (NIC/CPU"
                " cache contention)"],
     )
 
 
-# ---------------------------------------------------------------------------
-# Figure 12: priority scheduling
-# ---------------------------------------------------------------------------
-
 def fig12(quick: bool = True) -> FigureResult:
     """Dynamic vs Static scheduling under Gaussian AFD."""
-    sigmas = (0.8, 1.0)
     measure = 2 * MS if quick else 5 * MS
-    dynamic, static = [], []
-    for sigma in sigmas:
-        think = gaussian_afd_think_time(sigma, base_ns=20_000)
-        for mode, out in (("scalerpc", dynamic), ("scalerpc-static", static)):
-            result = run_rpc_experiment(RpcExperiment(
-                system=mode, n_clients=120, batch_size=4,
-                think_time_fn=think,
-                warmup_ns=1500 * US, measure_ns=measure))
-            out.append(result.throughput_mops)
-    return FigureResult(
-        figure="Figure 12",
-        title="Priority scheduling under Gaussian access-frequency skew",
-        x_label="sigma",
-        x_values=sigmas,
-        series={"Dynamic": dynamic, "Static": static},
+    return _sweep(
+        "Figure 12", "Priority scheduling under Gaussian access-frequency skew",
+        "sigma", (0.8, 1.0),
+        {
+            label: lambda sigma, system=system: _rpc(
+                system=system, n_clients=120, batch_size=4,
+                think_time_fn=gaussian_afd_think_time(sigma, base_ns=20_000),
+                warmup_ns=1500 * US, measure_ns=measure)
+            for label, system in (("Dynamic", "scalerpc"), ("Static", "scalerpc-static"))
+        },
         notes=["paper: Dynamic outperforms Static by 9% / 10% at sigma 0.8 / 1.0"],
     )
 
 
-# ---------------------------------------------------------------------------
-# Figure 13: the DFS
-# ---------------------------------------------------------------------------
-
 def fig13(quick: bool = True) -> FigureResult:
     """Octopus metadata ops: self-identified RPC vs ScaleRPC."""
-    counts = (40, 80, 120)
     measure = 600 * US if quick else 1500 * US
-    series: dict[str, list[float]] = {}
-    for system in ("selfrpc", "scalerpc"):
-        results = [
-            run_mdtest(MdtestConfig(rpc_system=system, n_clients=n, measure_ns=measure))
-            for n in counts
-        ]
-        for op in ("Mknod", "Rmnod", "Stat", "ReadDir"):
-            series[f"{op} ({system})"] = [r.as_dict()[op] for r in results]
-    return FigureResult(
-        figure="Figure 13",
-        title="DFS metadata throughput: selfRPC vs ScaleRPC",
-        x_label="clients",
-        x_values=counts,
-        series=series,
+    return _sweep(
+        "Figure 13", "DFS metadata throughput: selfRPC vs ScaleRPC", "clients", (40, 80, 120),
+        {
+            system: lambda n, system=system: run_mdtest(MdtestConfig(
+                rpc_system=system, n_clients=n, measure_ns=measure))
+            for system in ("selfrpc", "scalerpc")
+        },
+        _mdtest_metrics("{op} ({{}})"),
         notes=["paper: ScaleRPC +5-6.5% on Mknod/Rmnod, +50%/+90% on"
                " Stat/ReadDir at 80/120 clients"],
     )
 
 
-# ---------------------------------------------------------------------------
-# Figure 16: transactions
-# ---------------------------------------------------------------------------
-
-def fig16a(quick: bool = True, mix: tuple = (3, 1)) -> FigureResult:
-    """Object store transactions, (reads, writes) = ``mix``."""
-    counts = (80, 160)
+def _object_store(quick: bool, reads: int, writes: int) -> FigureResult:
     measure = 700 * US if quick else 2 * MS
-    reads, writes = mix
-    series = {}
-    for system in TXN_SYSTEMS:
-        values = []
-        for n in counts:
-            result = run_object_store(ObjectStoreConfig(
+    return _sweep(
+        f"Figure 16(a) ({reads},{writes})",
+        f"Object store transactions, read set {reads} / write set {writes}",
+        "clients", (80, 160),
+        {
+            system: lambda n, system=system: run_object_store(ObjectStoreConfig(
                 cluster=TxnClusterConfig(system=system, n_coordinators=n),
-                reads=reads, writes=writes,
-                warmup_ns=400 * US, measure_ns=measure))
-            values.append(result.mtps)
-        series[system] = values
-    return FigureResult(
-        figure=f"Figure 16(a) ({reads},{writes})",
-        title=f"Object store transactions, read set {reads} / write set {writes}",
-        x_label="clients",
-        x_values=counts,
-        series=series,
+                reads=reads, writes=writes, warmup_ns=400 * US, measure_ns=measure))
+            for system in TXN_SYSTEMS
+        },
+        {"{}": _mtps},
         unit="Mtxn/s",
         notes=[
             "paper (read-write, 160 clients): ScaleTX beats RawWrite/HERD/FaSST/"
@@ -433,26 +347,29 @@ def fig16a(quick: bool = True, mix: tuple = (3, 1)) -> FigureResult:
     )
 
 
+def fig16a(quick: bool = True) -> FigureResult:
+    """Object store, read-write transactions (Figure 16(a.2)): 3 reads, 1 write."""
+    return _object_store(quick, 3, 1)
+
+
+def fig16a_ro(quick: bool = True) -> FigureResult:
+    """Object store, read-only transactions (Figure 16(a.1)): 4 reads."""
+    return _object_store(quick, 4, 0)
+
+
 def fig16b(quick: bool = True) -> FigureResult:
     """SmallBank."""
-    counts = (80, 160)
     measure = 700 * US if quick else 2 * MS
-    series = {}
-    for system in TXN_SYSTEMS:
-        values = []
-        for n in counts:
-            result = run_smallbank(SmallBankConfig(
+    return _sweep(
+        "Figure 16(b)", "SmallBank transactions", "clients", (80, 160),
+        {
+            system: lambda n, system=system: run_smallbank(SmallBankConfig(
                 cluster=TxnClusterConfig(system=system, n_coordinators=n),
                 accounts_per_server=10_000 if quick else 100_000,
                 warmup_ns=400 * US, measure_ns=measure))
-            values.append(result.mtps)
-        series[system] = values
-    return FigureResult(
-        figure="Figure 16(b)",
-        title="SmallBank transactions",
-        x_label="clients",
-        x_values=counts,
-        series=series,
+            for system in TXN_SYSTEMS
+        },
+        {"{}": _mtps},
         unit="Mtxn/s",
         notes=["paper: ScaleTX beats RawWrite/HERD/FaSST/ScaleTX-O by"
                " 18/112/120/30% at 80 and 160/73/79/26% at 160 clients"],
@@ -468,23 +385,18 @@ def disc_transfer(quick: bool = True) -> FigureResult:
     slicing (the paper's in-text prototype measurement)."""
     size = (8 << 20) if quick else (64 << 20)
     results = run_transfer_comparison(total_bytes=size)
-    return FigureResult(
-        figure="Section 5.1 (UD large transfers)",
-        title=f"Transferring {size >> 20} MB: RC vs UD slicing",
-        x_label="metric",
-        x_values=("GB/s", "messages"),
-        series={
-            "RC single write": [results["rc"].gbytes_per_s, results["rc"].messages],
-            "UD ordered (stop-and-wait)": [results["ud"].gbytes_per_s, results["ud"].messages],
-            "UD pipelined (window 16)": [
-                results["ud_pipelined"].gbytes_per_s,
-                results["ud_pipelined"].messages,
-            ],
+    return _table(
+        "Section 5.1 (UD large transfers)", f"Transferring {size >> 20} MB: RC vs UD slicing",
+        {
+            "RC single write": results["rc"],
+            "UD ordered (stop-and-wait)": results["ud"],
+            "UD pipelined (window 16)": results["ud_pipelined"],
         },
-        unit="GB/s / count",
-        notes=["paper: ordered UD slicing reached 0.8 GB/s single-threaded,"
-               " 12.5% of RC; pipelining recovers bandwidth at a software"
-               " complexity cost"],
+        {"GB/s": lambda r: r.gbytes_per_s, "messages": lambda r: r.messages},
+        "GB/s / count",
+        ["paper: ordered UD slicing reached 0.8 GB/s single-threaded,"
+         " 12.5% of RC; pipelining recovers bandwidth at a software"
+         " complexity cost"],
     )
 
 
@@ -492,19 +404,13 @@ def disc_dct(quick: bool = True) -> FigureResult:
     """DCT vs RC: scalable but packet-doubled and slower per message."""
     counts = (10, 120, 400) if quick else (10, 40, 120, 200, 400, 800)
     measure = 400 * US if quick else 1 * MS
-    dct_tput, rc_tput = [], []
-    for n in counts:
-        dct_tput.append(run_dct_outbound(
-            RawVerbConfig(n_clients=n, measure_ns=measure)).throughput_mops)
-        rc_tput.append(run_outbound_write(
-            RawVerbConfig(n_clients=n, measure_ns=measure)).throughput_mops)
     latency = compare_rc_dct_latency()
-    return FigureResult(
-        figure="Section 5.1 (DCT)",
-        title="Outbound writes: DCT (shared context) vs RC",
-        x_label="clients",
-        x_values=counts,
-        series={"DCT": dct_tput, "RC": rc_tput},
+    return _sweep(
+        "Section 5.1 (DCT)", "Outbound writes: DCT (shared context) vs RC", "clients", counts,
+        {
+            "DCT": lambda n: run_dct_outbound(RawVerbConfig(n_clients=n, measure_ns=measure)),
+            "RC": lambda n: run_outbound_write(RawVerbConfig(n_clients=n, measure_ns=measure)),
+        },
         notes=[
             f"single-message latency: RC {latency.rc_ns} ns vs DCT "
             f"{latency.dct_ns} ns (+{latency.dct_penalty_ns} ns when switching"
@@ -515,10 +421,6 @@ def disc_dct(quick: bool = True) -> FigureResult:
     )
 
 
-# ---------------------------------------------------------------------------
-# Ablations (design choices called out in DESIGN.md)
-# ---------------------------------------------------------------------------
-
 def disc_newer_hca(quick: bool = True) -> FigureResult:
     """Newer HCAs with larger caches (paper Section 5.1): ConnectX-4/5
     delay the collapse but, per eRPC's measurement the paper cites, still
@@ -528,32 +430,28 @@ def disc_newer_hca(quick: bool = True) -> FigureResult:
 
     counts = (40, 400, 1000, 3000, 5000) if not quick else (40, 400, 2000, 5000)
     measure = 300 * US if quick else 1 * MS
-    cx3 = None  # defaults: the paper's ConnectX-3 calibration
     # A newer-generation HCA: much larger connection caches and faster
-    # refetches — but still finite.
-    cx5 = NicParams(
-        conn_cache_entries=4096,
-        wqe_cache_entries=2500,
-        conn_miss_penalty_ns=250,
-        wqe_miss_penalty_ns=80,
-    )
-    series = {"ConnectX-3 (model)": [], "ConnectX-5-like (8x caches)": []}
-    for n in counts:
-        series["ConnectX-3 (model)"].append(run_outbound_write(
-            RawVerbConfig(n_clients=n, measure_ns=measure)).throughput_mops)
-        series["ConnectX-5-like (8x caches)"].append(run_outbound_write(
-            RawVerbConfig(n_clients=n, measure_ns=measure,
-                          server_nic_params=cx5)).throughput_mops)
-    return FigureResult(
-        figure="Section 5.1 (newer HCAs)",
-        title="Outbound RC writes: larger NIC caches only delay the collapse",
-        x_label="clients",
-        x_values=counts,
-        series=series,
+    # refetches — but still finite.  None is the paper's ConnectX-3
+    # calibration (the defaults).
+    cx5 = NicParams(conn_cache_entries=4096, wqe_cache_entries=2500,
+                    conn_miss_penalty_ns=250, wqe_miss_penalty_ns=80)
+    return _sweep(
+        "Section 5.1 (newer HCAs)",
+        "Outbound RC writes: larger NIC caches only delay the collapse", "clients", counts,
+        {
+            label: lambda n, nic=nic: run_outbound_write(RawVerbConfig(
+                n_clients=n, measure_ns=measure, server_nic_params=nic))
+            for label, nic in (("ConnectX-3 (model)", None),
+                               ("ConnectX-5-like (8x caches)", cx5))
+        },
         notes=["paper (citing eRPC): ConnectX-4/5 throughput still drops"
                " ~2x by 5000 connections"],
     )
 
+
+# ---------------------------------------------------------------------------
+# Ablations (design choices called out in DESIGN.md)
+# ---------------------------------------------------------------------------
 
 def abl_mechanisms(quick: bool = True) -> FigureResult:
     """Ablate requests warmup and connection prefetch across time slices.
@@ -563,7 +461,6 @@ def abl_mechanisms(quick: bool = True) -> FigureResult:
     connection prefetch removes the NIC-cache refetch stall at each
     group's first verbs.
     """
-    slices_us = (30, 100, 250)
     measure = 1500 * US if quick else 3 * MS
     variants = {
         "full (warmup+prefetch)": {},
@@ -571,20 +468,15 @@ def abl_mechanisms(quick: bool = True) -> FigureResult:
         "no prefetch": {"conn_prefetch_enabled": False},
         "neither": {"warmup_enabled": False, "conn_prefetch_enabled": False},
     }
-    series = {label: [] for label in variants}
-    for slice_us in slices_us:
-        for label, kwargs in variants.items():
-            result = run_rpc_experiment(RpcExperiment(
+    return _sweep(
+        "Ablation", "ScaleRPC mechanism ablation (120 clients, batch 4)",
+        "slice (us)", (30, 100, 250),
+        {
+            label: lambda slice_us, kwargs=kwargs: _rpc(
                 system="scalerpc", n_clients=120, batch_size=4,
-                time_slice_ns=slice_us * US,
-                warmup_ns=600 * US, measure_ns=measure, **kwargs))
-            series[label].append(result.throughput_mops)
-    return FigureResult(
-        figure="Ablation",
-        title="ScaleRPC mechanism ablation (120 clients, batch 4)",
-        x_label="slice (us)",
-        x_values=slices_us,
-        series=series,
+                time_slice_ns=slice_us * US, warmup_ns=600 * US, measure_ns=measure, **kwargs)
+            for label, kwargs in variants.items()
+        },
         notes=["warmup pipelines the next group's requests across the switch;"
                " disabling it reopens the slice-start gap (worst at small"
                " slices)"],
@@ -649,7 +541,8 @@ def fig_faults(quick: bool = True) -> FigureResult:
     is set shorter than the downtime, so the server *evicts* the dead
     client first — reclaiming its group slot and virtualized-pool region
     — and then readmits it on reconnect; group membership must come back
-    consistent.  All of this is asserted, not just plotted.
+    consistent.  All of this is checked (by claims on the series, or by
+    asserts on what is not in it), not just plotted.
 
     Part B — a crash storm against ScaleRPC: rate-driven crashes
     (exponential inter-arrival, drawn from the plan's own RNG substream)
@@ -694,16 +587,10 @@ def fig_faults(quick: bool = True) -> FigureResult:
             rpc_timeout_ns=rpc_timeout, lease_ns=lease,
         ))
         faults = result.faults
-        assert faults["injected"] >= 1, f"{system}: no fault injected"
-        assert faults["recovered"] >= 1, (
-            f"{system}: the crashed client never completed a request after"
-            f" restart: {faults['schedule']}"
-        )
+        # Injection, recovery and reconnects are claims on the series;
+        # the per-crash recovery times are not in it.
         assert all(lat < 2 * MS for lat in faults["recovery_ns"]), (
             f"{system}: unbounded recovery: {faults['recovery_ns']}"
-        )
-        assert faults["client_reconnects"] >= 1, (
-            f"{system}: recovery never rebuilt connection state"
         )
         if system == "scalerpc":
             health = faults["scalerpc"]
@@ -827,7 +714,8 @@ def fig_failover(quick: bool = True, backend: str = "sim") -> FigureResult:
     promoted (with its replay digest asserted), and every client
     re-homes — by push (view notice) or pull (watchdog escalation) —
     reposting in-flight requests that the replica log deduplicates.
-    Everything the section-15 story promises is asserted, not plotted:
+    Everything the section-15 story promises is checked, not plotted
+    (by claims on the series, or by asserts on what is not in it):
 
     - **availability**: the unavailability window (gap between the last
       pre-fault and first post-fault completion) is bounded, and
@@ -862,17 +750,14 @@ def fig_failover(quick: bool = True, backend: str = "sim") -> FigureResult:
             failovers,
         ]
 
+    # Lost ops, duplicates and the view epoch are claims on the series
+    # (the same rows on either backend); the rest is checked here, where
+    # the bounds can differ by backend.
     def check(result: dict, what: str, unavailable_bound_ns: int) -> None:
-        assert result["completed"] == result["total_ops"], (
-            f"{what}: lost ops: {result['completed']}/{result['total_ops']}"
-        )
-        assert result["duplicate_executions"] == 0, (
-            f"{what}: duplicate executions — exactly-once broken: {result}"
-        )
         assert result["replica_digests_agree"], (
             f"{what}: surviving replicas diverged: {result['group']}"
         )
-        assert result["view"]["epoch"] == 2 and result["view"]["changes"] == 1, (
+        assert result["view"]["changes"] == 1, (
             f"{what}: expected exactly one view change: {result['view']}"
         )
         assert result["group"]["promotions"] == 1, (
@@ -914,9 +799,6 @@ def fig_failover(quick: bool = True, backend: str = "sim") -> FigureResult:
         n_clients=4, ops_per_client=120, horizon_ns=4_000_000
     )
     baseline = run_replica_sim(replace(config, fail_primary_at_ns=None))
-    assert baseline["completed"] == baseline["total_ops"], (
-        f"healthy baseline lost ops: {baseline}"
-    )
     assert baseline["view"]["changes"] == 0, (
         f"healthy baseline changed views: {baseline['view']}"
     )
@@ -956,31 +838,12 @@ def fig_failover(quick: bool = True, backend: str = "sim") -> FigureResult:
     )
 
 
-ALL_FIGURES = {
-    "fig1a": fig1a,
-    "fig1b": fig1b,
-    "fig3a": fig3a,
-    "fig3b": fig3b,
-    "fig8_clients": fig8_clients,
-    "fig8_machines": fig8_machines,
-    "fig9": fig9,
-    "fig9_cdf": fig9_cdf,
-    "fig10": fig10,
-    "fig11a": fig11a,
-    "fig11b": fig11b,
-    "fig12": fig12,
-    "fig13": fig13,
-    "fig16a": fig16a,
-    "fig16b": fig16b,
-    "disc_transfer": disc_transfer,
-    "disc_dct": disc_dct,
-    "disc_newer_hca": disc_newer_hca,
-    "abl_mechanisms": abl_mechanisms,
-    "fig_overrun": fig_overrun,
-    "fig_faults": fig_faults,
-    "fig_real": fig_real,
-    "fig_failover": fig_failover,
-}
+ALL_FIGURES = {fn.__name__: fn for fn in (
+    fig1a, fig1b, fig3a, fig3b, fig8_clients, fig8_machines, fig9, fig9_cdf, fig10,
+    fig11a, fig11b, fig12, fig13, fig16a, fig16a_ro, fig16b,
+    disc_transfer, disc_dct, disc_newer_hca, abl_mechanisms,
+    fig_overrun, fig_faults, fig_real, fig_failover,
+)}
 
 #: Figures that take a ``backend`` argument (``--backend`` on the CLI).
 #: Everything else models RDMA hardware and only runs on the simulator.

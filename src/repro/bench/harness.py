@@ -23,8 +23,7 @@ from ..transport import Topology, bench_systems, get as get_transport
 from .metrics import LatencyRecorder, LatencyStats, throughput_mops
 
 __all__ = ["SYSTEMS", "RpcExperiment", "RpcResult", "run_rpc_experiment",
-           "MultiSeedResult", "run_multi_seed", "set_obs_export_dir",
-           "obs_export_dir"]
+           "set_obs_export_dir", "obs_export_dir"]
 
 #: When set (``python -m repro.bench --obs DIR``), every obs-enabled
 #: experiment also writes its artifact to DIR as JSONL plus a
@@ -157,38 +156,6 @@ def build_server(experiment: RpcExperiment, node: Node, handler, handler_cost_fn
         rpc_timeout_ns=experiment.rpc_timeout_ns,
         lease_ns=experiment.lease_ns,
     )
-
-
-@dataclass
-class MultiSeedResult:
-    """Throughput across several seeds, with spread."""
-
-    results: list[RpcResult]
-
-    @property
-    def throughputs(self) -> list[float]:
-        return [r.throughput_mops for r in self.results]
-
-    @property
-    def mean_mops(self) -> float:
-        values = self.throughputs
-        return sum(values) / len(values)
-
-    @property
-    def spread_mops(self) -> float:
-        """Half the min-max spread (a simple dispersion bound)."""
-        values = self.throughputs
-        return (max(values) - min(values)) / 2
-
-
-def run_multi_seed(experiment: RpcExperiment, seeds=(1, 2, 3)) -> MultiSeedResult:
-    """Run the same experiment under several RNG seeds."""
-    from dataclasses import replace
-
-    results = [
-        run_rpc_experiment(replace(experiment, seed=seed)) for seed in seeds
-    ]
-    return MultiSeedResult(results)
 
 
 def _assert_cqs_drained(topo: Topology) -> None:

@@ -26,6 +26,9 @@ class FigureResult:
     unit: str = "Mops/s"
     notes: list[str] = field(default_factory=list)
 
+    def __getitem__(self, label: str) -> Sequence[float]:
+        return self.series[label]
+
     def value(self, label: str, x) -> float:
         """Look up one measurement by series label and x value."""
         index = list(self.x_values).index(x)

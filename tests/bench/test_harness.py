@@ -83,25 +83,6 @@ class TestSmallRuns:
         assert result.window_ns >= 400_000
 
 
-class TestMultiSeed:
-    def test_multi_seed_runs_and_aggregates(self):
-        from repro.bench import RpcExperiment, run_multi_seed
-
-        experiment = RpcExperiment(
-            system="rawwrite",
-            n_clients=6,
-            n_client_machines=2,
-            warmup_ns=150_000,
-            measure_ns=300_000,
-        )
-        result = run_multi_seed(experiment, seeds=(1, 2))
-        assert len(result.results) == 2
-        assert result.mean_mops > 0
-        assert result.spread_mops >= 0
-        assert result.results[0].experiment.seed == 1
-        assert result.results[1].experiment.seed == 2
-
-
 class TestDrainPhase:
     @pytest.mark.no_sanitize  # manages its own sanitizer via sanitized_run
     def test_experiment_ends_with_zero_inflight_completions(self):

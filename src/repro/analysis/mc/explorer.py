@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from ...core.protocol import ProtocolError
-from ...sim.engine import Event, Process
+from ...sim.engine import Continuation, Event, Process
 from ..sanitize import SimSanitizer
 from .invariants import ProtocolObserver, Violation
 
@@ -111,14 +111,18 @@ class ScheduleController:
             self._owners[id(owner)] = owner
         return key
 
-    def actor_of(self, event: Event) -> Optional[str]:
+    def actor_of(self, event: Event | Continuation) -> Optional[str]:
         """Actor class of a ready event, or None for no-op deliveries.
 
-        The actor is whoever the first callback resumes: a waiting
-        :class:`Process` (by name), any other bound object (by type), or
-        the callback function itself.  Events with no callbacks are
-        unobservable to deliver and stay pinned to FIFO order.
+        A :class:`Continuation` is its own actor, by name (a verb flow's
+        ``write.#``, as the process it replaced).  For an event, the actor
+        is whoever the first callback resumes: a waiting :class:`Process`
+        (by name), any other bound object (by type), or the callback
+        function itself.  Events with no callbacks are unobservable to
+        deliver and stay pinned to FIFO order.
         """
+        if isinstance(event, Continuation):
+            return self._rank(event, event.name)
         for callback in event.callbacks:
             owner = getattr(callback, "__self__", None)
             if isinstance(owner, Process):

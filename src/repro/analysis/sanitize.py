@@ -8,10 +8,10 @@ with instrumented variants and collects violations into a single
 :class:`SanitizerReport`:
 
 - **Event delivery** (`sim/engine.py`): simulated time never decreases,
-  and events delivered at the same instant honour FIFO scheduling order
-  (the deque/heap invariant documented on :class:`~repro.sim.engine.Simulator`).
+  and deliveries at one instant (events and continuation steps) honour
+  FIFO order (the deque/heap invariant documented on :class:`~repro.sim.engine.Simulator`).
 - **Resources** (`sim/resources.py`): slots granted == released +
-  currently held, including the direct-handoff path of ``release()``.
+  currently held, including ``release()``'s handoff to any waiter.
 - **Queue pairs** (`rdma/qp.py`): state transitions stay inside
   ``ALLOWED_TRANSITIONS``, and receive WQEs are conserved
   (``recvs_posted == recvs_consumed + len(recv_queue)``).
@@ -50,7 +50,7 @@ from ..memsys.pcie import PcieCounters
 from ..rdma.cq import CompletionQueue
 from ..rdma.node import Node
 from ..rdma.qp import ALLOWED_TRANSITIONS, QueuePair
-from ..sim.engine import Event, Simulator
+from ..sim.engine import Continuation, Event, Simulator
 from ..sim.resources import Resource
 
 __all__ = [
@@ -222,7 +222,6 @@ class SimSanitizer:
         sanitizer = self
         orig_succeed = Event.succeed
         orig_fail = Event.fail
-        orig_deliver = Event._deliver
         orig_schedule = Simulator._schedule
 
         def succeed(event: Event, value: Any = None) -> Event:
@@ -236,44 +235,48 @@ class SimSanitizer:
         def _schedule(sim: Simulator, at: int, event: Event) -> None:
             # Future events get their stamp at scheduling time: the heap
             # delivers same-instant entries in seq (== stamp) order, ahead
-            # of anything succeed()-ed once that instant is reached.
+            # of anything succeed()-ed once that instant is reached.  A
+            # continuation enqueues itself only through here.
             sanitizer._stamp(event)
             orig_schedule(sim, at, event)
 
-        def _deliver(event: Event) -> None:
-            sim = event.sim
-            state = sanitizer._sim_state.get(id(sim))
-            if state is None:
-                state = {"sim": sim, "time": -1, "stamp": -1}
-                sanitizer._sim_state[id(sim)] = state
-                sanitizer._bump("sims")
-            now = sim.now
-            if now < state["time"]:
-                sanitizer._finding(
-                    "time-monotone",
-                    f"delivery at t={now} after t={state['time']}",
-                )
-            elif now > state["time"]:
-                state["time"] = now
-                state["stamp"] = -1
-            stamp = sanitizer._stamps.pop(id(event), None)
-            if stamp is not None:
-                if stamp <= state["stamp"]:
+        def checked(orig_deliver: Callable[[Any], None]) -> Callable[[Any], None]:
+            def _deliver(event: Any) -> None:
+                sim = event.sim
+                state = sanitizer._sim_state.get(id(sim))
+                if state is None:
+                    state = {"sim": sim, "time": -1, "stamp": -1}
+                    sanitizer._sim_state[id(sim)] = state
+                    sanitizer._bump("sims")
+                now = sim.now
+                if now < state["time"]:
                     sanitizer._finding(
-                        "fifo-order",
-                        f"t={now}: event stamped #{stamp} delivered after "
-                        f"#{state['stamp']} of the same instant",
+                        "time-monotone",
+                        f"delivery at t={now} after t={state['time']}",
                     )
-                else:
-                    state["stamp"] = stamp
-            sanitizer._delivered += 1
-            if sanitizer._delivered % PCIE_SAMPLE_PERIOD == 0:
-                sanitizer._check_pcie()
-            orig_deliver(event)
+                elif now > state["time"]:
+                    state["time"] = now
+                    state["stamp"] = -1
+                stamp = sanitizer._stamps.pop(id(event), None)
+                if stamp is not None:
+                    if stamp <= state["stamp"]:
+                        sanitizer._finding(
+                            "fifo-order",
+                            f"t={now}: event stamped #{stamp} delivered after "
+                            f"#{state['stamp']} of the same instant",
+                        )
+                    else:
+                        state["stamp"] = stamp
+                sanitizer._delivered += 1
+                if sanitizer._delivered % PCIE_SAMPLE_PERIOD == 0:
+                    sanitizer._check_pcie()
+                orig_deliver(event)
+            return _deliver
 
         self._patch(Event, "succeed", succeed)
         self._patch(Event, "fail", fail)
-        self._patch(Event, "_deliver", _deliver)
+        self._patch(Event, "_deliver", checked(Event._deliver))
+        self._patch(Continuation, "_deliver", checked(Continuation._deliver))
         self._patch(Simulator, "_schedule", _schedule)
 
     # -- resources: slot conservation -------------------------------------
@@ -281,7 +284,7 @@ class SimSanitizer:
     def _install_resources(self) -> None:
         sanitizer = self
         orig_init = Resource.__init__
-        orig_request = Resource.request
+        orig_acquire = Resource.acquire
         orig_release = Resource.release
 
         def __init__(resource: Resource, *args, **kwargs) -> None:
@@ -292,12 +295,14 @@ class SimSanitizer:
             )
             sanitizer._bump("resources")
 
-        def request(resource: Resource) -> Event:
-            event = orig_request(resource)
+        def acquire(resource: Resource, waiter: Any) -> None:
+            # request() and every continuation grant come through here; a
+            # queued waiter is counted at the release that hands it over.
+            in_use = resource._in_use
+            orig_acquire(resource, waiter)
             entry = sanitizer._resources.get(id(resource))
-            if entry is not None and event.triggered:
+            if entry is not None and resource._in_use > in_use:
                 entry[1]["acquired"] += 1
-            return event
 
         def release(resource: Resource) -> None:
             # A release with waiters hands the slot over: one release plus
@@ -320,7 +325,7 @@ class SimSanitizer:
                 )
 
         self._patch(Resource, "__init__", __init__)
-        self._patch(Resource, "request", request)
+        self._patch(Resource, "acquire", acquire)
         self._patch(Resource, "release", release)
 
     # -- queue pairs: state machine + recv WQE conservation ---------------

@@ -22,7 +22,7 @@ wire latency to completion timing in the verb layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Hashable, Optional
+from typing import Hashable, Optional
 
 from ..memsys.cache import LruCache
 from ..memsys.llc import LastLevelCache
@@ -125,18 +125,19 @@ class Nic:
             self.counters.pcie_rd_cur += self.params.conn_miss_fetch_lines
         self.conn_cache.insert(key)
 
-    # -- pipeline stages (drive with ``yield from``) -----------------------
+    # -- pipeline stages -------------------------------------------------
     #
-    # Each stage touches the caches when called and returns the pipeline
-    # hold (``Resource.use``) carrying its result, so a stage costs the
-    # process one generator.
+    # Each stage is a cost function: it touches the caches and accounts
+    # the DMA and the stats when called, and returns the ``pipeline`` hold
+    # in ns.  A verb flow holds the pipeline for it from its continuation;
+    # a process does ``yield from nic.pipeline.use(hold)``.
 
     def tx(
         self,
         conn_key: Optional[Hashable],
         payload_addr: Optional[int],
         size: int,
-    ) -> Generator:
+    ) -> tuple[int, int]:
         """Transmit-side processing of one verb.
 
         ``conn_key`` is the QP identity for connected transports (None for
@@ -155,9 +156,9 @@ class Nic:
         if payload_addr is not None and size > 0:
             self.llc.dma_read(payload_addr, size)
         self.stats.tx_ops += 1
-        return self.pipeline.use(service, (service, stall))
+        return service, stall
 
-    def rx_write(self, addr: int, size: int) -> Generator:
+    def rx_write(self, addr: int, size: int) -> int:
         """Receive-side processing of an inbound payload (DMA write).
 
         Per the paper, this path does not consult the connection cache; its
@@ -165,11 +166,10 @@ class Nic:
         """
         result = self.llc.dma_write(addr, size)
         stalls = min(result.allocations, self.params.ddio_alloc_stall_cap)
-        service = self.params.rx_base_ns + stalls * self.params.ddio_alloc_penalty_ns
         self.stats.rx_ops += 1
-        return self.pipeline.use(service, service)
+        return self.params.rx_base_ns + stalls * self.params.ddio_alloc_penalty_ns
 
-    def rx_write_scatter(self, segments: list[tuple[int, int]]) -> Generator:
+    def rx_write_scatter(self, segments: list[tuple[int, int]]) -> int:
         """Receive-side processing of a scatter-gather DMA landing: one
         pipeline occupancy covering several (addr, size) segments (e.g. a
         warmup READ depositing each fetched message into its own block)."""
@@ -179,20 +179,18 @@ class Nic:
             result = self.llc.dma_write(addr, size)
             service += min(result.allocations, cap) * self.params.ddio_alloc_penalty_ns
         self.stats.rx_ops += 1
-        return self.pipeline.use(service, service)
+        return service
 
-    def rx_control(self) -> Generator:
+    def rx_control(self) -> int:
         """Receive-side processing of a payload-free packet (e.g. a READ
         request arriving at the target)."""
         self.stats.rx_ops += 1
-        service = self.params.rx_base_ns
-        return self.pipeline.use(service, service)
+        return self.params.rx_base_ns
 
-    def serve_read(self, addr: int, size: int) -> Generator:
+    def serve_read(self, addr: int, size: int) -> int:
         """Target-side service of an RDMA READ: DMA-read the payload,
         occupy the pipeline for base + serialization time, all without
         involving the target CPU."""
         self.llc.dma_read(addr, size)
         self.stats.rx_ops += 1
-        service = self.params.rx_base_ns + int(size / self.params.link_bytes_per_ns)
-        return self.pipeline.use(service, service)
+        return self.params.rx_base_ns + int(size / self.params.link_bytes_per_ns)

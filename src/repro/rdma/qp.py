@@ -153,7 +153,7 @@ class QueuePair:
 
     @property
     def is_ready(self) -> bool:
-        return self.state is QpState.RTS
+        return self._state is QpState.RTS
 
     def connect(self, peer: "QueuePair") -> None:
         """Connect two RC/UC QPs (both transition to RTS)."""

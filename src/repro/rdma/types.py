@@ -40,14 +40,16 @@ class Transport(enum.Enum):
     UC = "UC"  # Unreliable Connection
     UD = "UD"  # Unreliable Datagram
 
+    __hash__ = object.__hash__  # Enum's hashes the name in Python: slow per verb
+
     @property
     def is_connected(self) -> bool:
         """RC and UC require a connection (one QP per peer)."""
-        return self is not Transport.UD
+        return self._value_ != "UD"  # not ``Transport.UD``: a slow class lookup
 
     @property
     def is_reliable(self) -> bool:
-        return self is Transport.RC
+        return self._value_ == "RC"
 
 
 class Opcode(enum.Enum):
@@ -59,6 +61,7 @@ class Opcode(enum.Enum):
     WRITE_IMM = "write_imm"
     READ = "read"
     ATOMIC = "atomic"
+    __hash__ = object.__hash__  # as Transport's: members compare by identity
 
 
 # Table 1 of the paper: verb support per transport.

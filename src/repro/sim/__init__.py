@@ -4,6 +4,7 @@ from .engine import (
     NS_PER_S,
     AllOf,
     AnyOf,
+    Continuation,
     Event,
     Interrupt,
     Process,
@@ -18,6 +19,7 @@ __all__ = [
     "NS_PER_S",
     "AllOf",
     "AnyOf",
+    "Continuation",
     "Event",
     "Interrupt",
     "Process",

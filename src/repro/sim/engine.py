@@ -6,8 +6,8 @@ are resumed when those events trigger.  Simulated time is an integer number
 of nanoseconds; the kernel never consults the wall clock, so runs are fully
 reproducible.
 
-The kernel is deliberately small: events, timeouts, processes, and a
-scheduler.  Resources and stores build on top of it in
+The kernel is deliberately small: events, timeouts, processes,
+continuations, and a scheduler.  Resources and stores build on top of it in
 :mod:`repro.sim.resources`.
 
 Example
@@ -34,6 +34,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
+    "Continuation",
     "AnyOf",
     "AllOf",
     "Simulator",
@@ -248,6 +249,35 @@ class Process(Event):
             return
 
 
+class Continuation:
+    """A flow the kernel steps itself, with no generator and no events.
+
+    The ready FIFO and the heap hold anything with a ``_deliver()``; a
+    continuation's runs ``step(self)``.  It enqueues itself where a
+    process would create its bootstrap event, a timeout or a grant, so
+    every hop keeps its ``(time, seq)``; finishing enqueues nothing.
+    ``step`` is a plain function, never a bound method stored on the
+    object (a reference cycle per flow, with GC paused in ``run()``).
+    """
+
+    __slots__ = ("sim", "step")
+    name = "continuation"  # actor name for the model checker
+
+    def _deliver(self) -> None:
+        self.step(self)
+
+    def after(self, delay: int, step: Callable[["Continuation"], None]) -> None:
+        """Run ``step`` ``delay`` ns from now: a timeout's hop."""
+        self.step = step
+        sim = self.sim
+        sim._schedule(sim.now + delay, self)
+
+    def succeed(self, _value: Any = None) -> None:
+        """Run ``step`` now: a succeeded event's hop, and a Resource grant."""
+        sim = self.sim
+        sim._schedule(sim.now, self)
+
+
 class AnyOf(Event):
     """Triggers when the first of ``events`` triggers.
 
@@ -324,6 +354,7 @@ class Simulator:
 
     def __init__(self):
         self.now: int = 0
+        #: Both hold events and continuations: anything with ``_deliver()``.
         self._queue: list[tuple[int, int, Event]] = []
         #: Same-instant delivery FIFO (the fast path).
         self._ready: deque[Event] = deque()
@@ -344,8 +375,8 @@ class Simulator:
         if at == self.now:
             self._ready.append(event)
             return
-        self._seq += 1
-        heapq.heappush(self._queue, (at, self._seq, event))
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._queue, (at, seq, event))
 
     # -- public API -----------------------------------------------------
 

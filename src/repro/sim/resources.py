@@ -5,15 +5,16 @@
 - :class:`Store` — an unbounded FIFO queue of items with blocking ``get``.
 
 Both integrate with :mod:`repro.sim.engine` by returning events that
-processes ``yield`` on.
+processes ``yield`` on; a :class:`Resource` also queues continuations
+(:meth:`Resource.acquire`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Optional, Union
 
-from .engine import Event, SimulationError, Simulator
+from .engine import Continuation, Event, SimulationError, Simulator
 
 __all__ = ["Resource", "Store"]
 
@@ -41,7 +42,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        self._waiters: deque[Union[Event, Continuation]] = deque()
         # Aggregate accounting for utilization reporting.
         self.total_busy_ns = 0
         self._busy_since: Optional[int] = None
@@ -53,7 +54,7 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        """Number of processes waiting for a slot."""
+        """Number of waiters (processes or continuations) queued for a slot."""
         return len(self._waiters)
 
     def _note_busy_edge(self) -> None:
@@ -66,19 +67,25 @@ class Resource:
     def request(self) -> Event:
         """Return an event that triggers when a slot is granted."""
         event = Event(self.sim)
+        self.acquire(event)
+        return event
+
+    def acquire(self, waiter: Union[Event, Continuation]) -> None:
+        """Grant ``waiter`` a slot (``waiter.succeed(self)``) now if one is
+        free, else at the release that frees one; events and continuations
+        wait in one FIFO."""
         if self._in_use < self.capacity:
             self._in_use += 1
             self._note_busy_edge()
-            event.succeed(self)
+            waiter.succeed(self)
         else:
-            self._waiters.append(event)
+            self._waiters.append(waiter)
         # Occupancy bound, always on (graduated from SimSanitizer): a
         # grant may never push occupancy past capacity or below zero.
         assert 0 <= self._in_use <= self.capacity, (
             f"resource {self.name!r}: in_use={self._in_use} "
             f"outside [0, {self.capacity}]"
         )
-        return event
 
     def release(self) -> None:
         """Release one held slot, granting it to the next waiter if any."""
@@ -95,19 +102,16 @@ class Resource:
             f"outside [0, {self.capacity}]"
         )
 
-    def use(self, duration: int, result: Any = None) -> Generator:
+    def use(self, duration: int) -> Generator:
         """Acquire a slot, hold it for ``duration`` ns, release it.
 
-        Use as ``yield from resource.use(ns)``; the expression's value is
-        ``result``, so a stage that worked out its hold time (and what it
-        reports about it) before queueing needs no generator of its own.
+        Use as ``yield from resource.use(ns)``.
         """
         yield self.request()
         try:
             yield self.sim.timeout(duration)
         finally:
             self.release()
-        return result
 
     def utilization(self, elapsed_ns: Optional[int] = None) -> float:
         """Fraction of time at least one slot was busy.

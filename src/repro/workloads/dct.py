@@ -53,17 +53,17 @@ class DctInitiator:
             # Inline connect message establishes the remote context; the
             # previous context is destroyed on switch.
             self.connects += 1
-            yield from nic.tx(None, None, _CONNECT_BYTES)
+            yield from nic.pipeline.use(nic.tx(None, None, _CONNECT_BYTES)[0])
             yield sim.timeout(fabric.params.latency_ns)
-            yield from target.nic.rx_control()
+            yield from target.nic.pipeline.use(target.nic.rx_control())
             # Hardware connect response returns before data flows.
             yield sim.timeout(fabric.params.latency_ns)
             self._connected_to = target
         yield sim.timeout(nic.params.mmio_doorbell_ns)
         # Data transmission: shared context, so no connection-cache key.
-        yield from nic.tx(None, src_addr, size)
+        yield from nic.pipeline.use(nic.tx(None, src_addr, size)[0])
         yield sim.timeout(fabric.params.latency_ns)
-        yield from target.nic.rx_write(dst_addr, size)
+        yield from target.nic.pipeline.use(target.nic.rx_write(dst_addr, size))
         if payload is not None:
             target.store(dst_addr, payload)
         self.data_messages += 1

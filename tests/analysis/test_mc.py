@@ -103,3 +103,45 @@ def test_cli_list(capsys):
     out = capsys.readouterr().out
     for name in SCENARIOS:
         assert name in out
+
+
+def test_ready_verb_flows_rank_by_verb_name():
+    """A ready verb flow is its own actor, ranked ``<verb>.#/<nth>`` as
+    the process it replaced; an event resuming a process still ranks by
+    the process's name."""
+    from repro.analysis.mc.explorer import ScheduleController
+    from repro.rdma import (
+        Fabric,
+        Node,
+        Transport,
+        post_cas,
+        post_read,
+        post_send,
+        post_write,
+    )
+    from repro.sim import Simulator
+
+    sim = Simulator()
+    fabric = Fabric(sim)
+    a, b = Node(sim, "a", fabric), Node(sim, "b", fabric)
+    qp_a, qp_b = a.create_qp(Transport.RC), b.create_qp(Transport.RC)
+    qp_a.connect(qp_b)
+    src, dst = a.register_memory(4096).range.base, b.register_memory(4096).range.base
+    post_write(qp_a, src, dst, 32)
+    post_write(qp_a, src, dst, 32, imm_data=1)
+    post_send(qp_a, 32, local_addr=src)
+    post_read(qp_a, src, dst, 32)
+    post_cas(qp_a, src, dst + 8, 0, 1)
+
+    def worker(sim):
+        yield sim.timeout(0)
+
+    sim.process(worker(sim), name="worker7")
+    controller = ScheduleController()
+    assert [controller.actor_of(item) for item in sim._ready] == [
+        "write.#/0", "write.#/1", "send.#/0", "read.#/0", "atomic.#/0", "worker#/0",
+    ]
+    # Ranks are per object: the same flow keeps its class at a later hop.
+    flow = sim._ready[0]
+    sim.step()
+    assert controller.actor_of(flow) == "write.#/0"

@@ -15,7 +15,17 @@ import gc
 import pytest
 
 from repro.bench import RpcExperiment, run_rpc_experiment
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, FaultSpec
+from repro.rdma import (
+    Fabric,
+    Node,
+    QpState,
+    Transport,
+    WireParams,
+    post_recv,
+    post_send,
+    post_write,
+)
 from repro.sim import Simulator
 from repro.txn import SmallBankConfig, TxnClusterConfig, run_smallbank
 
@@ -50,6 +60,35 @@ def _smallbank():
     ))
 
 
+def _verb_retries():
+    """RC retransmits on a lossy fabric, plus RNR retries (no RPC system
+    enables them) that succeed and that run out, straight on the verbs."""
+    sim = Simulator()
+    fabric = Fabric(sim, WireParams(rc_loss_rate=0.3), seed=5)
+    a, b = Node(sim, "a", fabric), Node(sim, "b", fabric)
+    src = a.register_memory(4096).range.base
+    dst = b.register_memory(1 << 16).range.base
+    qps = []
+    for i in range(4):
+        qp, peer = a.create_qp(Transport.RC), b.create_qp(Transport.RC)
+        qp.connect(peer)
+        qp.rnr_retry = 3 * (i % 2)
+        qps.append((qp, peer))
+        for j in range(4):
+            post_write(qp, src, dst + 256 * i + 64 * j, 32, payload=j)
+        post_send(qp, 32, local_addr=src)
+
+    def late_recv():
+        yield sim.timeout(20_000)
+        post_recv(qps[1][1], dst + 4096, 64)
+
+    sim.process(late_recv(), name="late-recv")
+    sim.run()
+    assert sum(qp.retransmits for qp, _ in qps) > 0
+    assert [qp.rnr_retries > 0 for qp, _ in qps] == [False, True, False, True]
+    assert any(qp.state is QpState.ERROR for qp, _ in qps)
+
+
 WORKLOADS = {
     "scalerpc_echo": _echo("scalerpc"),
     "rawwrite_echo": _echo("rawwrite"),
@@ -60,6 +99,15 @@ WORKLOADS = {
         rpc_timeout_ns=50 * US,
         lease_ns=100 * US,
     ),
+    "scalerpc_rc_loss": _echo(
+        "scalerpc",
+        fault_plan=FaultPlan.of([FaultSpec(
+            "link_degrade", at_ns=150 * US, duration_ns=150 * US, rc_loss_rate=0.3,
+        )]),
+        rpc_timeout_ns=50 * US,
+        lease_ns=100 * US,
+    ),
+    "verb_retries": _verb_retries,
 }
 
 

@@ -114,12 +114,12 @@ class ScheduleController:
     def actor_of(self, event: Event | Continuation) -> Optional[str]:
         """Actor class of a ready event, or None for no-op deliveries.
 
-        A :class:`Continuation` is its own actor, by name (a verb flow's
-        ``write.#``, as the process it replaced).  For an event, the actor
-        is whoever the first callback resumes: a waiting :class:`Process`
-        (by name), any other bound object (by type), or the callback
-        function itself.  Events with no callbacks are unobservable to
-        deliver and stay pinned to FIFO order.
+        A :class:`Continuation` is its own actor, by the name of the process
+        it replaced (``write.#``, ``rpcsrv.worker#``, ``c#.cpu`` ...).  For
+        an event, the actor is whoever the first callback resumes: a
+        waiting :class:`Process` (by name), any other bound object (by
+        type), or the callback function itself.  Events with no callbacks
+        are unobservable to deliver and stay pinned to FIFO order.
         """
         if isinstance(event, Continuation):
             return self._rank(event, event.name)

@@ -25,6 +25,7 @@ from ..core.api import (
     RECONNECT_MAX_ATTEMPTS,
     RpcClientApi,
     RpcServerApi,
+    ServerWorker,
 )
 from ..core.config import CpuCostModel
 from ..core.message import RpcRequest, RpcResponse
@@ -97,6 +98,57 @@ class _ClientBinding:
     send_ref: Any  # transport-specific response destination
 
 
+class _Worker(ServerWorker):
+    """A working thread executing the requests dispatched to its store."""
+
+    __slots__ = ("binding", "obs", "response")
+
+    def execute(self) -> None:
+        server = self.server
+        request, addr = self.item
+        self.binding = server.bindings.get(request.client_id)
+        if self.binding is None:
+            server.stats.dropped += 1
+            self.store.take(self)
+            return
+        self.obs = obs = server.node.fabric.obs
+        self.start = now = self.sim.now
+        if obs is not None:
+            obs.rpc_stage(request.req_id, "exec", now)
+        cost = server.config.costs.server_request_ns
+        if addr is not None:
+            cost += server.node.llc.cpu_access(addr, request.wire_bytes).cost_ns
+        cost += server.handler_cost_fn(request)
+        self.after(cost, _Worker.respond)
+
+    def respond(self) -> None:
+        server = self.server
+        request = self.item[0]
+        result = server.handler(request)
+        data_bytes = server.response_bytes
+        if callable(data_bytes):
+            data_bytes = data_bytes(request, result)
+        self.response = response = RpcResponse(
+            req_id=request.req_id, client_id=request.client_id, payload=result,
+            data_bytes=data_bytes)
+        size = response.wire_bytes
+        scratch = server._scratch_cursor.next(size)
+        self.after(server.node.llc.cpu_access(scratch, size, write=True).cost_ns,
+                   _Worker.send)
+
+    def send(self) -> None:
+        server = self.server
+        server._send_response(self.binding, self.response)
+        server.stats.completed += 1
+        obs = self.obs
+        if obs is not None:
+            request = self.item[0]
+            obs.rpc_stage(request.req_id, "done", self.sim.now)
+            obs.span(f"server.{server.node.name}.worker{self.index}",
+                     request.rpc_type, self.start, self.sim.now)
+        self.take()
+
+
 class BaseRpcServer(RpcServerApi):
     """Worker-thread scaffolding shared by all baselines.
 
@@ -155,7 +207,7 @@ class BaseRpcServer(RpcServerApi):
             raise RuntimeError("server already started")
         self._started = True
         for i in range(self.config.n_server_threads):
-            self.sim.process(self._worker(i), name=f"baseline.worker{i}")
+            _Worker(self, i, self._stores[i], f"baseline.worker{i}")
 
     def worker_index(self, client_id: int) -> int:
         return client_id % self.config.n_server_threads
@@ -175,48 +227,6 @@ class BaseRpcServer(RpcServerApi):
             self.dispatch(event.payload, event.addr)
 
     # -- execution ---------------------------------------------------------------
-
-    def _worker(self, index: int) -> Generator:
-        store = self._stores[index]
-        while True:
-            request, addr = yield store.get()
-            binding = self.bindings.get(request.client_id)
-            if binding is None:
-                self.stats.dropped += 1
-                continue
-            obs = self.node.fabric.obs
-            start = self.sim.now
-            if obs is not None:
-                obs.rpc_stage(request.req_id, "exec", start)
-            cost = self.config.costs.server_request_ns
-            if addr is not None:
-                cost += self.node.llc.cpu_access(addr, request.wire_bytes).cost_ns
-            cost += self.handler_cost_fn(request)
-            yield self.sim.timeout(cost)
-            result = self.handler(request)
-            data_bytes = (
-                self.response_bytes(request, result)
-                if callable(self.response_bytes)
-                else self.response_bytes
-            )
-            response = RpcResponse(
-                req_id=request.req_id,
-                client_id=request.client_id,
-                payload=result,
-                data_bytes=data_bytes,
-            )
-            size = response.wire_bytes
-            scratch = self._scratch_cursor.next(size)
-            write_cost = self.node.llc.cpu_access(scratch, size, write=True).cost_ns
-            yield self.sim.timeout(write_cost)
-            self._send_response(binding, response)
-            self.stats.completed += 1
-            if obs is not None:
-                obs.rpc_stage(request.req_id, "done", self.sim.now)
-                obs.span(
-                    f"server.{self.node.name}.worker{index}",
-                    request.rpc_type, start, self.sim.now,
-                )
 
     def _response_scratch(self, size: int) -> int:
         return self._scratch_cursor.next(size)

@@ -20,12 +20,12 @@ from typing import Any, Generator, Optional
 
 from ..rdma.mr import Access
 from ..rdma.node import Node
-from ..sim.engine import Event
+from ..sim.engine import Continuation, Event
 from .interface import CallHandle, RpcCallerInterface, RpcServiceInterface
 from .message import RpcRequest, RpcResponse
 
 __all__ = ["QPC_SETUP_NS", "RECONNECT_BACKOFF_NS", "RECONNECT_MAX_ATTEMPTS", "CallHandle",
-           "RpcClientApi", "RpcServerApi"]
+           "RpcClientApi", "RpcServerApi", "ServerWorker"]
 
 # -- client recovery policy (DESIGN.md section 10) ---------------------------
 #: Bounded reconnect: attempts per recovery, and the first backoff period
@@ -118,18 +118,8 @@ class RpcClientApi(RpcCallerInterface):
         """Charge ``ns`` of machine CPU without blocking the caller."""
         if ns <= 0:
             return
-        sim = self.machine.sim
         self._deferred_inflight += 1
-
-        def run():
-            yield from self.machine.cpu.use(ns)
-            self._deferred_inflight -= 1
-            waiter = self._deferred_waiter
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed()
-                self._deferred_waiter = None
-
-        sim.process(run(), name=f"c{self.client_id}.cpu")
+        _CpuCharge(self, ns)
 
     def _cpu_backpressure(self) -> Generator:
         """Stall while this client's deferred-CPU window is full (or the
@@ -288,6 +278,59 @@ class RpcClientApi(RpcCallerInterface):
         yield from self.flush()
         responses = yield from self.poll_completions([handle])
         return responses[0]
+
+
+class _CpuCharge(Continuation):
+    """One deferred CPU charge: start, a core's grant, the hold, then the
+    release that frees a window slot and wakes a stalled posting loop."""
+
+    __slots__ = ("client", "ns")
+
+    def __init__(self, client: RpcClientApi, ns: int):
+        self.sim = sim = client.machine.sim
+        self.client, self.ns = client, ns
+        self.step = _CpuCharge.acquire
+        sim._schedule(sim.now, self)
+
+    name = property(lambda self: f"c{self.client.client_id}.cpu")
+
+    def acquire(self) -> None:
+        self.step = _CpuCharge.hold
+        self.client.machine.cpu.acquire(self)
+
+    def hold(self) -> None:
+        self.after(self.ns, _CpuCharge.release)
+
+    def release(self) -> None:
+        client = self.client
+        client.machine.cpu.release()
+        client._deferred_inflight -= 1
+        waiter = client._deferred_waiter
+        if waiter is not None and not waiter.triggered:
+            waiter.succeed()
+            client._deferred_waiter = None
+
+
+class ServerWorker(Continuation):
+    """A server working thread: takes the next item from its ``Store`` and
+    steps through the subclass's ``execute`` and the steps it schedules."""
+
+    __slots__ = ("server", "index", "store", "name", "item", "start")
+
+    def __init__(self, server: Any, index: int, store: Any, name: str):
+        self.sim = sim = server.sim
+        self.server, self.index, self.store, self.name = server, index, store, name
+        self.step = type(self).take
+        sim._schedule(sim.now, self)
+
+    def succeed(self, item: Any) -> None:
+        """The store's hand-off: run ``execute`` on ``item`` next."""
+        self.item = item
+        self.sim._schedule(self.sim.now, self)
+
+    def take(self) -> None:
+        self.step = type(self).execute
+        self.store.take(self)
 
 
 class RpcServerApi(RpcServiceInterface):

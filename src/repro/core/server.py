@@ -33,7 +33,7 @@ from ..rdma.node import InboundWrite, Node, create_qp_pair
 from ..rdma.types import Transport
 from ..rdma.verbs import post_read, post_write
 from ..sim.resources import Store
-from .api import RpcServerApi
+from .api import RpcServerApi, ServerWorker
 from .client import ScaleRpcClient
 from .config import ScaleRpcConfig
 from .grouping import ClientContext, ConnectionGroup, GroupManager
@@ -99,6 +99,86 @@ class _WorkItem:
     ctx: ClientContext
     slot: int
     epoch: int
+
+
+class _Worker(ServerWorker):
+    """A working thread executing the requests routed to its store."""
+
+    __slots__ = ()
+
+    def execute(self) -> None:
+        server = self.server
+        item = self.item
+        if item.epoch != server.epoch:
+            server.stats.stale_drops += 1
+            self.store.take(self)
+            return
+        server._busy_workers += 1
+        self.start = now = self.sim.now
+        request = item.request
+        obs = server.node.fabric.obs
+        if obs is not None:
+            obs.rpc_stage(request.req_id, "exec", now)
+        # Poll/read the message out of the pool: mechanistic LLC cost.
+        access = server.node.llc.cpu_access(item.addr, request.wire_bytes)
+        base_cost = access.cost_ns + server.config.costs.server_request_ns
+        if request.req_id in item.ctx.recent_completed:
+            # Duplicate of an already-executed request (a retry that raced
+            # its own response): respond again without re-executing.
+            server.stats.duplicate_requests += 1
+            self.after(base_cost, _Worker.respond_again)
+            return
+        handler_cost = server.handler_cost_fn(request)
+        if request.rpc_type in server._legacy_types:
+            self.after(base_cost, _Worker.to_legacy)
+            return
+        if handler_cost > server.config.long_rpc_threshold_ns:
+            # First sighting of a long RPC: it would be half-executed when
+            # the switch arrives.  Fail it; retries run in legacy mode.
+            server._legacy_types.add(request.rpc_type)
+            server.stats.failed_long_rpcs += 1
+            self.after(base_cost, _Worker.fail_long)
+            return
+        self.after(base_cost + handler_cost, _Worker.run_handler)
+
+    def respond_again(self) -> None:
+        item = self.item
+        self.after(self.server._respond(item.ctx, item.request, None), _Worker.finish)
+
+    def to_legacy(self) -> None:
+        self.server._legacy_store.put(self.item)
+        self.finish()
+
+    def fail_long(self) -> None:
+        item = self.item
+        self.after(self.server._respond(item.ctx, item.request, None, failed=True), _Worker.finish)
+
+    def run_handler(self) -> None:
+        server = self.server
+        ctx, request = self.item.ctx, self.item.request
+        result = server.handler(request)
+        if result is NO_RESPONSE:
+            # The handler chose silence (dead/fenced/non-primary replica):
+            # no response frame, no dedup entry — the client's watchdog is
+            # the failure detector.
+            server.stats.suppressed_responses += 1
+            self.finish()
+            return
+        server._remember(ctx, request.req_id)
+        self.after(server._respond(ctx, request, result), _Worker.completed)
+
+    def completed(self) -> None:
+        self.server.stats.completed += 1
+        self.finish()
+
+    def finish(self) -> None:
+        server = self.server
+        server._busy_workers -= 1
+        obs = server.node.fabric.obs
+        if obs is not None:
+            obs.span(f"server.{server.node.name}.worker{self.index}",
+                     self.item.request.rpc_type, self.start, self.sim.now)
+        self.take()
 
 
 class ScaleRpcServer(RpcServerApi):
@@ -362,7 +442,7 @@ class ScaleRpcServer(RpcServerApi):
             raise RuntimeError("server already started")
         self._started = True
         for i in range(self.config.n_server_threads):
-            self.sim.process(self._worker(i), name=f"rpcsrv.worker{i}")
+            _Worker(self, i, self._worker_stores[i], f"rpcsrv.worker{i}")
         self.sim.process(self._legacy_worker(), name="rpcsrv.legacy")
         self.sim.process(self._scheduler_loop(), name="rpcsrv.sched")
         # Leases are opt-in: with lease_ns == 0 no reaper process exists
@@ -734,68 +814,6 @@ class ScaleRpcServer(RpcServerApi):
             self.stats.explicit_notices += 1
 
     # -- request execution ------------------------------------------------------
-
-    def _worker(self, index: int) -> Generator:
-        store = self._worker_stores[index]
-        while True:
-            item: _WorkItem = yield store.get()
-            if item.epoch != self.epoch:
-                self.stats.stale_drops += 1
-                continue
-            self._busy_workers += 1
-            start = self.sim.now
-            try:
-                yield from self._execute(item)
-            finally:
-                self._busy_workers -= 1
-                obs = self.node.fabric.obs
-                if obs is not None:
-                    obs.span(
-                        f"server.{self.node.name}.worker{index}",
-                        item.request.rpc_type, start, self.sim.now,
-                    )
-
-    def _execute(self, item: _WorkItem) -> Generator:
-        request = item.request
-        ctx = item.ctx
-        obs = self.node.fabric.obs
-        if obs is not None:
-            obs.rpc_stage(request.req_id, "exec", self.sim.now)
-        # Poll/read the message out of the pool: mechanistic LLC cost.
-        access = self.node.llc.cpu_access(item.addr, request.wire_bytes)
-        base_cost = access.cost_ns + self.config.costs.server_request_ns
-        if request.req_id in ctx.recent_completed:
-            # Duplicate of an already-executed request (a retry that raced
-            # its own response): respond again without re-executing.
-            self.stats.duplicate_requests += 1
-            yield self.sim.timeout(base_cost)
-            yield self.sim.timeout(self._respond(ctx, request, None))
-            return
-        handler_cost = self.handler_cost_fn(request)
-        if request.rpc_type in self._legacy_types:
-            yield self.sim.timeout(base_cost)
-            self._legacy_store.put(item)
-            return
-        if handler_cost > self.config.long_rpc_threshold_ns:
-            # First sighting of a long RPC: it would be half-executed when
-            # the switch arrives.  Fail it; retries run in legacy mode.
-            self._legacy_types.add(request.rpc_type)
-            self.stats.failed_long_rpcs += 1
-            yield self.sim.timeout(base_cost)
-            yield self.sim.timeout(self._respond(ctx, request, None, failed=True))
-            return
-        yield self.sim.timeout(base_cost + handler_cost)
-        result = self.handler(request)
-        if result is NO_RESPONSE:
-            # The handler chose silence (dead/fenced/non-primary replica):
-            # no response frame, no dedup entry — the client's watchdog is
-            # the failure detector.
-            self.stats.suppressed_responses += 1
-            return
-        self._remember(ctx, request.req_id)
-        cost = self._respond(ctx, request, result)
-        yield self.sim.timeout(cost)
-        self.stats.completed += 1
 
     def _legacy_worker(self) -> Generator:
         """Dedicated thread executing long RPCs outside the slice regime."""

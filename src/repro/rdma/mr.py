@@ -47,7 +47,8 @@ class MemoryRegion:
     rkey: int = field(default_factory=lambda: next(_key_counter))
 
     def allows(self, access: Access) -> bool:
-        return access in self.access
+        # ``access in self.access`` on the bits: Flag.__contains__ is slow.
+        return not access._value_ & ~self.access._value_
 
 
 class MrTable:

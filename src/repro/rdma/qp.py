@@ -77,6 +77,7 @@ class RecvWqe:
 
 
 _qp_numbers = itertools.count(1)
+_RTS = QpState.RTS  # alias: Enum class attributes are slow
 
 
 class QueuePair:
@@ -153,7 +154,7 @@ class QueuePair:
 
     @property
     def is_ready(self) -> bool:
-        return self._state is QpState.RTS
+        return self._state is _RTS
 
     def connect(self, peer: "QueuePair") -> None:
         """Connect two RC/UC QPs (both transition to RTS)."""

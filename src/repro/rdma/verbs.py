@@ -37,6 +37,8 @@ __all__ = ["VerbError", "WorkRequest", "post_send", "post_recv", "post_write",
 _wr_ids = itertools.count(1)
 _WRITE, _WRITE_IMM, _SEND, _RECV = Opcode.WRITE, Opcode.WRITE_IMM, Opcode.SEND, Opcode.RECV
 _READ, _ATOMIC = Opcode.READ, Opcode.ATOMIC  # aliases: Enum class attributes are slow
+_LOCAL_WRITE, _REMOTE_READ = Access.LOCAL_WRITE, Access.REMOTE_READ
+_REMOTE_WRITE, _REMOTE_ATOMIC = Access.REMOTE_WRITE, Access.REMOTE_ATOMIC
 
 
 class VerbError(QpError):
@@ -387,7 +389,7 @@ def post_write(
     _validate(qp, opcode, size)
     peer = qp.peer
     assert peer is not None  # _validate guarantees this for RC/UC
-    peer.node.mr_table.check(remote_addr, max(size, 1), Access.REMOTE_WRITE)
+    peer.node.mr_table.check(remote_addr, max(size, 1), _REMOTE_WRITE)
     return _Flow(qp, opcode, wr_id, size, signaled, _Flow.write_arrive, local_addr,
                  remote_addr, payload, arg=imm_data).wr
 
@@ -400,7 +402,7 @@ def post_recv(qp: QueuePair, addr: int, size: int, wr_id: Optional[int] = None) 
     """Post a receive buffer; returns the WR id."""
     if size <= 0:
         raise VerbError("receive buffer must have positive size")
-    qp.node.mr_table.check(addr, size, Access.LOCAL_WRITE)
+    qp.node.mr_table.check(addr, size, _LOCAL_WRITE)
     rid = wr_id if wr_id is not None else next(_wr_ids)
     qp.post_recv_wqe(RecvWqe(rid, addr, size))
     return rid
@@ -462,12 +464,12 @@ def post_read(
     _validate(qp, _READ, size)
     peer = qp.peer
     assert peer is not None
-    peer.node.mr_table.check(remote_addr, max(size, 1), Access.REMOTE_READ)
+    peer.node.mr_table.check(remote_addr, max(size, 1), _REMOTE_READ)
     if scatter is not None:
         if sum(seg_size for _addr, seg_size in scatter) > size:
             raise VerbError("scatter segments exceed the read size")
         for seg_addr, seg_size in scatter:
-            qp.node.mr_table.check(seg_addr, max(seg_size, 1), Access.LOCAL_WRITE)
+            qp.node.mr_table.check(seg_addr, max(seg_size, 1), _LOCAL_WRITE)
     return _Flow(qp, _READ, wr_id, size, signaled, _Flow.read_arrive, local_addr,
                  remote_addr, arg=scatter).wr
 
@@ -508,6 +510,6 @@ def _post_atomic(qp, local_addr, remote_addr, op, signaled, wr_id) -> WorkReques
     _validate(qp, _ATOMIC, 8)
     peer = qp.peer
     assert peer is not None
-    peer.node.mr_table.check(remote_addr, 8, Access.REMOTE_ATOMIC)
+    peer.node.mr_table.check(remote_addr, 8, _REMOTE_ATOMIC)
     return _Flow(qp, _ATOMIC, wr_id, 8, signaled, _Flow.atomic_arrive, local_addr,
                  remote_addr, arg=op).wr

@@ -5,8 +5,8 @@
 - :class:`Store` — an unbounded FIFO queue of items with blocking ``get``.
 
 Both integrate with :mod:`repro.sim.engine` by returning events that
-processes ``yield`` on; a :class:`Resource` also queues continuations
-(:meth:`Resource.acquire`).
+processes ``yield`` on; both also queue continuations
+(:meth:`Resource.acquire`, :meth:`Store.take`).
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ class Store:
         self.sim = sim
         self.name = name
         self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
+        self._getters: deque[Union[Event, Continuation]] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -151,11 +151,16 @@ class Store:
     def get(self) -> Event:
         """Return an event that triggers with the next item."""
         event = Event(self.sim)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
+        self.take(event)
         return event
+
+    def take(self, waiter: Union[Event, Continuation]) -> None:
+        """``waiter.succeed(item)`` now if an item is queued, else at the
+        ``put`` that brings one; events and continuations wait in one FIFO."""
+        if self._items:
+            waiter.succeed(self._items.popleft())
+        else:
+            self._getters.append(waiter)
 
     def try_get(self) -> tuple[bool, Any]:
         """Non-blocking get: ``(True, item)`` or ``(False, None)``."""

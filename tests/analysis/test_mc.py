@@ -145,3 +145,42 @@ def test_ready_verb_flows_rank_by_verb_name():
     flow = sim._ready[0]
     sim.step()
     assert controller.actor_of(flow) == "write.#/0"
+
+
+def test_ready_workers_and_cpu_charges_rank_as_the_processes_they_replaced():
+    """Server worker threads and deferred client CPU charges are
+    continuations ranked ``rpcsrv.worker#`` / ``baseline.worker#`` /
+    ``c#.cpu``, the names of the processes they replaced; a charge keeps
+    its class at its grant hop, and a queued one is ranked when a release
+    hands it the core."""
+    from repro.analysis.mc.explorer import ScheduleController
+    from repro.baselines import BaselineConfig, RawWriteServer
+    from repro.core import ScaleRpcConfig, ScaleRpcServer
+    from repro.rdma import Fabric, Node
+    from repro.sim import Simulator
+
+    sim = Simulator()
+    fabric = Fabric(sim)
+    scalerpc = ScaleRpcServer(Node(sim, "s0", fabric), lambda r: r.payload,
+                              config=ScaleRpcConfig(n_server_threads=2))
+    rawwrite = RawWriteServer(Node(sim, "s1", fabric), lambda r: r.payload,
+                              config=BaselineConfig(n_server_threads=2))
+    client = scalerpc.connect(Node(sim, "m", fabric, cores=1))
+    scalerpc.start()
+    rawwrite.start()
+    client._defer_cpu(100)
+    client._defer_cpu(100)
+    controller = ScheduleController()
+    assert [controller.actor_of(item) for item in sim._ready] == [
+        "rpcsrv.worker#/0", "rpcsrv.worker#/1", "rpcsrv.legacy/0", "rpcsrv.sched/0",
+        "baseline.worker#/0", "baseline.worker#/1", "c#.cpu/0", "c#.cpu/1",
+    ]
+    first, second = list(sim._ready)[-2:]
+    for _ in range(len(sim._ready)):  # every bootstrap hop
+        sim.step()
+    assert list(sim._ready) == [first]  # granted the one core; second queued
+    assert controller.actor_of(first) == "c#.cpu/0"
+    sim.step()  # the hold starts
+    sim.step()  # and ends: the release hands the core over
+    assert sim.now == 100 and list(sim._ready) == [second]
+    assert controller.actor_of(second) == "c#.cpu/1"

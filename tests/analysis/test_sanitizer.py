@@ -19,7 +19,7 @@ from repro.rdma.qp import QpError, QpState
 from repro.rdma.types import Opcode, Transport
 from repro.rdma.verbs import post_write
 from repro.sim.engine import Continuation, Simulator
-from repro.sim.resources import Resource
+from repro.sim.resources import Resource, Store
 
 pytestmark = pytest.mark.no_sanitize
 
@@ -190,6 +190,74 @@ def test_contended_pipeline_held_by_continuations_is_conserved():
     # Three hog holds and four tx holds on a's pipeline; four rx on b's.
     assert accounts["a.nic.pipeline"] == {"acquired": 7, "released": 7}
     assert accounts["b.nic.pipeline"] == {"acquired": 4, "released": 4}
+
+
+class Taker(Continuation):
+    """A continuation that logs each item a Store hands it, then takes
+    the next one."""
+
+    __slots__ = ("store", "label", "log", "item")
+
+    def __init__(self, sim, store, label, log):
+        self.sim = sim
+        self.store = store
+        self.label = label
+        self.log = log
+        self.step = Taker.got
+        store.take(self)
+
+    def succeed(self, item):
+        self.item = item
+        self.sim._schedule(self.sim.now, self)
+
+    def got(self):
+        self.log.append((self.sim.now, self.label, self.item))
+        self.store.take(self)
+
+
+def _store_hand_offs(rotate):
+    """Two taking continuations and a process's ``get`` wait in one FIFO;
+    five puts at two instants hand items to them in arrival order."""
+    def body():
+        sim = Simulator()
+        store = Store(sim)
+        log = []
+        Taker(sim, store, "t1", log)
+
+        def getter(sim):
+            while True:
+                item = yield store.get()
+                log.append((sim.now, "proc", item))
+
+        sim.process(getter(sim), name="getter")
+        sim.run()
+        Taker(sim, store, "t2", log)
+        for item in "abc":
+            store.put(item)
+        if rotate:
+            sim._ready.rotate(1)
+        sim.run()
+        sim.timeout(10).add_callback(lambda _e: (store.put("d"), store.put("e")))
+        sim.run()
+        return log
+
+    return sanitized_run(body)
+
+
+def test_store_hand_off_to_a_continuation_is_delivered_once():
+    log, report = _store_hand_offs(rotate=False)
+    assert log == [(0, "t1", "a"), (0, "proc", "b"), (0, "t2", "c"),
+                   (10, "t1", "d"), (10, "proc", "e")]
+    assert report.ok, report.render()
+    # The getter's bootstrap, five hand-offs, and the timeout.
+    assert report.stats.get("deliveries") == 1 + 5 + 1
+
+
+def test_reordered_store_hand_off_is_reported():
+    log, report = _store_hand_offs(rotate=True)
+    assert log[:3] == [(0, "t2", "c"), (0, "t1", "a"), (0, "proc", "b")]
+    # Both earlier hand-offs are delivered after the last one.
+    assert report.rule_counts == {"fifo-order": 2}
 
 
 def test_reordered_same_instant_delivery_is_reported():

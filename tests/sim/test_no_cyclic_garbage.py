@@ -92,6 +92,11 @@ def _verb_retries():
 WORKLOADS = {
     "scalerpc_echo": _echo("scalerpc"),
     "rawwrite_echo": _echo("rawwrite"),
+    "herd_echo": _echo("herd"),
+    "fasst_echo": _echo("fasst"),
+    # Every call is long: it fails once, then its retry is handed to the
+    # legacy thread.
+    "scalerpc_legacy": _echo("scalerpc", handler_cost_ns=90 * US),
     "smallbank": _smallbank,
     "scalerpc_crash_restart": _echo(
         "scalerpc",

@@ -18,7 +18,7 @@ import json
 import sys
 import time
 
-from ..transport import backend_names
+from ..transport import BACKENDS
 from .claims import claims_for
 from .experiments import ALL_FIGURES, BACKEND_FIGURES, run_figure
 from .harness import set_obs_export_dir
@@ -66,12 +66,12 @@ def main(argv: list[str] | None = None) -> int:
         for name in ALL_FIGURES:
             print(f"  {name}", file=sys.stderr)
         return 2
-    if args.backend not in backend_names():
+    if args.backend not in BACKENDS:
         print(
             f"unknown backend: {args.backend}\navailable backends:",
             file=sys.stderr,
         )
-        for name in backend_names():
+        for name in BACKENDS:
             print(f"  {name}", file=sys.stderr)
         return 2
     collected = {}

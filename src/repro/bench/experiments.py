@@ -648,13 +648,13 @@ def fig_real(quick: bool = True, backend: str = "proc") -> FigureResult:
     checks are asserted, not just plotted.
     """
     from ..net import ProcWorkload, run_proc_workload
-    from ..transport import backend_names
+    from ..transport import BACKENDS
     from .harness import obs_export_dir
 
     if backend != "proc":
         raise ValueError(
             f"fig_real compares sim against a real backend; got {backend!r}"
-            f" (available backends: {', '.join(backend_names())})"
+            f" (available backends: {', '.join(BACKENDS)})"
         )
     counts = (2, 4) if quick else (2, 4, 8)
     ops = 40 if quick else 200

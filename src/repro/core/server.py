@@ -68,6 +68,13 @@ _IDLE_WAIT_NS = 10_000
 _DRAIN_LEAD_NS = 8_000
 
 
+def _close_pair(qp) -> None:
+    """Tear down both endpoints of ``qp``'s connection."""
+    if qp.peer is not None:
+        qp.peer.close()
+    qp.close()
+
+
 @dataclass
 class ServerStats:
     """Aggregate server-side accounting."""
@@ -252,26 +259,45 @@ class ScaleRpcServer(RpcServerApi):
             raise RuntimeError("endpoint entry region exhausted")
         client_qp, server_qp = create_qp_pair(machine, self.node, Transport.RC)
         client = ScaleRpcClient(self, machine, client_id, client_qp)
+        self._admit(client, server_qp)
+        return client
+
+    def _admit(self, client: ScaleRpcClient, server_qp) -> None:
+        """Place a fresh context for ``client`` in a group: its response
+        cursor, an empty dedup window, and a lease stamped now."""
         ctx = ClientContext(
-            client_id=client_id,
+            client_id=client.client_id,
             qp=server_qp,
             response_base=client.responses.range.base,
             response_bytes=client.responses.range.size,
             staging_base=client.staging.range.base,
         )
         ctx.response_cursor = SlotCursor(ctx.response_base, ctx.response_bytes)
-        ctx.recent_completed = set()
         ctx.last_heard_ns = self.sim.now
         self.groups.add_client(ctx)
-        return client
+
+    def _rebind(self, client: ScaleRpcClient) -> bool:
+        """Replace ``client``'s QP pair with a fresh RC pair to this node
+        and point its context at it, re-admitting the client if it has
+        none.  Returns True on a re-admission."""
+        _close_pair(client.qp)
+        client_qp, server_qp = create_qp_pair(client.machine, self.node, Transport.RC)
+        client.qp = client_qp
+        ctx = self.groups.clients.get(client.client_id)
+        if ctx is None:
+            self._admit(client, server_qp)
+            return True
+        ctx.qp = server_qp
+        ctx.warmed_up = False  # any old binding died with the old QP
+        ctx.pending_entry = None
+        ctx.last_heard_ns = self.sim.now
+        return False
 
     def disconnect(self, client_id: int) -> None:
         """Remove a departed client, tearing down both QP endpoints."""
         ctx = self.groups.remove_client(client_id)
         self._serving_ids.discard(client_id)
-        if ctx.qp.peer is not None:
-            ctx.qp.peer.close()
-        ctx.qp.close()
+        _close_pair(ctx.qp)
 
     def endpoint_addr(self, client_id: int) -> int:
         """Address of a client's endpoint entry."""
@@ -315,32 +341,8 @@ class ScaleRpcServer(RpcServerApi):
         """
         if not self.alive:
             return False
-        old = client.qp
-        if old.peer is not None:
-            old.peer.close()
-        old.close()
-        client_qp, server_qp = create_qp_pair(
-            client.machine, self.node, Transport.RC
-        )
-        ctx = self.groups.clients.get(client.client_id)
-        if ctx is None:
-            ctx = ClientContext(
-                client_id=client.client_id,
-                qp=server_qp,
-                response_base=client.responses.range.base,
-                response_bytes=client.responses.range.size,
-                staging_base=client.staging.range.base,
-            )
-            ctx.response_cursor = SlotCursor(ctx.response_base, ctx.response_bytes)
-            ctx.recent_completed = set()
-            self.groups.add_client(ctx)
-        else:
-            ctx.qp = server_qp
-        ctx.warmed_up = False
-        ctx.pending_entry = None
-        ctx.last_heard_ns = self.sim.now
+        self._rebind(client)
         client.server = self
-        client.qp = client_qp
         self.stats.adoptions += 1
         obs = self.node.fabric.obs
         if obs is not None:
@@ -364,32 +366,8 @@ class ScaleRpcServer(RpcServerApi):
         """
         if not self.alive:
             return
-        old = client.qp
-        if old.peer is not None:
-            old.peer.close()
-        old.close()
-        client_qp, server_qp = create_qp_pair(
-            client.machine, self.node, Transport.RC
-        )
-        client.qp = client_qp
-        ctx = self.groups.clients.get(client.client_id)
-        if ctx is None:
-            ctx = ClientContext(
-                client_id=client.client_id,
-                qp=server_qp,
-                response_base=client.responses.range.base,
-                response_bytes=client.responses.range.size,
-                staging_base=client.staging.range.base,
-            )
-            ctx.response_cursor = SlotCursor(ctx.response_base, ctx.response_bytes)
-            ctx.recent_completed = set()
-            self.groups.add_client(ctx)
+        if self._rebind(client):
             self.stats.readmissions += 1
-        else:
-            ctx.qp = server_qp
-        ctx.warmed_up = False  # any old binding died with the old QP
-        ctx.pending_entry = None
-        ctx.last_heard_ns = self.sim.now
         self.stats.reconnects += 1
         obs = self.node.fabric.obs
         if obs is not None:
@@ -407,9 +385,7 @@ class ScaleRpcServer(RpcServerApi):
         self._prev_serving_ids.discard(client_id)
         self._prev_serve_slots.pop(client_id, None)
         self._warm_slots.pop(client_id, None)
-        if ctx.qp.peer is not None:
-            ctx.qp.peer.close()
-        ctx.qp.close()
+        _close_pair(ctx.qp)
         self.stats.lease_evictions += 1
         obs = self.node.fabric.obs
         if obs is not None:

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from ..transport import backend_names, get
+from ..transport import BACKENDS, get
 from .runner import ProcWorkload, run_proc_workload
 
 
@@ -59,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     result = run_proc_workload(workload)
     summary = result.as_dict()
-    print(f"backend=proc (of: {', '.join(backend_names())})  "
+    print(f"backend=proc (of: {', '.join(BACKENDS)})  "
           f"transport={workload.transport}")
     print(f"  {workload.n_clients} client processes x "
           f"{workload.ops_per_client} ops (batch {workload.batch_size}): "

@@ -45,7 +45,6 @@ class ProcWorkload:
     #: Deterministic clock displacement injected into every client
     #: (merge/alignment tests; see :mod:`repro.net.clock`).
     client_skew_ns: int = 0
-    client_drift_ppm: int = 0
 
     def __post_init__(self):
         if self.n_clients < 1 or self.ops_per_client < 1 or self.batch_size < 1:
@@ -196,7 +195,6 @@ async def _run(workload: ProcWorkload) -> ProcWorkloadResult:
                 "--batch", str(workload.batch_size),
                 "--data-bytes", str(workload.data_bytes),
                 "--clock-skew-ns", str(workload.client_skew_ns),
-                "--clock-drift-ppm", str(workload.client_drift_ppm),
                 *no_obs,
             ])
             procs.append(client)

@@ -20,9 +20,9 @@ include the finished artifact in their result, so the parent can export
 per-process JSONL shards that ``python -m repro.obs merge`` clock-aligns
 into one distributed Perfetto trace.  Client shards embed their
 :class:`~repro.net.clock.OffsetEstimator` summary as
-``meta["clock_sync"]``; ``--clock-skew-ns`` / ``--clock-drift-ppm``
-deterministically displace a client's clock domain so the merge tests
-can prove alignment recovers a known skew.
+``meta["clock_sync"]``; ``--clock-skew-ns`` deterministically displaces a
+client's clock domain so the merge tests can prove alignment recovers a
+known skew.
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ async def _run_client(args) -> dict:
     obs = None if args.no_obs else Observer(meta={
         "backend": "proc", "role": "client", "client_id": args.client_id,
     })
-    # skew/drift are deterministic test-injection knobs: they displace
-    # this process's clock domain so the merge tests can prove alignment
+    # The skew is a deterministic test-injection knob: it displaces this
+    # process's clock domain so the merge tests can prove alignment
     # recovers a known offset (see repro.net.clock).
-    clock = Clock(skew_ns=args.clock_skew_ns, drift_ppm=args.clock_drift_ppm)
+    clock = Clock(skew_ns=args.clock_skew_ns)
     client = ProcRpcClient(
         Endpoint(args.host, args.port), client_id=args.client_id, obs=obs,
         clock=clock,
@@ -168,8 +168,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="run without an observer (zero-telemetry baseline)")
     client.add_argument("--clock-skew-ns", type=int, default=0,
                         help="inject a constant clock skew (merge tests)")
-    client.add_argument("--clock-drift-ppm", type=int, default=0,
-                        help="inject clock drift in ppm (merge tests)")
     args = parser.parse_args(argv)
 
     if args.role == "server":

@@ -31,6 +31,10 @@ from .scenario import ReplicaWorld, drive_async, lfd, replica_names, summarize, 
 
 __all__ = ["ReplicaProcConfig", "run_replica_proc"]
 
+#: Client recovery: one reconnect cycle spans roughly the detection
+#: window, so the second cycle sees the promoted backup.
+RECONNECT_ATTEMPTS = 4
+
 
 @dataclass(frozen=True)
 class ReplicaProcConfig:
@@ -47,9 +51,6 @@ class ReplicaProcConfig:
     hb_period_ns: int = 80_000_000
     hb_timeout_ns: int = 40_000_000
     suspect_after: int = 2
-    # Client recovery: one reconnect cycle spans roughly the detection
-    # window, so the second cycle sees the promoted backup.
-    reconnect_attempts: int = 4
     reconnect_backoff_s: float = 0.03
     #: Fail-stop the initial primary this long into the run (None = no
     #: fault; the healthy baseline).
@@ -112,7 +113,7 @@ async def _run(config: ReplicaProcConfig) -> dict:
                 world.endpoints[names[0]],
                 client_id=i + 1,
                 clock=world.clock,
-                max_attempts=config.reconnect_attempts,
+                max_attempts=RECONNECT_ATTEMPTS,
                 backoff_s=config.reconnect_backoff_s,
             )
             client.failover_fn = world.failover_fn

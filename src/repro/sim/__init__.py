@@ -2,11 +2,8 @@
 
 from .engine import (
     NS_PER_S,
-    AllOf,
-    AnyOf,
     Continuation,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -17,11 +14,8 @@ from .rng import RngRegistry, derive_seed
 
 __all__ = [
     "NS_PER_S",
-    "AllOf",
-    "AnyOf",
     "Continuation",
     "Event",
-    "Interrupt",
     "Process",
     "Resource",
     "RngRegistry",

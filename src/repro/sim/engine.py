@@ -2,7 +2,8 @@
 
 A lean, deterministic event-driven simulator in the style of SimPy:
 *processes* are Python generators that ``yield`` :class:`Event` objects and
-are resumed when those events trigger.  Simulated time is an integer number
+are resumed when those events trigger; a process waits on one event at a
+time and nothing else resumes it.  Simulated time is an integer number
 of nanoseconds; the kernel never consults the wall clock, so runs are fully
 reproducible.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 import gc
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 __all__ = [
     "NS_PER_S",
@@ -35,11 +36,8 @@ __all__ = [
     "Timeout",
     "Process",
     "Continuation",
-    "AnyOf",
-    "AllOf",
     "Simulator",
     "SimulationError",
-    "Interrupt",
 ]
 
 
@@ -50,14 +48,6 @@ NS_PER_S = 1_000_000_000
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 # Event states.
@@ -174,7 +164,7 @@ class Process(Event):
     the generator returns (value = the ``return`` value) or raises.
     """
 
-    __slots__ = ("generator", "_waiting_on", "name")
+    __slots__ = ("generator", "name")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
@@ -182,41 +172,14 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
         # Kick off the process at the current time.
         bootstrap = Event(sim)
         bootstrap.succeed()
         bootstrap.add_callback(self._resume)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return self._state == _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is a no-op.
-        """
-        if not self.is_alive:
-            return
-        interrupter = Event(self.sim)
-        interrupter.fail(Interrupt(cause))
-        interrupter.add_callback(self._resume)
-
     def _resume(self, trigger: Event) -> None:
         # ``trigger`` is always a delivered event, so its slots are read
         # directly: the ``value`` property's pending check cannot fire.
-        if self._state != _PENDING:
-            return  # already finished (e.g. interrupted then completed)
-        # Detach from whatever we were waiting on; stale triggers for an
-        # interrupted process are filtered by identity.
-        waiting_on = self._waiting_on
-        if waiting_on is not None and trigger is not waiting_on:
-            if not isinstance(trigger._value, Interrupt):
-                return
-            # fall through: deliver the interrupt even while waiting
-        self._waiting_on = None
         generator = self.generator
         # Iterative resume loop: yielding an already-processed event (a
         # ready Store item, a completed handle) continues immediately
@@ -230,9 +193,6 @@ class Process(Event):
             except StopIteration as stop:
                 self.succeed(stop.value)
                 return
-            except Interrupt as exc:
-                self.fail(exc)
-                return
             except BaseException as exc:
                 self.fail(exc)
                 raise
@@ -244,7 +204,6 @@ class Process(Event):
             if target._state == _PROCESSED:
                 trigger = target
                 continue
-            self._waiting_on = target
             target.callbacks.append(self._resume)
             return
 
@@ -276,62 +235,6 @@ class Continuation:
         """Run ``step`` now: a succeeded event's hop, and a Resource grant."""
         sim = self.sim
         sim._schedule(sim.now, self)
-
-
-class AnyOf(Event):
-    """Triggers when the first of ``events`` triggers.
-
-    The value is a dict mapping triggered events to their values.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self.events = list(events)
-        if not self.events:
-            self.succeed({})
-            return
-        for event in self.events:
-            event.add_callback(self._check)
-
-    def _check(self, _event: Event) -> None:
-        if self.triggered:
-            return
-        done = {e: e.value for e in self.events if e.triggered and e.ok}
-        failed = [e for e in self.events if e.triggered and not e.ok]
-        if failed:
-            self.fail(failed[0].value)
-        elif done:
-            self.succeed(done)
-
-
-class AllOf(Event):
-    """Triggers when all ``events`` have triggered.
-
-    The value is a list of the events' values, in input order.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self.events = list(events)
-        if not self.events:
-            self.succeed([])
-            return
-        for event in self.events:
-            event.add_callback(self._check)
-
-    def _check(self, _event: Event) -> None:
-        if self.triggered:
-            return
-        failed = [e for e in self.events if e.triggered and not e.ok]
-        if failed:
-            self.fail(failed[0].value)
-            return
-        if all(e.triggered for e in self.events):
-            self.succeed([e.value for e in self.events])
 
 
 class Simulator:
@@ -391,14 +294,6 @@ class Simulator:
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process driving ``generator``."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Wait for the first of ``events``."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Wait for all of ``events``."""
-        return AllOf(self, events)
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the queue is empty."""

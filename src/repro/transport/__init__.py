@@ -15,34 +15,24 @@ benchmark harness, the DFS, the transaction cluster, and the examples::
 
 from .registry import (
     BACKENDS,
-    Capabilities,
     TransportError,
     TransportSpec,
-    backend_names,
     bench_systems,
     dfs_systems,
     get,
     names,
-    register,
-    register_spec,
-    specs,
 )
 from .topology import Endpoint, Topology, TopologyConfig
 
 __all__ = [
     "BACKENDS",
-    "Capabilities",
     "Endpoint",
     "Topology",
     "TopologyConfig",
     "TransportError",
     "TransportSpec",
-    "backend_names",
     "bench_systems",
     "dfs_systems",
     "get",
     "names",
-    "register",
-    "register_spec",
-    "specs",
 ]

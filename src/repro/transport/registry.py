@@ -11,37 +11,27 @@ examples — asks the registry::
     server = spec.build_server(node, handler, group_size=40)
     client = server.connect(machine)
 
-A :class:`TransportSpec` bundles the server class (imported lazily, so
-registering the DFS transport does not drag ``repro.dfs`` into every
-import), the native config schema it speaks (``ScaleRpcConfig`` or
-``BaselineConfig``), per-name config overrides (e.g. the static-scheduling
-variant), and :class:`Capabilities` flags that consumers use instead of
-name lists (e.g. "can this transport carry a ReadDir-sized reply?").
-
-Third-party transports register with the :func:`register` decorator::
-
-    @transport.register("mytransport", caps=Capabilities(uses_cq_polling=True))
-    class MyServer(BaseRpcServer):
-        ...
+The table is fixed: ScaleRPC and its static variant, the paper's three
+baselines (Tables 1-2) and the DFS' native RPC.  A :class:`TransportSpec` names the server class and the
+native config schema it speaks (``ScaleRpcConfig`` or ``BaselineConfig``)
+as ``"module:Class"`` strings, imported on first use so that the table
+does not drag ``repro.dfs`` into every import, plus per-name config
+overrides (e.g. the static-scheduling variant) and the benchmark
+comparisons the stack takes part in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from importlib import import_module
 from typing import Any, Callable, Optional
 
 __all__ = [
     "BACKENDS",
-    "Capabilities",
     "TransportSpec",
     "TransportError",
-    "backend_names",
-    "register",
-    "register_spec",
     "get",
     "names",
-    "specs",
     "bench_systems",
     "dfs_systems",
 ]
@@ -57,103 +47,69 @@ class TransportError(KeyError):
 #: asyncio stream sockets (:mod:`repro.net`).
 BACKENDS = ("sim", "proc")
 
-#: The shared real-process service implementation (resolved lazily so the
-#: registry does not import asyncio machinery into sim-only runs).  Specs
-#: may override per transport via ``proc_server``.
-_DEFAULT_PROC_SERVER = "repro.net.procserver:ProcRpcServer"
+#: The real-process service every transport runs as on ``backend="proc"``
+#: (resolved lazily so sim-only runs do not import asyncio machinery).
+_PROC_SERVER = "repro.net.procserver:ProcRpcServer"
 
 
-def backend_names() -> tuple[str, ...]:
-    """All known execution backends."""
-    return BACKENDS
-
-
-@dataclass(frozen=True)
-class Capabilities:
-    """What a transport can and cannot do (paper Tables 1-2)."""
-
-    #: Requests/responses ride a reliable transport (RC); nothing is
-    #: silently dropped on a lossy fabric.
-    reliable: bool = True
-    #: Responses may exceed the 4 KB UD MTU (RC-write responses).  The
-    #: DFS requires this for ReadDir replies.
-    variable_size_response: bool = True
-    #: Clients receive responses via ``ibv_poll_cq`` on a UD QP — the
-    #: expensive client mode that needs >= 4 client machines (Fig 8).
-    uses_cq_polling: bool = False
-    #: Server-side message regions are statically mapped per client
-    #: (footprint grows with client count); False means virtualized
-    #: mapping (ScaleRPC).
-    static_mapping: bool = True
-    #: Server participates in the paper's headline RPC comparison
-    #: (Figures 8-12).
-    in_rpc_bench: bool = False
-    #: Server participates in the mdtest DFS comparison (Figure 13).
-    in_dfs_bench: bool = False
+def _resolve(ref: Any) -> type:
+    if isinstance(ref, str):
+        module_name, _, attr = ref.partition(":")
+        ref = getattr(import_module(module_name), attr)
+    return ref
 
 
 @dataclass(frozen=True)
 class TransportSpec:
-    """One registered transport: name, implementation, config schema."""
+    """One transport: name, implementation, config schema."""
 
     name: str
-    #: ``"module.path:ClassName"`` or the class itself.
+    #: ``"module.path:ClassName"``, replaced by the class on first use.
     server: Any
-    #: ``"module.path:ConfigClass"`` or the dataclass itself; built from
-    #: generic knobs by :meth:`make_config`.
+    #: ``"module.path:ConfigClass"``, replaced by the dataclass on first
+    #: use; built from generic knobs by :meth:`make_config`.
     config: Any
-    caps: Capabilities = field(default_factory=Capabilities)
     #: Config fields this transport pins (e.g. static scheduling).
     config_overrides: dict[str, Any] = field(default_factory=dict)
-    description: str = ""
-    #: Server class for the real-process backend (``backend="proc"``);
-    #: defaults to the shared asyncio service, overridable per transport.
-    proc_server: Any = _DEFAULT_PROC_SERVER
-
-    def _resolve(self, ref: Any) -> type:
-        if isinstance(ref, str):
-            module_name, _, attr = ref.partition(":")
-            ref = getattr(import_module(module_name), attr)
-        return ref
+    #: Compared in the paper's headline RPC figures (8-12).
+    in_rpc_bench: bool = False
+    #: Compared in the mdtest DFS benchmark (Figure 13).
+    in_dfs_bench: bool = False
 
     @property
     def server_cls(self) -> type:
         """The server class, imported on first use."""
-        cls = self._resolve(self.server)
+        cls = _resolve(self.server)
         object.__setattr__(self, "server", cls)
         return cls
 
     @property
     def config_cls(self) -> type:
         """The native config dataclass, imported on first use."""
-        cls = self._resolve(self.config)
+        cls = _resolve(self.config)
         object.__setattr__(self, "config", cls)
         return cls
 
     def make_config(self, **knobs: Any):
         """Build this transport's native config from generic knobs.
 
-        Knobs the native schema doesn't have are dropped (so callers can
-        pass ``group_size`` without caring whether the transport is in
-        the ScaleRPC family); spec-level overrides win over knobs because
-        they define the variant (e.g. ``scalerpc-static``).
+        A knob that some transport's config defines but this one's does
+        not is dropped (so callers can pass ``group_size`` without caring
+        whether the transport is in the ScaleRPC family); a knob that no
+        config defines is a misspelling and raises :class:`TypeError`.
+        Spec-level overrides win over knobs because they define the
+        variant (e.g. ``scalerpc-static``).
         """
         cls = self.config_cls
         known = {f.name for f in fields(cls)}
+        unknown = knobs.keys() - known
+        if unknown:
+            unknown -= _knob_names()  # another family's knobs are dropped
+        if unknown:
+            raise TypeError(f"no transport config has knob(s) {', '.join(sorted(unknown))}")
         kwargs = {k: v for k, v in knobs.items() if k in known and v is not None}
         kwargs.update(self.config_overrides)
         return cls(**kwargs)
-
-    def server_cls_for(self, backend: str) -> type:
-        """The server class implementing this transport on ``backend``."""
-        if backend == "sim":
-            return self.server_cls
-        if backend == "proc":
-            return self._resolve(self.proc_server)
-        raise TransportError(
-            f"unknown backend {backend!r} for transport {self.name!r}; "
-            f"available backends: {', '.join(BACKENDS)}"
-        )
 
     def build_server(
         self,
@@ -171,18 +127,21 @@ class TransportSpec:
         Either pass a ready ``config`` (of :attr:`config_cls`) or generic
         knobs that :meth:`make_config` maps onto it.  ``backend`` selects
         the execution model: ``"sim"`` (default) takes a simulated
-        :class:`~repro.rdma.node.Node` and returns the registered sim
-        server, byte-identical to builds that never mention backends;
+        :class:`~repro.rdma.node.Node` and returns the sim server;
         ``"proc"`` takes a :class:`~repro.transport.topology.Endpoint`
         (host/port) and returns the asyncio service of :mod:`repro.net`.
         """
-        server_cls = self.server_cls_for(backend)  # validates the name
+        if backend not in BACKENDS:
+            raise TransportError(
+                f"unknown backend {backend!r} for transport {self.name!r}; "
+                f"available backends: {', '.join(BACKENDS)}"
+            )
         if config is None:
             config = self.make_config(**knobs)
         elif knobs:
             raise TypeError("pass either config= or knobs, not both")
         if backend == "proc":
-            return server_cls(
+            return _resolve(_PROC_SERVER)(
                 node,
                 handler,
                 config=config,
@@ -190,7 +149,7 @@ class TransportSpec:
                 response_bytes=response_bytes,
                 transport=self.name,
             )
-        return server_cls(
+        return self.server_cls(
             node,
             handler,
             config=config,
@@ -199,40 +158,35 @@ class TransportSpec:
         )
 
 
-_REGISTRY: dict[str, TransportSpec] = {}
+_SCALERPC = ("repro.core.server:ScaleRpcServer", "repro.core.config:ScaleRpcConfig")
+_BASELINE_CONFIG = "repro.baselines.common:BaselineConfig"
+
+_REGISTRY: dict[str, TransportSpec] = {spec.name: spec for spec in (
+    # The paper's design: RC writes, connection grouping + virtualized
+    # mapping, dynamic priority scheduling.
+    TransportSpec("scalerpc", *_SCALERPC, {"dynamic_scheduling": True},
+                  in_rpc_bench=True, in_dfs_bench=True),
+    # Static round-robin scheduling: Figure 12's "Static", ScaleTX's RPC.
+    TransportSpec("scalerpc-static", *_SCALERPC, {"dynamic_scheduling": False},
+                  in_rpc_bench=True),
+    # FaRM-style: RC write requests and responses, static message regions.
+    TransportSpec("rawwrite", "repro.baselines.rawwrite:RawWriteServer",
+                  _BASELINE_CONFIG, in_rpc_bench=True, in_dfs_bench=True),
+    # UC write requests, UD send responses.
+    TransportSpec("herd", "repro.baselines.herd:HerdServer", _BASELINE_CONFIG,
+                  in_rpc_bench=True),
+    # Symmetric UD sends both ways.
+    TransportSpec("fasst", "repro.baselines.fasst:FasstServer", _BASELINE_CONFIG,
+                  in_rpc_bench=True),
+    # Octopus' self-identified RPC: RC write_imm requests, RC write responses.
+    TransportSpec("selfrpc", "repro.dfs.selfrpc:SelfRpcServer", _BASELINE_CONFIG,
+                  in_dfs_bench=True),
+)}
 
 
-def register_spec(spec: TransportSpec) -> TransportSpec:
-    """Add ``spec`` to the registry (re-registering a name is an error)."""
-    if spec.name in _REGISTRY:
-        raise TransportError(f"transport {spec.name!r} already registered")
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def register(
-    name: str,
-    *,
-    config: Any = "repro.baselines.common:BaselineConfig",
-    caps: Optional[Capabilities] = None,
-    config_overrides: Optional[dict[str, Any]] = None,
-    description: str = "",
-) -> Callable[[type], type]:
-    """Class decorator registering a server implementation under ``name``."""
-
-    def decorate(server_cls: type) -> type:
-        doc = (server_cls.__doc__ or "").strip()
-        register_spec(TransportSpec(
-            name=name,
-            server=server_cls,
-            config=config,
-            caps=caps or Capabilities(),
-            config_overrides=dict(config_overrides or {}),
-            description=description or (doc.splitlines()[0] if doc else ""),
-        ))
-        return server_cls
-
-    return decorate
+def _knob_names() -> set[str]:
+    """Every field some transport's config defines."""
+    return {f.name for spec in _REGISTRY.values() for f in fields(spec.config_cls)}
 
 
 def get(name: str) -> TransportSpec:
@@ -246,119 +200,15 @@ def get(name: str) -> TransportSpec:
 
 
 def names() -> tuple[str, ...]:
-    """All registered transport names, in registration order."""
+    """All transport names, in table order."""
     return tuple(_REGISTRY)
-
-
-def specs() -> tuple[TransportSpec, ...]:
-    """All registered specs, in registration order."""
-    return tuple(_REGISTRY.values())
 
 
 def bench_systems() -> tuple[str, ...]:
     """Names compared in the RPC micro-benchmarks (paper Figures 8-12)."""
-    return tuple(s.name for s in _REGISTRY.values() if s.caps.in_rpc_bench)
+    return tuple(s.name for s in _REGISTRY.values() if s.in_rpc_bench)
 
 
 def dfs_systems() -> tuple[str, ...]:
-    """Names compared in the mdtest DFS benchmark (paper Figure 13)."""
-    return tuple(s.name for s in _REGISTRY.values() if s.caps.in_dfs_bench)
-
-
-def _replace_caps(caps: Capabilities, **changes: Any) -> Capabilities:
-    return replace(caps, **changes)
-
-
-# ---------------------------------------------------------------------------
-# Built-in transports (paper Tables 1-2 plus the DFS' native RPC).
-# Server/config classes are referenced lazily so this table owns the
-# name->implementation mapping without importing every subsystem.
-# ---------------------------------------------------------------------------
-
-_SCALERPC_CAPS = Capabilities(
-    reliable=True,
-    variable_size_response=True,
-    uses_cq_polling=False,
-    static_mapping=False,
-    in_rpc_bench=True,
-    in_dfs_bench=True,
-)
-
-register_spec(TransportSpec(
-    name="scalerpc",
-    server="repro.core.server:ScaleRpcServer",
-    config="repro.core.config:ScaleRpcConfig",
-    caps=_SCALERPC_CAPS,
-    config_overrides={"dynamic_scheduling": True},
-    description="ScaleRPC: RC writes, connection grouping + virtualized "
-                "mapping, dynamic priority scheduling (the paper's design)",
-))
-
-register_spec(TransportSpec(
-    name="scalerpc-static",
-    server="repro.core.server:ScaleRpcServer",
-    config="repro.core.config:ScaleRpcConfig",
-    caps=_replace_caps(_SCALERPC_CAPS, in_dfs_bench=False),
-    config_overrides={"dynamic_scheduling": False},
-    description="ScaleRPC with static round-robin scheduling "
-                "(Figure 12's 'Static' variant; also ScaleTX's RPC)",
-))
-
-register_spec(TransportSpec(
-    name="rawwrite",
-    server="repro.baselines.rawwrite:RawWriteServer",
-    config="repro.baselines.common:BaselineConfig",
-    caps=Capabilities(
-        reliable=True,
-        variable_size_response=True,
-        uses_cq_polling=False,
-        static_mapping=True,
-        in_rpc_bench=True,
-        in_dfs_bench=True,
-    ),
-    description="FaRM-style RPC: RC write requests and responses, "
-                "static per-client message regions",
-))
-
-register_spec(TransportSpec(
-    name="herd",
-    server="repro.baselines.herd:HerdServer",
-    config="repro.baselines.common:BaselineConfig",
-    caps=Capabilities(
-        reliable=False,
-        variable_size_response=False,
-        uses_cq_polling=True,
-        static_mapping=True,
-        in_rpc_bench=True,
-    ),
-    description="HERD: UC write requests, UD send responses",
-))
-
-register_spec(TransportSpec(
-    name="fasst",
-    server="repro.baselines.fasst:FasstServer",
-    config="repro.baselines.common:BaselineConfig",
-    caps=Capabilities(
-        reliable=False,
-        variable_size_response=False,
-        uses_cq_polling=True,
-        static_mapping=True,
-        in_rpc_bench=True,
-    ),
-    description="FaSST: symmetric UD sends both ways",
-))
-
-register_spec(TransportSpec(
-    name="selfrpc",
-    server="repro.dfs.selfrpc:SelfRpcServer",
-    config="repro.baselines.common:BaselineConfig",
-    caps=Capabilities(
-        reliable=True,
-        variable_size_response=True,
-        uses_cq_polling=False,
-        static_mapping=True,
-        in_dfs_bench=True,
-    ),
-    description="Octopus' self-identified RPC: RC write_imm requests, "
-                "RC write responses",
-))
+    """Names compared in the mdtest DFS benchmark (Figure 13)."""
+    return tuple(s.name for s in _REGISTRY.values() if s.in_dfs_bench)

@@ -31,6 +31,9 @@ __all__ = ["TXN_SYSTEMS", "TxnClusterConfig", "TxnCluster", "build_txn_cluster",
 
 TXN_SYSTEMS = ("scaletx", "scaletx-o", "rawwrite", "herd", "fasst")
 
+#: Participant servers, each holding one shard (the paper's three).
+N_PARTICIPANTS = 3
+
 
 def shard_of_factory(n_shards: int):
     """Deterministic key -> shard map; tuple keys shard by their last
@@ -51,7 +54,6 @@ class TxnClusterConfig:
     n_coordinators: int = 80
     # 12-node cluster minus 3 participants: 9 client machines (paper).
     n_client_machines: int = 9
-    n_participants: int = 3
     items_per_shard: int = 1 << 16
     group_size: int = 40
     time_slice_ns: int = 100_000
@@ -61,8 +63,6 @@ class TxnClusterConfig:
     def __post_init__(self):
         if self.system not in TXN_SYSTEMS:
             raise ValueError(f"unknown system {self.system!r}; pick from {TXN_SYSTEMS}")
-        if self.n_participants < 1:
-            raise ValueError("need at least one participant")
         if self.n_coordinators < 1:
             raise ValueError("need at least one coordinator")
 
@@ -106,12 +106,12 @@ def rpc_transport_name(system: str) -> str:
 def build_txn_cluster(config: TxnClusterConfig) -> TxnCluster:
     """Assemble the simulation: participants, RPC servers, coordinators."""
     topo = Topology.build(
-        server_names=tuple(f"p{i}" for i in range(config.n_participants)),
+        server_names=tuple(f"p{i}" for i in range(N_PARTICIPANTS)),
         n_client_machines=config.n_client_machines,
         seed=config.seed,
     )
     sim, rng, machines = topo.sim, topo.rng, topo.machines
-    shard_of = shard_of_factory(config.n_participants)
+    shard_of = shard_of_factory(N_PARTICIPANTS)
 
     spec = get_transport(rpc_transport_name(config.system))
     participants: list[Participant] = []
@@ -136,7 +136,7 @@ def build_txn_cluster(config: TxnClusterConfig) -> TxnCluster:
         machine = topo.next_machine()
         rpcs = [server.connect(machine) for server in servers]
         for rpc in rpcs:
-            rpc.poll_cost_scale = config.n_participants
+            rpc.poll_cost_scale = N_PARTICIPANTS
         qps = None
         if use_one_sided:
             qps = []

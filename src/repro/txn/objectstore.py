@@ -15,6 +15,9 @@ from .cluster import TxnCluster, TxnClusterConfig, build_txn_cluster
 
 __all__ = ["ObjectStoreConfig", "TxnRunResult", "run_object_store"]
 
+#: Integer keys loaded across the shards.
+N_KEYS = 60_000
+
 
 @dataclass
 class ObjectStoreConfig:
@@ -23,8 +26,6 @@ class ObjectStoreConfig:
     cluster: TxnClusterConfig = field(default_factory=TxnClusterConfig)
     reads: int = 3
     writes: int = 1
-    n_keys: int = 60_000
-    value_bytes: int = 24
     warmup_ns: int = 500_000
     measure_ns: int = 2_000_000
 
@@ -58,7 +59,7 @@ def populate_object_store(cluster: TxnCluster, n_keys: int) -> None:
 def run_object_store(config: ObjectStoreConfig) -> TxnRunResult:
     """Run the (r, w) workload and measure committed throughput."""
     cluster = build_txn_cluster(config.cluster)
-    populate_object_store(cluster, config.n_keys)
+    populate_object_store(cluster, N_KEYS)
     sim = cluster.sim
     window = {"start": None, "commits": 0, "aborts": 0}
 
@@ -66,7 +67,7 @@ def run_object_store(config: ObjectStoreConfig) -> TxnRunResult:
         rng = cluster.rng.stream(f"coord.{index}")
         n = config.reads + config.writes
         while True:
-            keys = rng.sample(range(config.n_keys), n)
+            keys = rng.sample(range(N_KEYS), n)
             read_set = tuple(keys[: config.reads])
             write_set = {key: ("v", key, rng.randrange(1 << 30)) for key in keys[config.reads:]}
             committed = yield from coordinator.run(read_set, write_set)

@@ -23,7 +23,7 @@ from typing import Generator
 from ..memsys import CounterMonitor
 from ..rdma import Access, Fabric, Node
 from ..sim import Simulator
-from .generators import RawVerbConfig, RawVerbResult, NS_PER_S
+from .generators import MESSAGE_BYTES, NS_PER_S, RawVerbConfig, RawVerbResult
 
 __all__ = ["DctInitiator", "run_dct_outbound", "compare_rc_dct_latency"]
 
@@ -100,7 +100,7 @@ def run_dct_outbound(config: RawVerbConfig) -> RawVerbResult:
             machine, addr = targets[cursor % len(targets)]
             cursor += config.n_server_threads
             yield from initiator.write(machine, source.range.base, addr,
-                                       config.message_bytes)
+                                       MESSAGE_BYTES)
             counter["ops"] += 1
 
     for t in range(config.n_server_threads):

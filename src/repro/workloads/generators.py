@@ -19,6 +19,11 @@ from ..sim import NS_PER_S, Simulator, Store
 
 __all__ = ["RawVerbConfig", "RawVerbResult", "run_outbound_write", "run_inbound_write", "run_ud_send"]
 
+#: The paper's motivation experiments post 32-byte messages.
+MESSAGE_BYTES = 32
+#: Verbs a server thread posts per window; only the last is signaled.
+OUTSTANDING_PER_THREAD = 8
+
 
 @dataclass
 class RawVerbConfig:
@@ -27,10 +32,8 @@ class RawVerbConfig:
     n_clients: int = 40
     n_client_machines: int = 11
     n_server_threads: int = 10
-    message_bytes: int = 32
     block_size: int = 4096
     blocks_per_client: int = 20
-    outstanding_per_thread: int = 8
     # Inbound experiments need pools to wrap (blocks_per_client messages
     # per client) before the cache steady state is representative.
     warmup_ns: int = 200_000
@@ -94,17 +97,17 @@ def run_outbound_write(config: RawVerbConfig) -> RawVerbResult:
 
     def thread(sim, thread_index):
         cursor = thread_index
-        window = config.outstanding_per_thread
+        window = OUTSTANDING_PER_THREAD
         while True:
             # Post a window of unsignaled writes, then one signaled write
             # whose completion paces the loop (standard doorbell batching).
             for _ in range(window - 1):
                 qp, addr = targets[cursor % len(targets)]
                 cursor += config.n_server_threads
-                post_write(qp, source.range.base, addr, config.message_bytes, signaled=False)
+                post_write(qp, source.range.base, addr, MESSAGE_BYTES, signaled=False)
             qp, addr = targets[cursor % len(targets)]
             cursor += config.n_server_threads
-            wr = post_write(qp, source.range.base, addr, config.message_bytes)
+            wr = post_write(qp, source.range.base, addr, MESSAGE_BYTES)
             yield wr.completion
             counter["ops"] += window
 
@@ -145,10 +148,10 @@ def run_inbound_write(config: RawVerbConfig) -> RawVerbResult:
         while True:
             for _ in range(window - 1):
                 post_write(qp, staging.range.base,
-                           cursor.next(config.message_bytes), config.message_bytes,
+                           cursor.next(MESSAGE_BYTES), MESSAGE_BYTES,
                            signaled=False)
             wr = post_write(qp, staging.range.base,
-                            cursor.next(config.message_bytes), config.message_bytes)
+                            cursor.next(MESSAGE_BYTES), MESSAGE_BYTES)
             yield wr.completion
 
     def consumer(sim, thread_index):
@@ -195,13 +198,13 @@ def run_ud_send(config: RawVerbConfig) -> RawVerbResult:
     def thread(sim, thread_index):
         qp = ud_qps[thread_index]
         cursor = thread_index
-        window = config.outstanding_per_thread
+        window = OUTSTANDING_PER_THREAD
         while True:
             for _ in range(window - 1):
-                post_send(qp, config.message_bytes, local_addr=source.range.base,
+                post_send(qp, MESSAGE_BYTES, local_addr=source.range.base,
                           dest=destinations[cursor % len(destinations)], signaled=False)
                 cursor += config.n_server_threads
-            wr = post_send(qp, config.message_bytes, local_addr=source.range.base,
+            wr = post_send(qp, MESSAGE_BYTES, local_addr=source.range.base,
                            dest=destinations[cursor % len(destinations)])
             cursor += config.n_server_threads
             yield wr.completion

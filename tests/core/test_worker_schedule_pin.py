@@ -131,11 +131,12 @@ def _once_silent():
     return handler
 
 
-def scalerpc_branches(w):
+def scalerpc_branches(w, rpc_timeout_ns=0):
     """Normal, long-RPC fail + legacy completion, NO_RESPONSE, duplicates
     of re-fetched requests, and stale-epoch drops when a backlog outlives
     the slice drain."""
     config = ScaleRpcConfig(
+        rpc_timeout_ns=rpc_timeout_ns,
         group_size=4,
         time_slice_ns=20 * US,
         block_size=256,

@@ -41,7 +41,6 @@ from repro.transport import (
     Endpoint,
     Topology,
     TransportError,
-    backend_names,
     get,
 )
 
@@ -54,11 +53,11 @@ def _echo(request):
 
 class TestRegistryBackendDimension:
     def test_backend_names(self):
-        assert backend_names() == BACKENDS == ("sim", "proc")
+        assert BACKENDS == ("sim", "proc")
 
     def test_unknown_backend_lists_available(self):
         with pytest.raises(TransportError, match="sim.*proc"):
-            get("scalerpc").server_cls_for("bogus")
+            get("scalerpc").build_server(LOOPBACK, _echo, backend="bogus")
 
     def test_every_transport_builds_a_proc_server(self):
         from repro.transport import names

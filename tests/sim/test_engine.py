@@ -4,11 +4,7 @@ import gc
 
 import pytest
 
-from repro.sim import (
-    Interrupt,
-    SimulationError,
-    Simulator,
-)
+from repro.sim import SimulationError, Simulator
 
 
 @pytest.fixture
@@ -154,81 +150,9 @@ class TestProcess:
         with pytest.raises(RuntimeError, match="bug"):
             sim.run()
 
-    def test_interrupt_while_sleeping(self, sim):
-        def sleeper(sim):
-            try:
-                yield sim.timeout(1000)
-            except Interrupt as exc:
-                return ("interrupted", sim.now, exc.cause)
-
-        def interrupter(sim, victim):
-            yield sim.timeout(10)
-            victim.interrupt("wakeup")
-
-        victim = sim.process(sleeper(sim))
-        sim.process(interrupter(sim, victim))
-        sim.run()
-        assert victim.value == ("interrupted", 10, "wakeup")
-
-    def test_interrupt_finished_process_is_noop(self, sim):
-        def quick(sim):
-            yield sim.timeout(1)
-            return "ok"
-
-        p = sim.process(quick(sim))
-        sim.run()
-        p.interrupt()
-        sim.run()
-        assert p.value == "ok"
-
-    def test_unhandled_interrupt_fails_process(self, sim):
-        def sleeper(sim):
-            yield sim.timeout(1000)
-
-        def interrupter(sim, victim):
-            yield sim.timeout(10)
-            victim.interrupt()
-
-        victim = sim.process(sleeper(sim))
-        sim.process(interrupter(sim, victim))
-        sim.run()
-        assert victim.triggered
-        assert not victim.ok
-
     def test_non_generator_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.process(lambda: None)
-
-
-class TestComposites:
-    def test_any_of_first_wins(self, sim):
-        def proc(sim):
-            fast = sim.timeout(10, "fast")
-            slow = sim.timeout(100, "slow")
-            result = yield sim.any_of([fast, slow])
-            return (sim.now, sorted(result.values()))
-
-        p = sim.process(proc(sim))
-        sim.run()
-        assert p.value == (10, ["fast"])
-
-    def test_all_of_waits_for_all(self, sim):
-        def proc(sim):
-            values = yield sim.all_of([sim.timeout(10, "a"), sim.timeout(30, "b")])
-            return (sim.now, values)
-
-        p = sim.process(proc(sim))
-        sim.run()
-        assert p.value == (30, ["a", "b"])
-
-    def test_empty_all_of_triggers_immediately(self, sim):
-        def proc(sim):
-            values = yield sim.all_of([])
-            return values
-
-        p = sim.process(proc(sim))
-        sim.run()
-        assert p.value == []
 
 
 class TestRun:

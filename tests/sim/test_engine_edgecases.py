@@ -2,13 +2,12 @@
 
 These tests pin the delivery semantics the rest of the repository depends
 on: strict FIFO among same-instant events regardless of how they were
-scheduled, interrupt delivery while parked on composite events,
-``run(until=)`` boundary behavior, and re-entrancy rejection.
+scheduled, ``run(until=)`` boundary behavior, and re-entrancy rejection.
 """
 
 import pytest
 
-from repro.sim import Interrupt, SimulationError, Simulator
+from repro.sim import SimulationError, Simulator
 
 
 @pytest.fixture
@@ -61,63 +60,6 @@ class TestSameInstantFifo:
             sim.process(proc(sim, tag))
         sim.run()
         assert order == ["a", "b", "c"]
-
-
-class TestInterruptComposites:
-    def test_interrupt_while_waiting_on_anyof(self, sim):
-        def victim(sim):
-            try:
-                yield sim.any_of([sim.event(), sim.event()])
-            except Interrupt as exc:
-                return ("interrupted", exc.cause)
-            return "not interrupted"
-
-        process = sim.process(victim(sim))
-
-        def interrupter(sim):
-            yield sim.timeout(10)
-            process.interrupt("stop")
-
-        sim.process(interrupter(sim))
-        sim.run()
-        assert process.value == ("interrupted", "stop")
-        assert sim.now == 10
-
-    def test_interrupt_while_waiting_on_allof_then_continue(self, sim):
-        """After an interrupt, the stale AllOf trigger must not resume the
-        process a second time."""
-        trail = []
-        late = sim.timeout(50, "late")
-        early = sim.timeout(5, "early")
-
-        def victim(sim):
-            try:
-                yield sim.all_of([early, late])
-            except Interrupt:
-                trail.append(("interrupted", sim.now))
-            yield sim.timeout(100)
-            trail.append(("done", sim.now))
-
-        process = sim.process(victim(sim))
-
-        def interrupter(sim):
-            yield sim.timeout(20)  # after `early` fired, before `late`
-            process.interrupt()
-
-        sim.process(interrupter(sim))
-        sim.run()
-        assert trail == [("interrupted", 20), ("done", 120)]
-
-    def test_interrupting_finished_process_is_noop(self, sim):
-        def quick(sim):
-            yield sim.timeout(1)
-            return "ok"
-
-        process = sim.process(quick(sim))
-        sim.run()
-        process.interrupt("too late")
-        sim.run()
-        assert process.value == "ok"
 
 
 class TestRunUntil:

@@ -5,26 +5,7 @@ import pytest
 from repro import transport
 from repro.baselines.common import BaselineConfig
 from repro.core.config import ScaleRpcConfig
-from repro.transport import (
-    Capabilities,
-    TransportError,
-    TransportSpec,
-    bench_systems,
-    dfs_systems,
-    register,
-    register_spec,
-)
-from repro.transport.registry import _REGISTRY
-
-
-@pytest.fixture
-def scratch_registry():
-    """Let a test register throwaway transports without polluting the
-    process-global registry."""
-    snapshot = dict(_REGISTRY)
-    yield _REGISTRY
-    _REGISTRY.clear()
-    _REGISTRY.update(snapshot)
+from repro.transport import TransportError, bench_systems, dfs_systems
 
 
 class TestLookup:
@@ -51,17 +32,6 @@ class TestLookup:
                                    "herd", "fasst")
         assert dfs_systems() == ("scalerpc", "rawwrite", "selfrpc")
 
-    def test_capabilities_match_paper_tables(self):
-        assert transport.get("scalerpc").caps.static_mapping is False
-        assert transport.get("rawwrite").caps.static_mapping is True
-        for name in ("herd", "fasst"):
-            caps = transport.get(name).caps
-            assert caps.uses_cq_polling
-            assert not caps.reliable
-            assert not caps.variable_size_response
-        for name in ("scalerpc", "rawwrite", "selfrpc"):
-            assert transport.get(name).caps.variable_size_response
-
 
 class TestMakeConfig:
     def test_knobs_filtered_to_native_schema(self):
@@ -76,6 +46,16 @@ class TestMakeConfig:
         assert isinstance(cfg, BaselineConfig)
         assert cfg.block_size == 2048
         assert not hasattr(cfg, "group_size")
+
+    def test_misspelt_knob_is_rejected_by_name(self):
+        # A knob no transport's config defines is a typo, not a knob of
+        # another family: it must not silently build a default config.
+        for name in ("scalerpc", "rawwrite"):
+            with pytest.raises(TypeError, match="group_sise"):
+                transport.get(name).make_config(group_sise=8)
+        topo = transport.Topology.build(seed=1)
+        with pytest.raises(TypeError, match="group_sise"):
+            topo.build_server("scalerpc", lambda r: r.payload, group_sise=8)
 
     def test_none_knobs_fall_back_to_defaults(self):
         cfg = transport.get("rawwrite").make_config(block_size=None)
@@ -119,27 +99,3 @@ class TestBuildServer:
             topo.server_node, lambda r: r.payload, config=cfg
         )
         assert server.config is cfg
-
-
-class TestRegistration:
-    def test_duplicate_name_rejected(self, scratch_registry):
-        with pytest.raises(TransportError, match="already registered"):
-            register_spec(TransportSpec(
-                name="scalerpc",
-                server="repro.core.server:ScaleRpcServer",
-                config="repro.core.config:ScaleRpcConfig",
-            ))
-
-    def test_register_decorator(self, scratch_registry):
-        from repro.baselines.rawwrite import RawWriteServer
-
-        @register("rawwrite-copy", caps=Capabilities(in_rpc_bench=True))
-        class CopyServer(RawWriteServer):
-            """A rawwrite clone for testing registration."""
-
-        spec = transport.get("rawwrite-copy")
-        assert spec.server_cls is CopyServer
-        assert spec.config_cls is BaselineConfig
-        assert spec.caps.in_rpc_bench
-        assert spec.description == "A rawwrite clone for testing registration."
-        assert "rawwrite-copy" in bench_systems()

@@ -364,7 +364,9 @@ def fig16b(quick: bool = True) -> FigureResult:
         "Figure 16(b)", "SmallBank transactions", "clients", (80, 160),
         {
             system: lambda n, system=system: run_smallbank(SmallBankConfig(
-                cluster=TxnClusterConfig(system=system, n_coordinators=n),
+                # Full scale: the crc32 split puts up to 200,314 items on a shard.
+                cluster=TxnClusterConfig(system=system, n_coordinators=n,
+                                         items_per_shard=1 << (16 if quick else 18)),
                 accounts_per_server=10_000 if quick else 100_000,
                 warmup_ns=400 * US, measure_ns=measure))
             for system in TXN_SYSTEMS

@@ -16,7 +16,9 @@ coordinator is in PROCESS state on all shards at once (Section 4.2).
 
 from __future__ import annotations
 
+import itertools
 import zlib
+from array import array
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
@@ -44,6 +46,26 @@ def shard_of_factory(n_shards: int):
         return zlib.crc32(repr(anchor).encode()) % n_shards
 
     return shard_of
+
+
+def reserve_tables(cluster: "TxnCluster", n_anchors: int, width: int, split, initial) -> None:
+    """Load ``width`` items per anchor ``0 .. n_anchors - 1``, built on
+    first lookup (``KvStore.reserve``).  One pass gives each anchor its
+    shard (``cluster.shard_of``) and its rank on it; ``split(key)`` names
+    a key's ``(anchor, offset)`` (None if foreign), and the item takes
+    slot ``width * rank + offset``, as per-key inserts would."""
+    shards = array("B", map(cluster.shard_of, range(n_anchors)))
+    next_rank = [itertools.count().__next__ for _ in cluster.participants]
+    ranks = array("I", [next_rank[shard]() for shard in shards])
+
+    for shard, participant in enumerate(cluster.participants):
+        def locate(key: Hashable, shard: int = shard) -> Optional[int]:
+            where = split(key)
+            if where is not None and 0 <= where[0] < n_anchors and shards[where[0]] == shard:
+                return width * ranks[where[0]] + where[1]
+            return None
+
+        participant.store.reserve(width * shards.count(shard), locate, initial)
 
 
 @dataclass

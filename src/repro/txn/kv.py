@@ -1,7 +1,7 @@
 """MICA-style in-memory key-value store shard.
 
-Each participant owns one shard: a bucketed hash index over fixed-size
-item slots carved from an RDMA-registered region.  Every item carries a
+Each participant owns one shard: a hash index over fixed-size item
+slots carved from an RDMA-registered region.  Every item carries a
 co-located *version* and *lock* word (paper Section 4.2), laid out so that
 remote one-sided verbs can operate on them directly:
 
@@ -20,13 +20,15 @@ the lock field is released by zeroing".
 
 The item state lives in the node's object memory (the same cells the
 verbs read and write), so one-sided operations and local handler code see
-one consistent store.
+one consistent store.  A loaded table is *reserved*: an item is built on
+its first lookup, at the slot a per-key insert would give it, so a run
+pays only for the items it touches (remote verbs address looked-up items).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterator, NamedTuple, Optional
+from typing import Any, Callable, Hashable, NamedTuple, Optional
 
 from ..rdma.mr import Access, MemoryRegion
 from ..rdma.node import InboundWrite, Node
@@ -78,18 +80,19 @@ class CommitRecord:
 class KvStore:
     """One shard."""
 
-    def __init__(self, node: Node, capacity_items: int = 1 << 16, n_buckets: int = 4096):
+    def __init__(self, node: Node, capacity_items: int = 1 << 16):
         if capacity_items < 1:
             raise KvError("capacity must be positive")
         self.node = node
         self.capacity_items = capacity_items
-        self.n_buckets = n_buckets
         self.region: MemoryRegion = node.register_memory(
             capacity_items * ITEM_SLOT_BYTES, access=Access.all_remote()
         )
-        # Bucket dicts map key -> item base address.
-        self._buckets: list[dict[Hashable, int]] = [dict() for _ in range(n_buckets)]
+        # Built items: key -> item base address.
+        self._index: dict[Hashable, int] = {}
         self._n_items = 0
+        # Reserved items (:meth:`reserve`): key -> slot, key -> first value.
+        self._locate = self._initial = lambda key: None
         node.watch_writes(self.region.range, self._on_remote_write)
         # Stats.
         self.remote_commits = 0
@@ -99,41 +102,46 @@ class KvStore:
 
     # -- index ---------------------------------------------------------------
 
-    def _bucket(self, key: Hashable) -> dict:
-        return self._buckets[hash(key) % self.n_buckets]
+    def reserve(self, count: int, locate: Callable, initial: Callable) -> None:
+        """Load slots ``[0, count)`` of an empty shard, ``locate`` mapping a
+        reserved key to its slot (None for any other key); the first
+        :meth:`lookup` builds an item: ``initial(key)``, version 1, unlocked."""
+        if self._n_items:
+            raise KvError("reserve needs an empty shard")
+        if count > self.capacity_items:
+            raise KvError(f"reserve needs {count} slots; the shard has {self.capacity_items}")
+        self._n_items = count
+        self._locate, self._initial = locate, initial
 
     def lookup(self, key: Hashable) -> Optional[ItemRef]:
         """Find a key's item reference (None when absent)."""
-        base = self._bucket(key).get(key)
-        return None if base is None else ItemRef(key, base)
+        base = self._index.get(key)
+        if base is None:
+            slot = self._locate(key)
+            if slot is None:
+                return None
+            base = self._build(key, slot, self._initial(key))
+        return ItemRef(key, base)
 
     def insert(self, key: Hashable, value: Any) -> ItemRef:
         """Insert a fresh key (version 1, unlocked)."""
-        return ItemRef(key, self._place(key, value))
-
-    def _place(self, key: Hashable, value: Any) -> int:
-        """:meth:`insert` without the reference: returns the item's base
-        address (world builds call it directly)."""
-        bucket = self._bucket(key)
-        if key in bucket:
+        if key in self._index or self._locate(key) is not None:
             raise KvError(f"duplicate key {key!r}")
         n_items = self._n_items
         if n_items >= self.capacity_items:
             raise KvError("shard full")
-        base = self.region.range.base + n_items * ITEM_SLOT_BYTES
-        bucket[key] = base
         self._n_items = n_items + 1
-        # World builds insert 10^5 items: write the cells where
-        # ``Node.store`` would put them, without the three calls.
-        cells = self.node.object_memory
-        cells[base + VALUE_OFF] = value
-        cells[base + VERSION_OFF] = 1
-        cells[base + LOCK_OFF] = 0
-        return base
+        return ItemRef(key, self._build(key, n_items, value))
 
-    def keys(self) -> Iterator[Hashable]:
-        for bucket in self._buckets:
-            yield from bucket
+    def _build(self, key: Hashable, slot: int, value: Any) -> int:
+        """Index an item and write its three cells; returns its base."""
+        base = self.region.range.base + slot * ITEM_SLOT_BYTES
+        self._index[key] = base
+        store = self.node.store
+        store(base + VALUE_OFF, value)
+        store(base + VERSION_OFF, 1)
+        store(base + LOCK_OFF, 0)
+        return base
 
     # -- local (handler-side) accessors --------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..sim import NS_PER_S
-from .cluster import TxnCluster, TxnClusterConfig, build_txn_cluster
+from .cluster import TxnCluster, TxnClusterConfig, build_txn_cluster, reserve_tables
 
 __all__ = ["ObjectStoreConfig", "TxnRunResult", "run_object_store"]
 
@@ -51,9 +51,8 @@ class TxnRunResult:
 
 def populate_object_store(cluster: TxnCluster, n_keys: int) -> None:
     """Load ``n_keys`` integer keys across the shards."""
-    for key in range(n_keys):
-        shard = cluster.shard_of(key)
-        cluster.participants[shard].store.insert(key, ("v", key, 0))
+    reserve_tables(cluster, n_keys, 1, lambda key: (key, 0) if isinstance(key, int) else None,
+                   lambda key: ("v", key, 0))
 
 
 def run_object_store(config: ObjectStoreConfig) -> TxnRunResult:

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..sim import NS_PER_S
-from .cluster import N_PARTICIPANTS, TxnCluster, TxnClusterConfig, build_txn_cluster
+from .cluster import N_PARTICIPANTS, TxnCluster, TxnClusterConfig, build_txn_cluster, reserve_tables
 from .objectstore import TxnRunResult
 
 __all__ = ["SmallBankConfig", "run_smallbank", "TXN_MIX"]
@@ -49,8 +49,10 @@ HOT_TXN_FRACTION = 0.60
 class SmallBankConfig:
     """One SmallBank run.
 
-    ``accounts_per_server`` defaults to 20k (the paper loads 1M; the
-    hotspot skew, not the table size, drives contention — DESIGN.md).
+    ``accounts_per_server`` defaults to 20k; ``fig16b`` loads 10k (quick)
+    or 100k (full), the paper 1M: the hotspot skew, not the table size,
+    drives contention (DESIGN.md).  ``cluster.items_per_shard`` must hold
+    two items per account of the fullest shard (the crc32 split is uneven).
     """
 
     cluster: TxnClusterConfig = field(default_factory=TxnClusterConfig)
@@ -63,6 +65,10 @@ class SmallBankConfig:
         return self.accounts_per_server * N_PARTICIPANTS
 
 
+#: Slot of each table's item within its account's pair.
+TABLE_SLOT = {"c": 0, "s": 1}
+
+
 def checking(account: int) -> tuple:
     return ("c", account)
 
@@ -72,15 +78,15 @@ def savings(account: int) -> tuple:
 
 
 def populate_smallbank(cluster: TxnCluster, n_accounts: int) -> None:
-    """Load both tables for every account."""
-    shard_of = cluster.shard_of
-    stores = [participant.store for participant in cluster.participants]
-    for account in range(n_accounts):
-        key = checking(account)
-        # An account's tables co-locate (``shard_of_factory``): one lookup.
-        place = stores[shard_of(key)]._place
-        place(key, INITIAL_BALANCE)
-        place(savings(account), INITIAL_BALANCE)
+    """Load both tables for every account: an account's two items
+    co-locate, checking then savings (``TABLE_SLOT``)."""
+    reserve_tables(cluster, n_accounts, 2, _account_item, lambda key: INITIAL_BALANCE)
+
+
+def _account_item(key):
+    if isinstance(key, tuple) and len(key) == 2 and key[0] in TABLE_SLOT and isinstance(key[1], int):
+        return key[1], TABLE_SLOT[key[0]]
+    return None
 
 
 def pick_account(rng: random.Random, config: SmallBankConfig) -> int:

@@ -49,8 +49,9 @@ class ClientContext:
     responded_this_drain: bool = False
     # Server-held cursor over the client's response ring (set at connect).
     response_cursor: Optional[object] = None
-    # Bounded dedup window of executed request ids (set at connect).
-    recent_completed: set = field(default_factory=set)
+    # Dedup window: the ids of the last 1,024 executed requests, oldest
+    # first (a dict keeps insertion order; its values are unused).
+    recent_completed: dict = field(default_factory=dict)
     # Last time the server heard from this client (entry/pool write or
     # connect); the lease reaper evicts contexts silent past the lease.
     last_heard_ns: int = 0

@@ -815,9 +815,10 @@ class ScaleRpcServer(RpcServerApi):
             self.stats.completed += 1
 
     def _remember(self, ctx: ClientContext, req_id: int) -> None:
-        ctx.recent_completed.add(req_id)
-        if len(ctx.recent_completed) > 1024:
-            ctx.recent_completed.pop()
+        recent = ctx.recent_completed
+        recent[req_id] = None
+        if len(recent) > 1024:
+            del recent[next(iter(recent))]
 
     def _respond(
         self,

@@ -1,9 +1,10 @@
 """A server node: CPU cores, memory, LLC, PCIe counters, and a NIC.
 
 Nodes also carry the simulation's *object memory*: payloads travel as
-Python objects stored at integer addresses, so systems built on the fabric
-(message pools, key-value stores) are functionally real while the cache
-models account for the same addresses at byte granularity.
+Python objects at integer addresses, so message pools and key-value stores
+are functionally real while the cache models account for the same bytes.
+A watched range's DMA writes go to its watchers, not to object memory:
+``load`` on a watched range returns only what the program ``store``d there.
 """
 
 from __future__ import annotations
@@ -114,18 +115,23 @@ class Node:
 
         This is the simulation's stand-in for the application's polling loop
         discovering a new message; the *cost* of discovery (LLC access to
-        the written lines) is still charged by the reader.
+        the written lines) is still charged by the reader.  The write
+        belongs to its watchers: ``load`` on a watched range returns only
+        what the program ``store``d there.
         """
         self._watchers_by_addr.add(memory_range, len(self._write_watchers))
         self._write_watchers.append((memory_range, callback))
 
     def deliver_write(self, event: InboundWrite) -> None:
-        """Store the payload and notify watchers (called by the verb layer)."""
-        if event.payload is not None:
+        """Hand the write to the watchers covering its address, or store the
+        payload when none does (called by the verb layer)."""
+        positions = self._watchers_by_addr.covering(event.addr)
+        if positions:
+            watchers = self._write_watchers
+            for position in positions:
+                watchers[position][1](event)
+        elif event.payload is not None:
             self.object_memory[event.addr] = event.payload
-        watchers = self._write_watchers
-        for position in self._watchers_by_addr.covering(event.addr):
-            watchers[position][1](event)
 
 
 def create_qp_pair(

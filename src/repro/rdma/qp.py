@@ -30,6 +30,11 @@ __all__ = [
 ]
 
 
+#: The receive queue of a QP that has never had a buffer posted: the
+#: WRITE- and READ-based systems post none, so theirs stays unbuilt.
+_NO_RECVS_POSTED: tuple = ()
+
+
 class QpError(RuntimeError):
     """Raised on illegal QP usage (bad state, wrong transport, ...)."""
 
@@ -111,7 +116,7 @@ class QueuePair:
             recv_cq.attach_qp(self)
         self.max_send_wr = max_send_wr
         self.max_recv_wr = max_recv_wr
-        self.recv_queue: deque[RecvWqe] = deque()
+        self.recv_queue: deque[RecvWqe] = _NO_RECVS_POSTED
         self.peer: Optional["QueuePair"] = None
         # UD QPs are send-ready immediately; connected QPs must connect().
         self._state = QpState.RTS if transport is Transport.UD else QpState.INIT
@@ -221,6 +226,8 @@ class QueuePair:
         """Queue a receive buffer (``ibv_post_recv``)."""
         if len(self.recv_queue) >= self.max_recv_wr:
             raise QpError(f"receive queue full on QP {self.qp_num}")
+        if self.recv_queue is _NO_RECVS_POSTED:
+            self.recv_queue = deque()
         self.recv_queue.append(wqe)
         self.recvs_posted += 1
 

@@ -18,6 +18,10 @@ from .engine import Continuation, Event, SimulationError, Simulator
 
 __all__ = ["Resource", "Store"]
 
+#: Stands in for a queue that has never held anything: most completion
+#: queues stay empty for a whole run, so their deques are built on first use.
+_NEVER_USED: tuple = ()
+
 
 class Resource:
     """A resource with ``capacity`` identical slots, granted FIFO.
@@ -135,8 +139,8 @@ class Store:
     def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
         self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Union[Event, Continuation]] = deque()
+        self._items: deque[Any] = _NEVER_USED
+        self._getters: deque[Union[Event, Continuation]] = _NEVER_USED
 
     def __len__(self) -> int:
         return len(self._items)
@@ -145,6 +149,8 @@ class Store:
         """Deposit ``item``, waking the oldest waiting getter if any."""
         if self._getters:
             self._getters.popleft().succeed(item)
+        elif self._items is _NEVER_USED:
+            self._items = deque((item,))
         else:
             self._items.append(item)
 
@@ -159,6 +165,8 @@ class Store:
         ``put`` that brings one; events and continuations wait in one FIFO."""
         if self._items:
             waiter.succeed(self._items.popleft())
+        elif self._getters is _NEVER_USED:
+            self._getters = deque((waiter,))
         else:
             self._getters.append(waiter)
 

@@ -164,8 +164,11 @@ class TestStateTransitions:
 
     def test_announce_includes_message_sizes(self, quiet_client):
         cluster, client = quiet_client
-        sim = cluster.sim
-        captured = {}
+        sim, server = cluster.sim, cluster.server
+        # The entry region is watched, so the server's watcher consumes the
+        # write and ``load`` cannot read it back: capture it on the way in.
+        seen = []
+        server.node.watch_writes(server.entries.range, seen.append)
 
         def driver(sim):
             yield from client.async_call("op", payload=1, data_bytes=100)
@@ -174,9 +177,8 @@ class TestStateTransitions:
 
         sim.process(driver(sim))
         sim.run(until=100_000)
-        entry = cluster.server.node.load(
-            cluster.server.endpoint_addr(client.client_id)
-        )
+        addr = server.endpoint_addr(client.client_id)
+        entry = [write.payload for write in seen if write.addr == addr][-1]
         assert isinstance(entry, EndpointEntry)
         assert entry.batch_size == 2
         assert entry.message_sizes == (108, 58)  # +8-byte headers

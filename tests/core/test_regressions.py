@@ -138,3 +138,25 @@ class TestStragglerGrace:
             imm_data=None, src_qp_num=0, time_ns=cluster.sim.now,
         ))
         assert server.stats.stale_drops == 1
+
+
+class TestDedupWindow:
+    """The dedup window holds a client's newest 1,024 completed ids.
+
+    Eviction once used ``set.pop()``, which drops an arbitrary id: with
+    request ids drawn from one global counter each client's ids are sparse,
+    and the window kept old ids while a retry of an evicted recent one
+    would have run its handler a second time.
+    """
+
+    def test_window_is_the_newest_ids_of_an_interleaved_client(self, small_config):
+        server = make_cluster(1, config=small_config, start=False).server
+        client = ctx(0)
+        # 40 interleaved clients: this client's ids step by 40.
+        ids = [40 * n + 7 for n in range(3000)]
+        for req_id in ids:
+            server._remember(client, req_id)
+        assert set(client.recent_completed) == set(ids[-1024:])
+        assert ids[-1025] not in client.recent_completed
+        # Oldest first, so the next completion evicts ids[-1024].
+        assert list(client.recent_completed) == ids[-1024:]

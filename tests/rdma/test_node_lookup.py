@@ -1,5 +1,6 @@
 """Inbound-write delivery and region checks look addresses up, not scan."""
 
+import gc
 import sys
 
 from repro.analysis.mc.invariants import swap_write_watcher
@@ -29,6 +30,24 @@ class TestWriteWatchers:
         node.deliver_write(inbound(high.range.end))
         assert len(fired) == 4
 
+    def test_watched_write_goes_to_its_watchers_not_object_memory(self, nodes):
+        node, _ = nodes
+        watched = node.register_memory(4096, huge_pages=False)
+        plain = node.register_memory(4096, huge_pages=False)
+        seen = []
+        node.watch_writes(watched.range, seen.append)
+        node.store(watched.range.base + 64, "stored")
+        for addr in (watched.range.base, watched.range.base + 64, plain.range.base):
+            node.deliver_write(InboundWrite(addr=addr, size=8, payload=("msg", addr),
+                                            imm_data=None, src_qp_num=0, time_ns=0))
+        assert [event.payload for event in seen] == [
+            ("msg", watched.range.base), ("msg", watched.range.base + 64),
+        ]
+        # ``load`` on a watched range returns only what the program stored.
+        assert node.load(watched.range.base, "unset") == "unset"
+        assert node.load(watched.range.base + 64) == "stored"
+        assert node.load(plain.range.base) == ("msg", plain.range.base)
+
     def test_swapped_watcher_intercepts(self, nodes):
         node, _ = nodes
         region = node.register_memory(4096, huge_pages=False)
@@ -49,12 +68,19 @@ def lines_executed(call):
         count += event == "line"
         return tracer
 
+    # A collection inside ``call`` would run the finalizers of earlier
+    # tests' garbage under the tracer: collect first, then keep it off.
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
     previous = sys.gettrace()
     sys.settrace(tracer)
     try:
         call()
     finally:
         sys.settrace(previous)
+        if collecting:
+            gc.enable()
     return count
 
 

@@ -98,6 +98,7 @@ class TestWrite:
         assert len(events) == 1
         assert events[0].addr == dst.range.base + 128
         assert events[0].payload == "msg"
+        assert b.load(dst.range.base + 128) is None  # the watcher consumed it
 
     def test_write_imm_generates_recv_completion(self, sim, nodes, rc_pair):
         a, b = nodes
@@ -205,10 +206,14 @@ class TestRead:
         local = a.register_memory(4096)
         remote = b.register_memory(4096)
         b.store(remote.range.base + 8, ("version", 7))
+        # A READ lands in local memory even where writes are watched.
+        landed = []
+        a.watch_writes(local.range, landed.append)
         wr = post_read(qp_a, local.range.base, remote.range.base + 8, 8)
         run(sim)
         assert wr.completion.value.payload == ("version", 7)
         assert a.load(local.range.base) == ("version", 7)
+        assert landed == []
 
     def test_uc_read_rejected(self, sim, nodes):
         a, b = nodes

@@ -1,5 +1,7 @@
 """Unit tests for Resource and Store."""
 
+import tracemalloc
+
 import pytest
 
 from repro.sim import Resource, SimulationError, Simulator, Store
@@ -134,3 +136,28 @@ class TestStore:
         store.put(9)
         assert store.try_get() == (True, 9)
         assert len(store) == 0
+
+    def test_fifo_across_lazily_built_queues(self, sim):
+        store = Store(sim)
+        assert store.try_get() == (False, None)
+        early = store.get()  # a getter before any item builds the getter queue
+        store.put("a")  # wakes it
+        store.put("b")  # the first queued item builds the item queue
+        store.put("c")
+        late = store.get()
+        assert (early.value, late.value) == ("a", "b")
+        assert store.try_get() == (True, "c")
+        assert store.try_get() == (False, None)
+        store.put("d")
+        assert store.get().value == "d"
+
+    def test_unused_store_allocates_no_queue(self, sim):
+        # A deque is 760 bytes; most completion queues never hold anything.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stores = [Store(sim) for _ in range(200)]
+            per_store = (tracemalloc.get_traced_memory()[0] - before) / len(stores)
+        finally:
+            tracemalloc.stop()
+        assert per_store < 400

@@ -609,18 +609,13 @@ class SimSanitizer:
         if inflight:
             self.report.stats["cq_inflight_at_finish"] = inflight
         for llc in self._llcs.values():
+            # No set over its ways means no cache over its capacity.
             params = llc.params
-            if llc.occupied_lines > params.total_lines:
-                self._finding(
-                    "llc-occupancy",
-                    f"LLC holds {llc.occupied_lines} lines > capacity "
-                    f"{params.total_lines}",
-                )
-            for index, cache_set in sorted(llc._sets.items()):
-                if len(cache_set) > params.ways:
+            for index, lines in llc.built_sets().items():
+                if len(lines) > params.ways:
                     self._finding(
                         "llc-occupancy",
-                        f"LLC set {index} holds {len(cache_set)} lines > "
+                        f"LLC set {index} holds {len(lines)} lines > "
                         f"{params.ways} ways",
                     )
                     break

@@ -1,11 +1,11 @@
 """Exact LRU cache model.
 
-The building block for both the NIC connection-state cache and the CPU
-last-level cache: an exact (not statistical) least-recently-used cache over
-hashable keys, with hit/miss/eviction accounting.  Exactness matters — the
-paper's scalability cliffs are produced by real eviction dynamics, and the
-PCM-style counters we reproduce in Figures 3 and 10 are derived directly
-from these hit/miss events.
+The NIC's connection-state and WQE caches (``rdma/nic.py``): an exact (not
+statistical) least-recently-used cache over hashable keys, with
+hit/miss/eviction accounting.  Exactness matters — the paper's scalability
+cliffs are produced by real eviction dynamics, and the PCM-style counters we
+reproduce in Figures 3 and 10 are derived directly from these hit/miss
+events.  The CPU last-level cache keeps its own per-set LRU (``llc.py``).
 """
 
 from __future__ import annotations

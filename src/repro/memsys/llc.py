@@ -27,8 +27,8 @@ after that the NIC's next write to the line is a cheap in-place update.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple, Optional
 
 from .pcie import PcieCounters
@@ -131,16 +131,14 @@ class LastLevelCache:
     def __init__(self, params: Optional[LlcParams] = None, counters: Optional[PcieCounters] = None):
         self.params = params or LlcParams()
         self.counters = counters or PcieCounters()
-        # One dict per set, by set index: line -> owner tag, in LRU order
-        # (insertion order; a touch pops and reinserts).  A plain dict of
-        # ints is half an OrderedDict's size and never GC-tracked.  A set
-        # exists from its first touch: strided pools reach a few hundred of
-        # the 12,288, and building every one up front would be most of a
-        # node's construction time and memory.
-        self._sets: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        # One slot per set: None until its first touch, then its entries,
+        # LRU first.  An entry is ``tag << 1 | owner``, the tag being the
+        # line's address bits above the set index; sim tags are small, so an
+        # entry is a cached int and a resident line costs one list slot.
+        self._sets: list[Optional[list[int]]] = [None] * self.params.n_sets
         # Fixed for the cache's life; the per-line paths read it here
         # instead of re-deriving it through two ``params`` properties.
-        self._n_sets = self.params.n_sets
+        self._n_sets = len(self._sets)
         self.stats = LlcStats()
         # Running count of DDIO-owned lines, maintained at every tag
         # transition so observers can sample occupancy in O(1).
@@ -157,16 +155,22 @@ class LastLevelCache:
         last = (addr + size - 1) // line
         return range(first, last + 1)
 
-    def _set_of(self, line: int) -> dict[int, int]:
-        return self._sets[line % self._n_sets]
-
     def resident(self, addr: int, size: int = 1) -> bool:
         """True when every line of the range is somewhere in the LLC."""
-        return all(ln in self._set_of(ln) for ln in self._line_span(addr, size))
+        for ln in self._line_span(addr, size):
+            entry = ln // self._n_sets << 1
+            if not {entry, entry | _MAIN}.intersection(self._sets[ln % self._n_sets] or ()):
+                return False
+        return True
 
-    @property
-    def occupied_lines(self) -> int:
-        return sum(len(s) for s in self._sets.values())
+    def built_sets(self) -> dict[int, list[tuple[int, int]]]:
+        """Every set touched so far, by index: its ``(line, owner)`` pairs
+        in LRU order, LRU first.  A touched set is never empty."""
+        n_sets = self._n_sets
+        return {
+            index: [((e >> 1) * n_sets + index, e & 1) for e in self._sets[index]]
+            for index in compress(range(n_sets), self._sets)
+        }
 
     @property
     def ddio_resident_lines(self) -> int:
@@ -196,9 +200,15 @@ class LastLevelCache:
             else:
                 partial_lines += 1
                 counters.rfo += 1
+            entry = ln // n_sets << 1
             cache_set = sets[ln % n_sets]
-            if ln in cache_set:
-                cache_set[ln] = cache_set.pop(ln)  # write update, refresh recency
+            if cache_set is None:
+                cache_set = sets[ln % n_sets] = []
+            hit = entry | _MAIN if entry | _MAIN in cache_set else entry
+            if hit in cache_set:
+                # Write update: the line keeps its owner, refresh recency.
+                cache_set.remove(hit)
+                cache_set.append(hit)
                 update_hits += 1
                 continue
             # Write Allocate: restricted to the DDIO ways of this set.
@@ -206,30 +216,25 @@ class LastLevelCache:
             allocations += 1
             ddio_lines = 0
             ddio_lru = None
-            for line, tag in cache_set.items():
-                if tag == _DDIO:
+            for e in cache_set:
+                if not e & 1:
                     if ddio_lru is None:
-                        ddio_lru = line
+                        ddio_lru = e
                     ddio_lines += 1
             if ddio_lines >= params.ddio_ways:
-                del cache_set[ddio_lru]  # LRU among DDIO lines
+                cache_set.remove(ddio_lru)  # LRU among DDIO lines
                 self._ddio_resident -= 1
             elif len(cache_set) >= params.ways:
-                self._evict_main(cache_set)
-            cache_set[ln] = _DDIO
+                # Evict the LRU core-owned line (ddio_ways < ways: one exists).
+                for e in cache_set:
+                    if e & 1:
+                        cache_set.remove(e)
+                        break
+            cache_set.append(entry)
             self._ddio_resident += 1
         self.stats.dma_update_hits += update_hits
         self.stats.dma_allocations += allocations
         return DmaWriteResult(len(span), update_hits, allocations, full_lines, partial_lines)
-
-    def _evict_main(self, cache_set: dict[int, int]) -> None:
-        """Evict the LRU core-owned line (fallback: LRU overall)."""
-        for line, tag in cache_set.items():
-            if tag == _MAIN:
-                del cache_set[line]
-                return
-        if cache_set.pop(next(iter(cache_set))) == _DDIO:
-            self._ddio_resident -= 1
 
     def dma_read(self, addr: int, size: int) -> int:
         """Model the NIC's DMA read of an outbound payload.
@@ -251,31 +256,30 @@ class LastLevelCache:
         hits = 0
         misses = 0
         for ln in self._line_span(addr, size):
+            entry = ln // n_sets << 1 | _MAIN
             cache_set = sets[ln % n_sets]
-            if ln in cache_set:
+            if cache_set is None:
+                cache_set = sets[ln % n_sets] = []
+            if entry in cache_set:
+                cache_set.remove(entry)
+                hits += 1
+            elif entry ^ _MAIN in cache_set:
                 # Core touched the line: it stops being a write-allocate
-                # victim (promotion out of the DDIO ways); reinserting it
-                # makes it the most recently used.
-                if cache_set.pop(ln) == _DDIO:
-                    self._ddio_resident -= 1
-                cache_set[ln] = _MAIN
+                # victim (promotion out of the DDIO ways).
+                cache_set.remove(entry ^ _MAIN)
+                self._ddio_resident -= 1
                 hits += 1
             else:
                 misses += 1
                 if len(cache_set) >= self.params.ways:
-                    # Evict the LRU line overall: the dict's first.
-                    if cache_set.pop(next(iter(cache_set))) == _DDIO:
+                    # Evict the LRU line overall: the list's first.
+                    if not cache_set.pop(0) & 1:
                         self._ddio_resident -= 1
-                cache_set[ln] = _MAIN
+            cache_set.append(entry)
         self.stats.cpu_hits += hits
         self.stats.cpu_misses += misses
         cost = hits * self.params.cpu_hit_ns + misses * self.params.cpu_miss_ns
         return CpuAccessResult(hits + misses, hits, misses, cost)
-
-    def flush(self) -> None:
-        """Invalidate all lines (counters/stats preserved)."""
-        self._sets.clear()
-        self._ddio_resident = 0
 
     def reset_stats(self) -> None:
         """Zero the LLC aggregate stats."""

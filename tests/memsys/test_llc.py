@@ -1,6 +1,7 @@
 """Tests for the set-associative LLC + DDIO model."""
 
 import gc
+import tracemalloc
 from collections import OrderedDict, defaultdict
 from dataclasses import asdict
 
@@ -148,7 +149,7 @@ class TestCpuAccessAndPromotion:
             for addr in addrs:
                 llc.cpu_access(addr, 64)
         assert llc.stats.cpu_hits == 0
-        assert llc.occupied_lines <= 32
+        assert sum(map(len, llc.built_sets().values())) <= 32
 
     def test_l3_miss_rate(self):
         llc = small_llc()
@@ -162,13 +163,6 @@ class TestCpuAccessAndPromotion:
         assert not llc.resident(0x100, 32)
         llc.cpu_access(0x100, 32)
         assert llc.resident(0x100, 32)
-
-    def test_flush(self):
-        llc = small_llc()
-        llc.cpu_access(0, 64)
-        llc.flush()
-        assert not llc.resident(0, 64)
-        assert llc.stats.cpu_misses == 1  # stats preserved
 
 
 class TestDmaRead:
@@ -223,7 +217,7 @@ class TestLlcProperties:
                 llc.dma_write(addr, size)
             else:
                 llc.cpu_access(addr, size)
-        assert all(len(s) <= llc.params.ways for s in llc._sets.values())
+        assert all(len(lines) <= llc.params.ways for lines in llc.built_sets().values())
 
     @given(
         ops=st.lists(
@@ -252,7 +246,7 @@ class OrderedDictLlc(LastLevelCache):
 
     def __init__(self, params):
         super().__init__(params)
-        self._sets = defaultdict(OrderedDict)
+        self.od_sets = defaultdict(OrderedDict)
 
     def dma_write(self, addr, size):
         params = self.params
@@ -269,7 +263,7 @@ class OrderedDictLlc(LastLevelCache):
             else:
                 partial_lines += 1
                 counters.rfo += 1
-            cache_set = self._sets[ln % self._n_sets]
+            cache_set = self.od_sets[ln % self._n_sets]
             if ln in cache_set:
                 cache_set.move_to_end(ln)
                 update_hits += 1
@@ -312,7 +306,7 @@ class OrderedDictLlc(LastLevelCache):
     def cpu_access(self, addr, size, write=False):
         hits = misses = 0
         for ln in self._line_span(addr, size):
-            cache_set = self._sets[ln % self._n_sets]
+            cache_set = self.od_sets[ln % self._n_sets]
             if ln in cache_set:
                 if cache_set[ln] == _DDIO:
                     self._ddio_resident -= 1
@@ -332,16 +326,40 @@ class OrderedDictLlc(LastLevelCache):
         return CpuAccessResult(lines=hits + misses, hits=hits, misses=misses, cost_ns=cost)
 
 
+def tracked_containers(llc):
+    """GC-tracked objects reachable from the LLC's attributes through
+    lists, tuples and dicts (its parameters, counters and set table)."""
+    count = 0
+    stack = list(vars(llc).values())
+    while stack:
+        obj = stack.pop()
+        count += gc.is_tracked(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+    return count
+
+
+#: Byte addresses from the first few lines, or the same lines 2**40 bytes
+#: up: those share sets with the low ones but carry a tag too large to be
+#: a cached small int.
+ADDRESSES = st.integers(min_value=0, max_value=40 * 64) | st.integers(
+    min_value=2**40, max_value=2**40 + 40 * 64
+)
+
+
 class TestLlcMatchesOrderedDictOracle:
-    """Plain-dict sets make every hit, eviction, DDIO victim and counter
-    the ``OrderedDict`` sets made, and are never GC-tracked."""
+    """List-of-tags sets make every hit, eviction, DDIO victim and counter
+    the ``OrderedDict`` sets made, and own at most one GC-tracked object
+    per built set and none per line."""
 
     @given(
         ddio_ways=st.integers(min_value=1, max_value=2),
         ops=st.lists(
             st.tuples(
                 st.sampled_from(["dma", "cpu"]),
-                st.integers(min_value=0, max_value=40 * 64),  # byte address
+                ADDRESSES,
                 st.integers(min_value=1, max_value=200),  # size
             ),
             max_size=120,
@@ -350,6 +368,7 @@ class TestLlcMatchesOrderedDictOracle:
     def test_every_step_matches(self, ddio_ways, ops):
         params = LlcParams(capacity_bytes=4 * 4 * 64, ways=4, ddio_ways=ddio_ways)
         llc, oracle = LastLevelCache(params), OrderedDictLlc(params)
+        untouched = tracked_containers(LastLevelCache(params))
         for kind, addr, size in ops:
             if kind == "dma":
                 assert llc.dma_write(addr, size) == oracle.dma_write(addr, size)
@@ -358,7 +377,24 @@ class TestLlcMatchesOrderedDictOracle:
             assert asdict(llc.stats) == asdict(oracle.stats)
             assert llc.counters.snapshot() == oracle.counters.snapshot()
             assert llc.ddio_resident_lines == oracle.ddio_resident_lines
-            assert sorted(llc._sets) == sorted(oracle._sets)
-            for index, cache_set in llc._sets.items():
-                assert list(cache_set.items()) == list(oracle._sets[index].items())
-                assert gc.is_tracked(cache_set) is False
+            built = llc.built_sets()
+            assert built == {i: list(s.items()) for i, s in oracle.od_sets.items()}
+            assert tracked_containers(llc) - untouched <= len(built)
+
+
+class TestLlcFootprint:
+    def test_bytes_per_resident_line(self):
+        # One line per set, the costliest layout: a dict per set cost 320
+        # bytes a line; a list of small-int tags costs its 56 bytes plus a
+        # four-slot buffer, 88 bytes.
+        llc = LastLevelCache()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for line in range(4096):
+                llc.cpu_access(line * 64, 64)
+            per_line = (tracemalloc.get_traced_memory()[0] - before) / 4096
+        finally:
+            tracemalloc.stop()
+        assert len(llc.built_sets()) == 4096
+        assert per_line < 120

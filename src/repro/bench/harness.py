@@ -158,40 +158,32 @@ def build_server(experiment: RpcExperiment, node: Node, handler, handler_cost_fn
     )
 
 
-def _assert_cqs_drained(topo: Topology) -> None:
+def _unique_cqs(nodes) -> dict:
+    """Every distinct CQ of the QPs on ``nodes``, by identity."""
+    return {id(cq): cq for node in nodes for qp in node.qps
+            for cq in (qp.send_cq, qp.recv_cq)}
+
+
+def _assert_cqs_drained(nodes) -> None:
     """Exact CQ conservation after the drain phase (always on).
 
     Graduated from SimSanitizer's end-of-run check, which had to tolerate
     ``cq_inflight_at_finish`` slack from abandoned closed-loop batches.
     With the drain phase that slack is gone: every completion pushed on
-    any CQ in the topology must have been consumed through one of the two
+    any CQ of ``nodes`` must have been consumed through one of the two
     interfaces, and nothing may remain queued.
     """
-    seen: set[int] = set()
-    for node in topo.server_nodes + topo.machines:
-        for qp in node.qps:
-            for cq in (qp.send_cq, qp.recv_cq):
-                if id(cq) in seen:
-                    continue
-                seen.add(id(cq))
-                assert cq.pushed == cq.polled + cq.drained and len(cq) == 0, (
-                    f"CQ {cq.name!r} not drained: pushed={cq.pushed}, "
-                    f"polled={cq.polled}, drained={cq.drained}, "
-                    f"queued={len(cq)}"
-                )
+    for cq in _unique_cqs(nodes).values():
+        assert cq.pushed == cq.polled + cq.drained and len(cq) == 0, (
+            f"CQ {cq.name!r} not drained: pushed={cq.pushed}, "
+            f"polled={cq.polled}, drained={cq.drained}, "
+            f"queued={len(cq)}"
+        )
 
 
 def _unique_cq_depth(nodes) -> int:
     """Total completions queued across every distinct CQ on ``nodes``."""
-    seen: set[int] = set()
-    total = 0
-    for node in nodes:
-        for qp in node.qps:
-            for cq in (qp.send_cq, qp.recv_cq):
-                if id(cq) not in seen:
-                    seen.add(id(cq))
-                    total += len(cq)
-    return total
+    return sum(len(cq) for cq in _unique_cqs(nodes).values())
 
 
 def _register_bench_metrics(observer: Observer, topo: Topology, server,
@@ -390,7 +382,7 @@ def run_rpc_experiment(experiment: RpcExperiment) -> RpcResult:
         assert state["active"] == 0, (
             f"{state['active']} drivers still in flight after the drain phase"
         )
-        _assert_cqs_drained(topo)
+        _assert_cqs_drained(topo.server_nodes + topo.machines)
     # In the stop-polling sweep the conservation checks are meaningless by
     # construction: stopped clients abandon their in-flight batches and
     # leave completions rotting in (possibly overrun) recv CQs — that

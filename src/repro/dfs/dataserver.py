@@ -119,8 +119,6 @@ class DataPath:
             )
             self.qps.append(client_qp)
         self._staging = machine.register_memory(4 << 20)
-        self.bytes_written = 0
-        self.bytes_read = 0
 
     def write_extents(self, extents: list[Extent], data) -> Generator:
         """One RDMA write per extent; the data object is chunk-tagged.
@@ -136,11 +134,11 @@ class DataPath:
                 remote_addr=extent.addr,
                 size=extent.length,
                 payload=(data, index),
+                signaled=False,
             )
             completions.append(wr)
         for wr in completions:
             yield wr.completion
-        self.bytes_written += sum(e.length for e in extents)
         return None
 
     def read_extents(self, extents: list[Extent]) -> Generator:
@@ -152,11 +150,11 @@ class DataPath:
                 local_addr=self._staging.range.base,
                 remote_addr=extent.addr,
                 size=extent.length,
+                signaled=False,
             )
             completions.append(wr)
         chunks = []
         for wr in completions:
             completion = yield wr.completion
             chunks.append(completion.payload)
-        self.bytes_read += sum(e.length for e in extents)
         return chunks

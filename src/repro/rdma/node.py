@@ -3,8 +3,9 @@
 Nodes also carry the simulation's *object memory*: payloads travel as
 Python objects at integer addresses, so message pools and key-value stores
 are functionally real while the cache models account for the same bytes.
-A watched range's DMA writes go to its watchers, not to object memory:
-``load`` on a watched range returns only what the program ``store``d there.
+A watched range's DMA writes go to its watchers and its READ landings reach
+the program through the completion, neither to object memory: ``load`` on a
+watched range returns only what the program ``store``d there.
 """
 
 from __future__ import annotations
@@ -132,6 +133,12 @@ class Node:
                 watchers[position][1](event)
         elif event.payload is not None:
             self.object_memory[event.addr] = event.payload
+
+    def land_read(self, addr: int, payload: Any) -> None:
+        """Store a READ's payload at ``addr`` unless a watched range covers
+        it; there the completion alone carries it (called by the verb layer)."""
+        if not self._watchers_by_addr.covering(addr):
+            self.object_memory[addr] = payload
 
 
 def create_qp_pair(

@@ -13,8 +13,10 @@ kernel — that walks the message through the paper's Figure-2 flow:
 
 ``post_*`` returns a :class:`WorkRequest` immediately; its ``completion``
 event triggers when the verb finishes, and signaled requests additionally
-push a CQE to the QP's send CQ.  One-sided writes wake any watchers on the
-target range, standing in for the remote CPU's polling loop.
+push a CQE to the QP's send CQ.  A program that consumes ``wr.completion``
+therefore posts unsignaled, or polls the CQE, lest it pile up unread.
+One-sided writes wake any watchers on the target range, standing in for the
+remote CPU's polling loop.
 """
 
 from __future__ import annotations
@@ -327,7 +329,7 @@ class _Flow(Continuation):
         if self.obs is not None:
             _rx_obs(self.obs, node, "read", self.size, self.hold, None, False)
         payload = self.target.load(self.remote_addr)
-        node.store(self.local_addr, payload)
+        node.land_read(self.local_addr, payload)
         self.complete(payload=payload)
 
     # -- ATOMIC: executed by the target NIC inside its pipeline hold -------

@@ -228,6 +228,7 @@ class TxnCoordinator:
                     local_addr=self._scratch_addr(),
                     remote_addr=view.version_addr,
                     size=8,
+                    signaled=False,
                 )
                 completions.append((key, wr))
             for key, wr in completions:

@@ -60,12 +60,8 @@ class Participant:
         self.node = node
         self.store = KvStore(node, **kv_kwargs)
         self.costs = costs or ParticipantCosts()
-        self.log: list[LogRequest] = []
-        # Stats.
-        self.lock_conflicts = 0
-        self.executed = 0
+        #: ScaleTX-O commits served over RPC (one-sided commits bypass this).
         self.rpc_commits = 0
-        self.aborts = 0
 
     # -- phase handlers -----------------------------------------------------
 
@@ -85,14 +81,12 @@ class Participant:
 
     def _execute(self, message: ExecuteRequest) -> ExecuteReply:
         """Read R and W; lock W.  All-or-nothing on the locks."""
-        self.executed += 1
         locked: list = []
         for key in message.write_keys:
             ref = self.store.lookup(key)
             if ref is None or not self.store.try_lock(ref, message.txn_id):
                 for got in locked:
                     self.store.unlock(self.store.lookup(got), message.txn_id)
-                self.lock_conflicts += 1
                 return ExecuteReply(ok=False)
             locked.append(key)
         items = []
@@ -122,7 +116,6 @@ class Participant:
         return ValidateReply(versions=tuple(versions))
 
     def _log(self, message: LogRequest) -> LogReply:
-        self.log.append(message)
         return LogReply(ok=True)
 
     def _commit(self, message: CommitRequest) -> LogReply:
@@ -139,7 +132,6 @@ class Participant:
             ref = self.store.lookup(key)
             if ref is not None:
                 self.store.unlock(ref, message.txn_id)
-        self.aborts += 1
         return LogReply(ok=True)
 
     # -- RPC-layer cost/size hooks ----------------------------------------------

@@ -109,6 +109,7 @@ def run_outbound_write(config: RawVerbConfig) -> RawVerbResult:
             cursor += config.n_server_threads
             wr = post_write(qp, source.range.base, addr, MESSAGE_BYTES)
             yield wr.completion
+            qp.send_cq.poll(1)
             counter["ops"] += window
 
     for t in range(config.n_server_threads):
@@ -153,6 +154,7 @@ def run_inbound_write(config: RawVerbConfig) -> RawVerbResult:
             wr = post_write(qp, staging.range.base,
                             cursor.next(MESSAGE_BYTES), MESSAGE_BYTES)
             yield wr.completion
+            qp.send_cq.poll(1)
 
     def consumer(sim, thread_index):
         store = stores[thread_index]
@@ -208,6 +210,7 @@ def run_ud_send(config: RawVerbConfig) -> RawVerbResult:
                            dest=destinations[cursor % len(destinations)])
             cursor += config.n_server_threads
             yield wr.completion
+            qp.send_cq.poll(1)
             counter["ops"] += window
 
     for t in range(config.n_server_threads):

@@ -61,7 +61,8 @@ def rc_single_write(sim: Simulator, sender: Node, receiver: Node,
     if total_bytes > max_message_size(Transport.RC):
         raise ValueError("payload exceeds even the RC MTU")
     start = sim.now
-    wr = post_write(qp, src_addr, dst_addr, total_bytes, payload=("bulk", total_bytes))
+    wr = post_write(qp, src_addr, dst_addr, total_bytes, payload=("bulk", total_bytes),
+                    signaled=False)
     yield wr.completion
     return TransferResult("rc_single_write", total_bytes, sim.now - start, 1)
 
@@ -85,7 +86,7 @@ def ud_ordered_chunks(sim: Simulator, sender_qp, receiver_qp, receiver_node: Nod
         size = min(UD_CHUNK, total_bytes - sent)
         wr = post_send(
             sender_qp, size, payload=("chunk", chunk_index),
-            local_addr=src_addr, dest=receiver_qp.address_handle(),
+            local_addr=src_addr, dest=receiver_qp.address_handle(), signaled=False,
         )
         yield wr.completion
         # Receiver-side: consume and acknowledge.
@@ -94,7 +95,7 @@ def ud_ordered_chunks(sim: Simulator, sender_qp, receiver_qp, receiver_node: Nod
         receiver_node.llc.cpu_access(completion.addr or recv_base, size)
         ack = post_send(
             ack_qp, 16, payload=("ack", chunk_index),
-            dest=sender_qp.address_handle(),
+            dest=sender_qp.address_handle(), signaled=False,
         )
         yield ack.completion
         ack_completion = yield sender_qp.recv_cq.get_event()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines import BaselineConfig
+from repro.bench.harness import _assert_cqs_drained
 from repro.dfs import (
     DataPath,
     DataServer,
@@ -92,6 +93,10 @@ class TestFileIo:
         # 200 KB over 64 KB extents = 4 chunks, all carrying our data tag.
         assert len(out["chunks"]) == 4
         assert all(chunk[0] == "payload-A" for chunk in out["chunks"])
+        # The one-sided I/O consumes its completions by event: no CQE waits
+        # in any CQ for a poll that never comes.
+        _assert_cqs_drained([mds.node, client.data_path.machine]
+                            + [server.node for server in data_servers])
 
     def test_appends_extend_layout(self):
         sim, mds, data_servers, client = make_dfs_with_data()

@@ -206,13 +206,24 @@ class TestRead:
         local = a.register_memory(4096)
         remote = b.register_memory(4096)
         b.store(remote.range.base + 8, ("version", 7))
-        # A READ lands in local memory even where writes are watched.
+        wr = post_read(qp_a, local.range.base, remote.range.base + 8, 8)
+        run(sim)
+        assert wr.completion.value.payload == ("version", 7)
+        assert a.load(local.range.base) == ("version", 7)
+
+    def test_read_into_watched_range_stores_nothing(self, sim, nodes, rc_pair):
+        a, b = nodes
+        qp_a, _ = rc_pair
+        local = a.register_memory(4096)
+        remote = b.register_memory(4096)
+        b.store(remote.range.base + 8, ("version", 7))
+        # The completion alone carries the payload; watchers see no write.
         landed = []
         a.watch_writes(local.range, landed.append)
         wr = post_read(qp_a, local.range.base, remote.range.base + 8, 8)
         run(sim)
         assert wr.completion.value.payload == ("version", 7)
-        assert a.load(local.range.base) == ("version", 7)
+        assert a.load(local.range.base) is None
         assert landed == []
 
     def test_uc_read_rejected(self, sim, nodes):

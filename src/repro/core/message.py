@@ -47,6 +47,7 @@ __all__ = [
     "wire_size",
     "layout_in_block",
     "KIND_REQUEST", "KIND_RESPONSE", "seal",
+    "ONE_RECORD", "ONE_RECORD_OVERHEAD", "pack_crc",
     "encode_request_record", "encode_response_record",
     "decode_requests", "decode_responses",
     "encode_request",
@@ -540,6 +541,12 @@ def decode_responses(data) -> list[RpcResponse]:
 
 _ONE_REQUEST = _ENVELOPE.pack(KIND_REQUEST, WIRE_VERSION, 1)
 _ONE_RESPONSE = _ENVELOPE.pack(KIND_RESPONSE, WIRE_VERSION, 1)
+#: Per kind, a one-record frame's envelope and its CRC-32: :func:`seal` makes one
+#: record the frame ``envelope | record | pack_crc(crc32(record, crc))``.
+ONE_RECORD = {kind: (envelope, zlib.crc32(envelope)) for kind, envelope in (
+    (KIND_REQUEST, _ONE_REQUEST), (KIND_RESPONSE, _ONE_RESPONSE))}
+ONE_RECORD_OVERHEAD = _ENVELOPE_BYTES + _CRC_BYTES
+pack_crc = _CRC.pack
 
 
 def encode_request(request: RpcRequest) -> bytes:

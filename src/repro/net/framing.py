@@ -28,11 +28,13 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "RECV_BUFFER_BYTES",
     "encode_frame",
+    "pack_length",
     "FrameDecoder",
 ]
 
 _LENGTH = struct.Struct("!I")
 LENGTH_PREFIX_BYTES = _LENGTH.size
+pack_length = _LENGTH.pack
 #: A frame body is one sealed batch, so the wire format's bound applies.
 MAX_FRAME_BYTES = MAX_WIRE_BYTES
 #: Initial size of a decoder's receive buffer; it is replaced by a larger

@@ -307,28 +307,32 @@ class ProcRpcClient(RpcCallerInterface):
         if self.obs is not None:
             self.obs.rpc_trace(request.req_id, trace_id)
             self.obs.rpc_stage(request.req_id, "post", now)
-        try:
-            self.transport.send(record)
-        except TransportClosed:
-            if not self._recovery_pending():
-                self._outstanding.pop(request.req_id, None)
-                raise
-            # Mid-reconnect: the handle is already registered, and
-            # _recover reposts every outstanding request once the new
-            # connection is up.
+        connection = self.transport.connection
+        if connection is not None and connection.is_open:
+            connection.send(record)
+        elif not self._recovery_pending():
+            self._outstanding.pop(request.req_id, None)
+            raise TransportClosed(f"not connected to {self.transport.endpoint}")
+        # else mid-reconnect: the handle is already registered, and _recover
+        # reposts every outstanding request once the new connection is up.
         return handle
 
     async def flush(self) -> None:
         """Push everything posted out to the kernel, in one write."""
-        try:
-            await self.transport.flush()
-        except TransportClosed:
-            if not self._recovery_pending():
-                raise
-            # Mid-reconnect: _recover flushes after it reposts.
+        connection = self.transport.connection
+        if connection is not None and connection.is_open:
+            paused = connection.flush()
+            if paused is not None:
+                await asyncio.shield(paused)
+        elif not self._recovery_pending():
+            raise TransportClosed(f"not connected to {self.transport.endpoint}")
+        # else mid-reconnect: _recover flushes after it reposts.
 
     async def poll_completions(self, handles: list[CallHandle]) -> list[RpcResponse]:
-        """Wait for all ``handles``; returns the responses in order."""
+        """Flush what is posted, then wait for ``handles``; returns their responses in order."""
+        connection = self.transport.connection
+        if connection is not None:
+            connection.flush()  # a no-op once the caller has flushed
         try:
             return [await handle.event for handle in handles]
         except BaseException:
@@ -342,9 +346,8 @@ class ProcRpcClient(RpcCallerInterface):
     async def sync_call(
         self, rpc_type: str, payload: Any = None, data_bytes: int = 32
     ) -> RpcResponse:
-        """Post one request and wait for its response."""
+        """Post one request and wait for its response (the wait flushes)."""
         handle = await self.async_call(rpc_type, payload, data_bytes)
-        await self.flush()
         responses = await self.poll_completions([handle])
         return responses[0]
 
@@ -453,7 +456,7 @@ class ProcRpcClient(RpcCallerInterface):
             # No await from here on: the new connection's own loss
             # must find this task finished, so it starts the next one.
             for handle in self._outstanding.values():
-                self.transport.send(encode_request_record(handle.request))
+                self.transport.connection.send(encode_request_record(handle.request))
             self.transport.connection.flush()
             return
         self._fail_outstanding(exhausted)

@@ -10,7 +10,7 @@ deserve first-class treatment, not hidden constructor side effects).
   complete frame goes to a *synchronous* callback as a view into that
   buffer (no copy; valid only during the call), and everything the
   callbacks (or a caller) :meth:`~FramedConnection.send` leaves as one
-  sealed frame (more only past a frame's bound).
+  frame at the read's end or on :meth:`~FramedConnection.flush`.
 - :class:`StreamClientTransport` — one outgoing connection with explicit
   :meth:`connect` and bounded-retry :meth:`reconnect` (exponential
   backoff).
@@ -25,11 +25,13 @@ next layer up (:mod:`repro.net.procserver`).
 from __future__ import annotations
 
 import asyncio
+import zlib
 from typing import Callable, Optional
 
-from ..core.message import KIND_REQUEST, KIND_RESPONSE, seal
+from ..core.message import (
+    KIND_REQUEST, KIND_RESPONSE, ONE_RECORD, ONE_RECORD_OVERHEAD, pack_crc, seal)
 from ..transport.topology import Endpoint
-from .framing import FrameDecoder, FramingError, encode_frame
+from .framing import FrameDecoder, FramingError, encode_frame, pack_length
 
 __all__ = [
     "TransportClosed",
@@ -56,9 +58,9 @@ class FramedConnection(asyncio.BufferedProtocol):
     """One framed TCP connection, as either end sees it.
 
     The records :meth:`send` queues leave as one frame (more only past a
-    frame's bound): at the end of the read that produced them (a server
-    answering a batch), on an explicit :meth:`flush` (a client posting
-    one), or else from a single ``call_soon`` flush in the same loop turn.
+    frame's bound) at the end of the read that produced them (a server
+    answering a batch) or on an explicit :meth:`flush` (a client posting
+    one, or waiting), with no callback scheduled per record or batch.
     The dialling end sends requests; the accepting end, responses.
     """
 
@@ -67,6 +69,7 @@ class FramedConnection(asyncio.BufferedProtocol):
         self._on_frame = on_frame
         self._on_lost = on_lost
         self._kind = KIND_RESPONSE if accepting else KIND_REQUEST
+        self._envelope, self._envelope_crc = ONE_RECORD[self._kind]
         #: The accepting end stops *reading* while its writes are paused
         #: (every frame read queues one to write, so a peer that does not
         #: read would grow this process without bound).  The dialling end
@@ -79,7 +82,6 @@ class FramedConnection(asyncio.BufferedProtocol):
         #: True from connection_made until a close starts or the peer is lost.
         self.is_open = False
         self._queued: list[bytes] = []
-        self._flush_due = False  # one is coming: this read's end, or call_soon
         self._resumed: Optional[asyncio.Future] = None
         self._error: Optional[Exception] = None
         #: Resolved once the connection is fully gone.
@@ -98,7 +100,6 @@ class FramedConnection(asyncio.BufferedProtocol):
         return self._decoder.writable()
 
     def buffer_updated(self, nbytes: int) -> None:
-        self._flush_due = True  # what the callbacks send leaves below
         try:
             self._decoder.commit(nbytes, self._deliver)
         except FramingError as exc:
@@ -107,7 +108,8 @@ class FramedConnection(asyncio.BufferedProtocol):
             self._error = exc
             self.is_open = False
             self._transport.abort()
-        self._due_flush()
+        if self._queued:  # what the callbacks sent leaves as one frame
+            self.flush()
 
     def _deliver(self, body: memoryview) -> None:
         if self.is_open:  # a callback may have closed us mid-batch
@@ -139,13 +141,6 @@ class FramedConnection(asyncio.BufferedProtocol):
         if not self.is_open:
             raise TransportClosed("connection is closed")
         self._queued.append(record)
-        if not self._flush_due:
-            self._flush_due = True
-            self._loop.call_soon(self._due_flush)
-
-    def _due_flush(self) -> None:
-        self._flush_due = False
-        self.flush()
 
     def flush(self) -> Optional[asyncio.Future]:
         """Write everything queued, one call per frame.  Returns None, or —
@@ -154,8 +149,14 @@ class FramedConnection(asyncio.BufferedProtocol):
         queued = self._queued
         if queued and self.is_open:
             self._queued = []
-            for frame in seal(self._kind, queued):
-                self._transport.write(encode_frame(frame))
+            if len(queued) == 1:  # seal's bytes, the envelope's CRC continued
+                (record,) = queued
+                self._transport.write(b"".join((
+                    pack_length(len(record) + ONE_RECORD_OVERHEAD), self._envelope, record,
+                    pack_crc(zlib.crc32(record, self._envelope_crc)))))
+            else:
+                for frame in seal(self._kind, queued):
+                    self._transport.write(encode_frame(frame))
         return self._resumed
 
     def close(self) -> asyncio.Future:
@@ -194,8 +195,8 @@ class StreamClientTransport:
         self.backoff_s = backoff_s
         self.connect_timeout_s = connect_timeout_s
         self.reconnects = 0
-        #: The live connection; ``on_lost`` callers compare against it to
-        #: tell the current connection's loss from a replaced one's.
+        #: The live connection (the owner sends and flushes on it); ``on_lost``
+        #: callers compare against it to tell its loss from a replaced one's.
         self.connection: Optional[FramedConnection] = None
 
     async def connect(self) -> None:
@@ -233,21 +234,6 @@ class StreamClientTransport:
         await self.close()
         await self.connect()
         self.reconnects += 1
-
-    def send(self, record: bytes) -> None:
-        """Queue one record (pair with :meth:`flush`)."""
-        if self.connection is None:
-            raise TransportClosed(f"not connected to {self.endpoint}")
-        self.connection.send(record)
-
-    async def flush(self) -> None:
-        """Write what is queued to the kernel; waits only while the
-        transport has paused writers."""
-        if self.connection is None or not self.connection.is_open:
-            raise TransportClosed(f"not connected to {self.endpoint}")
-        paused = self.connection.flush()
-        if paused is not None:
-            await asyncio.shield(paused)
 
     async def close(self) -> None:
         connection, self.connection = self.connection, None

@@ -129,17 +129,19 @@ async def _run(config: ReplicaProcConfig) -> dict:
             )
             await probe.connect()
             world.probes.append(probe)
-            tasks.append(asyncio.ensure_future(
-                drive_async(lfd(world, name, probe))
-            ))
+            tasks.append(asyncio.ensure_future(drive_async(lfd(world, name, probe))))
         if config.fail_primary_at_ns is not None:
             tasks.append(asyncio.ensure_future(
-                _fail_primary(world, names[0], config.fail_primary_at_ns)
-            ))
-        await asyncio.gather(*(
-            drive_async(workload(world, client, config.ops_per_client))
-            for client in world.clients
-        ))
+                _fail_primary(world, names[0], config.fail_primary_at_ns)))
+        await asyncio.gather(*(drive_async(workload(world, client, config.ops_per_client))
+                               for client in world.clients))
+        # Like the sim's run to horizon_ns, a faulted run ends once its fault fired,
+        # the next view is in and no client recovers (or a background task failed).
+        while config.fail_primary_at_ns is not None and not (
+                any(task.done() and not task.cancelled() and task.exception() for task in tasks)
+                or world.fail_at_ns is not None and world.membership.view_changes
+                and not any(client._recovery_pending() for client in world.clients)):
+            await world.sleep(1_000_000)  # within run_replica_proc's timeout_s
     finally:
         for task in tasks:
             task.cancel()

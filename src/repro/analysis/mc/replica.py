@@ -119,7 +119,7 @@ _MC_BASE = dict(
     rpc_timeout_ns=40_000,
     group_size=8,
     time_slice_ns=30_000,
-    fail_primary_at_ns=None,  # scenarios carry explicit plans
+    fail_primary_after_op=None,  # scenarios carry explicit plans
     horizon_ns=1_500_000,
 )
 

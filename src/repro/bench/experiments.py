@@ -711,17 +711,17 @@ def fig_real(quick: bool = True, backend: str = "proc") -> FigureResult:
 def fig_failover(quick: bool = True, backend: str = "sim") -> FigureResult:
     """Replicated failover (DESIGN.md section 15): bounded recovery.
 
-    The primary of a replicated group is fail-stopped mid-workload;
-    heartbeat-driven membership installs a new view, the backup is
-    promoted (with its replay digest asserted), and every client
+    The primary of a replicated group is fail-stopped right after op k
+    of the workload; heartbeat-driven membership installs a new view, the
+    backup is promoted (with its replay digest asserted), and every client
     re-homes — by push (view notice) or pull (watchdog escalation) —
     reposting in-flight requests that the replica log deduplicates.
     Everything the section-15 story promises is checked, not plotted
     (by claims on the series, or by asserts on what is not in it):
 
-    - **availability**: the unavailability window (gap between the last
-      pre-fault and first post-fault completion) is bounded, and
-      post-recovery goodput is at least 90% of pre-fault;
+    - **availability**: the unavailability window (gap between op k and
+      op k + 1) is bounded, and (sim) post-recovery goodput is at least
+      90% of pre-fault;
     - **exactly-once**: zero duplicate executions (per-identity commit
       counts) and zero lost ops (every issued request completes);
     - **convergence**: exactly one view change lands, and surviving
@@ -729,98 +729,82 @@ def fig_failover(quick: bool = True, backend: str = "sim") -> FigureResult:
     - **determinism** (sim): same seed → byte-identical summaries, with
       telemetry on or off.
 
-    ``backend="proc"`` runs the real-socket analogue: the victim's
-    listener actually closes, so recovery rides EOF → bounded reconnect
-    → failover retarget on real connections (wall-clock bounds are
-    correspondingly looser).
+    ``backend="proc"`` runs the same body on real sockets: the victim's
+    listener closes, so recovery rides EOF → bounded reconnect → failover
+    retarget on real connections (with looser, wall-clock bounds).
     """
     import json
     from dataclasses import replace
 
+    if backend == "proc":
+        from ..replica.procrunner import ReplicaProcConfig as Config
+        from ..replica.procrunner import run_replica_proc as run
+
+        config = Config(ops_per_client=20 if quick else 40,
+                        fail_primary_after_op=20 if quick else 40)
+        # Real sockets, real clocks: the bound covers detection plus two
+        # reconnect-backoff cycles with generous CI headroom.
+        unavailable_bound_ns = 10_000_000_000
+    else:
+        from ..replica.simrunner import ReplicaSimConfig as Config
+        from ..replica.simrunner import run_replica_sim as run
+
+        config = Config() if quick else Config(
+            n_clients=4, ops_per_client=120, fail_primary_after_op=80,
+            horizon_ns=4_000_000,
+        )
+        unavailable_bound_ns = 800_000
     metrics = ("completed", "total", "unavailable_us", "goodput_ratio",
                "view_epoch", "duplicates", "failovers")
 
     def row(result: dict) -> list:
-        failovers = sum(
-            pc["failovers"] for pc in result["per_client"].values()
-        )
         return [
             result["completed"], result["total_ops"],
             result["unavailable_ns"] / 1e3,
             round(result["goodput_ratio"], 4),
             result["view"]["epoch"], result["duplicate_executions"],
-            failovers,
+            sum(pc["failovers"] for pc in result["per_client"].values()),
         ]
 
-    # Lost ops, duplicates and the view epoch are claims on the series
-    # (the same rows on either backend); the rest is checked here, where
-    # the bounds can differ by backend.
-    def check(result: dict, what: str, unavailable_bound_ns: int) -> None:
-        assert result["replica_digests_agree"], (
-            f"{what}: surviving replicas diverged: {result['group']}"
-        )
-        assert result["view"]["changes"] == 1, (
-            f"{what}: expected exactly one view change: {result['view']}"
-        )
-        assert result["group"]["promotions"] == 1, (
-            f"{what}: expected exactly one promotion: {result['group']}"
-        )
-        assert 0 < result["unavailable_ns"] < unavailable_bound_ns, (
-            f"{what}: recovery not bounded: unavailable for "
-            f"{result['unavailable_ns']} ns (bound {unavailable_bound_ns})"
-        )
-
-    if backend == "proc":
-        from ..replica.procrunner import ReplicaProcConfig, run_replica_proc
-
-        config = ReplicaProcConfig(
-            ops_per_client=20 if quick else 40,
-            fail_primary_at_ns=100_000_000 if quick else 200_000_000,
-        )
-        result = run_replica_proc(config)
-        # Real sockets, real clocks: the bound covers detection plus two
-        # reconnect-backoff cycles with generous CI headroom.
-        check(result, "proc", unavailable_bound_ns=10_000_000_000)
-        return FigureResult(
-            figure="Failover (proc backend)",
-            title="Primary fail-stop on real sockets: bounded recovery",
-            x_label="metric",
-            x_values=metrics,
-            series={"proc failover": row(result)},
-            unit="count / us / ratio",
-            notes=[
-                f"unavailable {result['unavailable_ns'] / 1e6:.0f} ms on"
-                " loopback TCP (detection + reconnect backoff)",
-                f"group: {result['group']}",
-            ],
-        )
-
-    from ..replica.simrunner import ReplicaSimConfig, run_replica_sim
-
-    config = ReplicaSimConfig() if quick else ReplicaSimConfig(
-        n_clients=4, ops_per_client=120, horizon_ns=4_000_000
-    )
-    baseline = run_replica_sim(replace(config, fail_primary_at_ns=None))
+    baseline = run(replace(config, fail_primary_after_op=None))
     assert baseline["view"]["changes"] == 0, (
         f"healthy baseline changed views: {baseline['view']}"
     )
-    result = run_replica_sim(config)
-    check(result, "sim", unavailable_bound_ns=800_000)
-    assert result["goodput_ratio"] >= 0.9, (
-        f"post-recovery goodput below 90% of pre-fault:"
-        f" {result['goodput_ratio']:.3f}"
+    result = run(config)
+    # Lost ops, duplicates and the view epoch are claims on the series;
+    # the rest is checked here, where the bounds can differ by backend.
+    assert result["replica_digests_agree"], (
+        f"{backend}: surviving replicas diverged: {result['group']}"
     )
-    # Determinism: same seed → byte-identical summary, obs on or off.
-    again = run_replica_sim(config)
-    assert json.dumps(again, sort_keys=True) == json.dumps(
-        result, sort_keys=True
-    ), "same-seed replicated runs diverged"
-    with_obs = run_replica_sim(replace(config, obs_enabled=True))
-    assert json.dumps(with_obs, sort_keys=True) == json.dumps(
-        result, sort_keys=True
-    ), "telemetry perturbed the replicated run"
+    assert result["view"]["changes"] == result["group"]["promotions"] == 1, (
+        f"{backend}: expected one view change and one promotion:"
+        f" {result['view']}, {result['group']}"
+    )
+    assert 0 < result["unavailable_ns"] < unavailable_bound_ns, (
+        f"{backend}: recovery not bounded: unavailable for "
+        f"{result['unavailable_ns']} ns (bound {unavailable_bound_ns})"
+    )
+    notes = [
+        f"fault after op {config.fail_primary_after_op} of"
+        f" {result['total_ops']}; unavailable"
+        f" {result['unavailable_ns'] / 1e3:.0f} us;"
+        f" goodput ratio {result['goodput_ratio']:.3f}",
+        f"group: {result['group']}",
+    ]
+    if backend == "sim":
+        assert result["goodput_ratio"] >= 0.9, (
+            f"post-recovery goodput below 90% of pre-fault:"
+            f" {result['goodput_ratio']:.3f}"
+        )
+        # Determinism: same seed → byte-identical summary, obs on or off.
+        for again in (run(config), run(replace(config, obs_enabled=True))):
+            assert json.dumps(again, sort_keys=True) == json.dumps(
+                result, sort_keys=True
+            ), "same-seed replicated runs diverged (telemetry on or off)"
+        notes.append("determinism asserted: same-seed and obs-on/off"
+                     " summaries byte-identical")
     return FigureResult(
-        figure="Failover (sim backend)",
+        figure=f"Failover ({backend} backend)",
         title="Primary fail-stop mid-workload: bounded recovery",
         x_label="metric",
         x_values=metrics,
@@ -829,14 +813,7 @@ def fig_failover(quick: bool = True, backend: str = "sim") -> FigureResult:
             "primary fail-stop": row(result),
         },
         unit="count / us / ratio",
-        notes=[
-            f"fault at t={config.fail_primary_at_ns // US} us;"
-            f" unavailable {result['unavailable_ns'] / 1e3:.0f} us;"
-            f" goodput ratio {result['goodput_ratio']:.3f}",
-            f"group: {result['group']}",
-            "determinism asserted: same-seed and obs-on/off summaries"
-            " byte-identical",
-        ],
+        notes=notes,
     )
 
 

@@ -397,6 +397,8 @@ def seal(kind: int, records: list) -> list[bytes]:
         return [frame + _CRC.pack(zlib.crc32(frame))]
     frames, first, size = [], 0, 0
     for index, record in enumerate(records):
+        if len(record) > _MAX_BODY:  # no frame can carry it alone
+            raise _too_large(len(record) - _RECORD_BYTES)
         size += len(record)
         if size > _MAX_BODY:
             frames += seal(kind, records[first:index])

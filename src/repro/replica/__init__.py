@@ -18,10 +18,11 @@ backends through the :mod:`repro.core.interface` seam:
   repost in-flight requests; the replica log dedups on
   ``(client_id, req_id)`` for exactly-once visible semantics.
 
-The deployment itself — workload, LFDs, view callback, exactly-once
-witness, run summary — is written once in :mod:`.scenario` as
-generators over the client API; :mod:`.simrunner` runs it as sim
-processes and :mod:`.procrunner` as asyncio tasks over real sockets.
+The deployment itself — workload, primary fault after op
+``fail_primary_after_op``, LFDs, view callback, exactly-once witness,
+run summary — is written once in :mod:`.scenario` as generators over
+the client API; :mod:`.simrunner` runs it as sim processes and
+:mod:`.procrunner` as asyncio tasks over real sockets.
 """
 
 from .group import GroupStats, HEARTBEAT_RPC, OP_RPC, Replica, ReplicaGroup

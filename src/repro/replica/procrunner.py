@@ -8,14 +8,16 @@ clients whose ``failover_fn`` hook re-homes a broken connection to the
 promoted backup's endpoint, reposting in-flight requests under their
 original req_ids.
 
-Fail-stop here is real: the victim's listener closes and every client
-connection breaks, so recovery rides the proc transport's actual
-reconnect machinery (EOF → bounded reconnect → failover retarget),
-not a simulation of it.  Everything runs in one event loop, which keeps
-the replica group shared in memory exactly as the sim backend does —
-the wire is real for the client/server path, which is the path under
-test.  Config times are nanoseconds, like the sim's; they become
-seconds only where they reach asyncio.
+Fail-stop here is real: right after op ``fail_primary_after_op`` the
+victim's listener closes and every client connection breaks, so recovery
+rides the proc transport's actual reconnect machinery (EOF → bounded
+reconnect → failover retarget), not a simulation of it.  The run ends
+when the workload is done, or as soon as any of its tasks fails.
+Everything runs in one event loop, which keeps the replica group shared
+in memory exactly as the sim backend does — the wire is real for the
+client/server path, which is the path under test.  Config times are
+nanoseconds, like the sim's; they become seconds only where they reach
+asyncio.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from typing import Optional
 from ..net.clock import Clock
 from ..net.procserver import ProcRpcClient, ProcRpcServer
 from ..transport.topology import Endpoint
-from .scenario import ReplicaWorld, drive_async, lfd, replica_names, summarize, workload
+from .scenario import (ReplicaWorld, check_fault_point, drive_async, lfd, replica_names,
+                       summarize, workload)
 
 __all__ = ["ReplicaProcConfig", "run_replica_proc"]
 
@@ -43,8 +46,8 @@ class ReplicaProcConfig:
     n_replicas: int = 2
     n_clients: int = 2
     ops_per_client: int = 30
-    #: Closed-loop gap between ops: spreads the workload so the fault
-    #: lands mid-flight instead of after a microsecond-scale burst.
+    #: Closed-loop gap between ops: spreads the workload over several
+    #: heartbeat periods instead of a microsecond-scale burst.
     op_gap_ns: int = 10_000_000
     host: str = "127.0.0.1"
     # Failure detection (wall clock: this backend is reality).
@@ -52,10 +55,13 @@ class ReplicaProcConfig:
     hb_timeout_ns: int = 40_000_000
     suspect_after: int = 2
     reconnect_backoff_s: float = 0.03
-    #: Fail-stop the initial primary this long into the run (None = no
-    #: fault; the healthy baseline).
-    fail_primary_at_ns: Optional[int] = 200_000_000
+    #: Fail-stop the primary right after this many ops complete (None =
+    #: no fault; the healthy baseline).
+    fail_primary_after_op: Optional[int] = 40
     timeout_s: float = 30.0
+
+    def __post_init__(self):
+        check_fault_point(self)
 
 
 class _ProcWorld(ReplicaWorld):
@@ -66,7 +72,6 @@ class _ProcWorld(ReplicaWorld):
         self.now = self.clock.now
         super().__init__(config)
         self.endpoints: dict[str, Endpoint] = {}
-        self.fail_at_ns: Optional[int] = None
 
     def sleep(self, ns: int):
         return asyncio.sleep(ns / 1e9)
@@ -79,6 +84,12 @@ class _ProcWorld(ReplicaWorld):
             handle.event.result()  # a failed probe raises, as a miss
         return bool(done)
 
+    async def fail_stop(self, name: str) -> None:
+        """Fail-stop replica ``name``: mark it dead in the group (silence
+        from now on), then close its listener so live connections break."""
+        self.group.fail_stop(name)
+        await self.servers[name].stop()
+
     def failover_fn(self, _client) -> Optional[Endpoint]:
         """Re-home target for a broken client connection: the current
         view's primary, unless it is known dead in the group."""
@@ -86,19 +97,10 @@ class _ProcWorld(ReplicaWorld):
         return self.endpoints[primary] if self.group.replicas[primary].alive else None
 
 
-async def _fail_primary(world: _ProcWorld, name: str, at_ns: int) -> None:
-    """Fail-stop replica ``name``: mark it dead in the group (silence
-    from now on), then close its listener so live connections break."""
-    await world.sleep(at_ns)
-    world.fail_at_ns = world.now()
-    world.group.fail_stop(name)
-    await world.servers[name].stop()
-
-
 async def _run(config: ReplicaProcConfig) -> dict:
     world = _ProcWorld(config)
     names = replica_names(config)
-    tasks: list[asyncio.Task] = []
+    tasks: list[asyncio.Future] = []
     try:
         for name in names:
             server = ProcRpcServer(
@@ -130,18 +132,13 @@ async def _run(config: ReplicaProcConfig) -> dict:
             await probe.connect()
             world.probes.append(probe)
             tasks.append(asyncio.ensure_future(drive_async(lfd(world, name, probe))))
-        if config.fail_primary_at_ns is not None:
-            tasks.append(asyncio.ensure_future(
-                _fail_primary(world, names[0], config.fail_primary_at_ns)))
-        await asyncio.gather(*(drive_async(workload(world, client, config.ops_per_client))
-                               for client in world.clients))
-        # Like the sim's run to horizon_ns, a faulted run ends once its fault fired,
-        # the next view is in and no client recovers (or a background task failed).
-        while config.fail_primary_at_ns is not None and not (
-                any(task.done() and not task.cancelled() and task.exception() for task in tasks)
-                or world.fail_at_ns is not None and world.membership.view_changes
-                and not any(client._recovery_pending() for client in world.clients)):
-            await world.sleep(1_000_000)  # within run_replica_proc's timeout_s
+        work = asyncio.gather(*(drive_async(workload(world, client, config.ops_per_client))
+                                for client in world.clients))
+        # The workload's end cancels the failure detectors, so this wait
+        # returns when the workload is done or as soon as any task fails.
+        work.add_done_callback(lambda _: [task.cancel() for task in tasks])
+        tasks.append(work)
+        await asyncio.wait(tasks, return_when=asyncio.FIRST_EXCEPTION)
     finally:
         for task in tasks:
             task.cancel()
@@ -151,12 +148,12 @@ async def _run(config: ReplicaProcConfig) -> dict:
             await client.close()
         for server in world.servers.values():
             await server.stop()
-        # A background task's error (say a promotion's ProtocolError) is
-        # the run's failure, not the workload hang or timeout it caused.
+        # A failure detector's error (say a promotion's ProtocolError) is
+        # the run's failure, not the workload error or timeout it caused.
         for outcome in outcomes:
             if isinstance(outcome, Exception):
                 raise outcome
-    return summarize(world, world.fail_at_ns, backend="proc")
+    return summarize(world, backend="proc")
 
 
 def run_replica_proc(config: ReplicaProcConfig) -> dict:

@@ -9,9 +9,11 @@ sees exactly the events it yields); :func:`drive_async` awaits it (a
 coroutine) and throws its exception back into the scenario.
 
 A backend subclasses :class:`ReplicaWorld` with the primitives: ``now()``,
-the steps ``sleep(ns)`` and ``wait(handle, timeout_ns)`` (answered in
-time?), ``migrate(primary)`` and its clients' ``failover_fn``.  Times are
-integer nanoseconds.
+the steps ``sleep(ns)``, ``wait(handle, timeout_ns)`` (answered in
+time?) and ``fail_stop(name)``, ``migrate(primary)`` and its clients'
+``failover_fn``.  Times are integer nanoseconds.  The fault is a workload
+point on both backends: :func:`workload` fail-stops the primary right
+after op ``fail_primary_after_op`` completes, counted over all clients.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .membership import MembershipService
 from .protocol import ReplicaRole
 from .statemachine import ReplicatedStateMachine
 
-__all__ = ["ID_STRIDE", "ReplicaWorld", "drive_async", "drive_sim", "lfd",
-           "replica_names", "summarize", "workload"]
+__all__ = ["ID_STRIDE", "ReplicaWorld", "check_fault_point", "drive_async",
+           "drive_sim", "lfd", "replica_names", "summarize", "workload"]
 
 #: Client-id stride between replicas: failover re-homes a client without
 #: renumbering it, so each server hands out ids from a disjoint block.
@@ -31,6 +33,13 @@ ID_STRIDE = 1000
 
 def replica_names(config) -> tuple:
     return tuple(f"r{i}" for i in range(config.n_replicas))
+
+
+def check_fault_point(config) -> None:
+    """Reject a ``fail_primary_after_op`` with no op before or after it."""
+    k, total = config.fail_primary_after_op, config.n_clients * config.ops_per_client
+    if k is not None and not 1 <= k < total:
+        raise ValueError(f"fail_primary_after_op must be in [1, {total}); got {k}")
 
 
 class ReplicaWorld:
@@ -57,7 +66,8 @@ class ReplicaWorld:
         #: One probe client per replica (the LFD's transport endpoint).
         self.probes: list = []
         self.handles: list = []
-        #: (ts_ns, client_id, req_id) per completed workload op.
+        #: (ts_ns, client_id, req_id) per completed workload op, in
+        #: completion order.
         self.completions: list = []
         #: Primary commits per (client_id, req_id): exactly-once witness.
         self.commit_counts: dict = {}
@@ -110,6 +120,8 @@ def workload(world: ReplicaWorld, client, ops: int):
         world.completions.append(
             (world.now(), client.client_id, handle.request.req_id)
         )
+        if len(world.completions) == world.config.fail_primary_after_op:
+            yield world.fail_stop(world.membership.view.primary)
         if world.config.op_gap_ns:
             yield world.sleep(world.config.op_gap_ns)
 
@@ -172,18 +184,19 @@ async def drive_async(scenario):
             value, error = None, exc
 
 
-def summarize(world: ReplicaWorld, fail_at_ns, **extra) -> dict:
-    """The JSON-native run summary; ``fail_at_ns`` (None = healthy run)
-    splits the completions for the unavailability window and goodput."""
-    completions = sorted(world.completions)
+def summarize(world: ReplicaWorld, **extra) -> dict:
+    """The JSON-native run summary.  ``fail_primary_after_op`` (None = no
+    workload fault) splits the completions for the unavailability window
+    and goodput: op k counts as before the fault, fired in its instant."""
+    completions = world.completions
+    fault_op = world.config.fail_primary_after_op
     unavailable_ns = 0
     goodput_ratio = 1.0
-    if fail_at_ns is not None and completions:
-        before = [c[0] for c in completions if c[0] < fail_at_ns]
-        after = [c[0] for c in completions if c[0] >= fail_at_ns]
-        if before and after:
-            unavailable_ns = after[0] - before[-1]
-            goodput_ratio = _goodput_ratio(before, after)
+    if fault_op is not None and len(completions) > fault_op:
+        before = [c[0] for c in completions[:fault_op]]
+        after = [c[0] for c in completions[fault_op:]]
+        unavailable_ns = after[0] - before[-1]
+        goodput_ratio = _goodput_ratio(before, after)
     view = world.membership.view
     alive_digests = {
         rep.machine.digest()

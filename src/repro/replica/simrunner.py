@@ -6,7 +6,9 @@ ScaleRPC server per replica, each wrapping the shared
 probe client per replica for the :mod:`~repro.replica.scenario` LFDs
 (``replica.hb`` heartbeats travel announce → fetch → respond like any
 call); and clients whose rpc-timeout watchdog escalates to failover
-(``failover_fn``) while view changes *push* migration.
+(``failover_fn``) while view changes *push* migration.  The workload
+fires ``fail_primary_after_op``; a :class:`~repro.faults.FaultPlan` adds
+time-based faults through the injector.  A run lasts ``horizon_ns``.
 
 Deterministic: same seed → byte-identical run, obs on or off.  The model
 checker (:mod:`repro.analysis.mc.replica`) builds these same worlds at
@@ -22,8 +24,8 @@ from typing import Optional
 
 from ..faults import FaultInjector, FaultPlan
 from ..transport import Topology
-from .scenario import (ID_STRIDE, ReplicaWorld, drive_sim, lfd, replica_names,
-                       summarize, workload)
+from .scenario import (ID_STRIDE, ReplicaWorld, check_fault_point, drive_sim, lfd,
+                       replica_names, summarize, workload)
 
 __all__ = ["ReplicaSimConfig", "ReplicaSimWorld", "build_replica_world",
            "run_replica_sim"]
@@ -50,11 +52,14 @@ class ReplicaSimConfig:
     # of the failover timing (no context switches to wait through).
     group_size: int = 64
     time_slice_ns: int = 50_000
-    # The fault: fail-stop the initial primary at this instant (None = no
-    # fault; used for the determinism baseline).  Early enough that most
-    # of the workload still runs on the promoted backup.
-    fail_primary_at_ns: Optional[int] = 100_000
+    # The fault: fail-stop the primary right after this many ops complete
+    # (None = no fault; the healthy baseline).  Early enough that most of
+    # the workload still runs on the promoted backup.
+    fail_primary_after_op: Optional[int] = 60
     horizon_ns: int = 2_000_000
+
+    def __post_init__(self):
+        check_fault_point(self)
 
 
 class ReplicaSimWorld(ReplicaWorld):
@@ -82,6 +87,12 @@ class ReplicaSimWorld(ReplicaWorld):
     def wait(self, handle, timeout_ns: int):
         yield self.sim.timeout(timeout_ns)
         return handle.event.triggered
+
+    def fail_stop(self, name: str):
+        """Fail-stop replica ``name`` now, as a ``server_fail_stop`` fault does."""
+        self.servers[name].fail_stop()
+        self.group.fail_stop(name)
+        return iter(())  # a step that takes no sim time and adds no event
 
     def failover_fn(self, _client):
         """Watchdog escalation target: the current view's primary, if live."""
@@ -126,9 +137,9 @@ def build_replica_world(
 ) -> ReplicaSimWorld:
     """Build (but do not run) one replicated sim deployment.
 
-    ``plan`` defaults to fail-stopping the initial primary at
-    ``config.fail_primary_at_ns`` (or to no faults when that is None);
-    pass an explicit plan for partition/rack scenarios.
+    The workload fires ``config.fail_primary_after_op`` itself; ``plan``
+    adds time-based faults through the injector (partition, rack and
+    model-checker scenarios).
     """
     names = replica_names(config)
     topo = Topology.build(
@@ -179,8 +190,6 @@ def build_replica_world(
     for replica_name, probe in zip(names, world.probes):
         sim.process(drive_sim(lfd(world, replica_name, probe)),
                     name=f"lfd.{replica_name}")
-    if plan is None and config.fail_primary_at_ns is not None:
-        plan = FaultPlan.fail_stop(config.fail_primary_at_ns, names[0])
     if plan is not None and not plan.empty:
         world.injector = FaultInjector(
             sim,
@@ -213,7 +222,6 @@ def run_replica_sim(config: ReplicaSimConfig,
             world.observer.uninstall()
     return summarize(
         world,
-        config.fail_primary_at_ns,
         backend="sim",
         transport=config.transport,
         seed=config.seed,

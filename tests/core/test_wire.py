@@ -825,3 +825,8 @@ class TestSealSplitsAtTheFrameBounds:
         records = [encode_response_record(RpcResponse(i, 1)) for i in range(0x10000)]
         frames = seal(KIND_RESPONSE, records)  # the smallest records there are
         assert len(frames) == 2 and self._unsealed(frames) == list(range(0x10000))
+
+    def test_a_record_no_frame_can_carry_is_refused(self):
+        for records in ([b"x" * MAX_WIRE_BYTES, b"y"], [b"y", b"x" * MAX_WIRE_BYTES]):
+            with pytest.raises(WireFormatError, match="limit"):
+                seal(KIND_REQUEST, records)

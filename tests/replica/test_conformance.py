@@ -2,7 +2,8 @@
 
 Both backends run the one scenario in :mod:`repro.replica.scenario`, so
 the same shape (2 replicas, 2 clients × 12 ops), healthy and with a
-primary fail-stop, must end in the same replicated state on each.  The
+primary fail-stop after op 12 of 24, must end in the same replicated
+state on each, with every client failing over mid-workload on both.  The
 proc timings are compressed as in ``test_proc_failover``.
 """
 
@@ -26,7 +27,7 @@ SHAPE = dict(n_replicas=2, n_clients=2, ops_per_client=12)
 def _run(backend: str, fail: bool, timeout_s: float = 20.0) -> dict:
     if backend == "sim":
         return run_replica_sim(ReplicaSimConfig(
-            **SHAPE, fail_primary_at_ns=100_000 if fail else None,
+            **SHAPE, fail_primary_after_op=12 if fail else None,
         ))
     return run_replica_proc(ReplicaProcConfig(
         **SHAPE,
@@ -34,7 +35,7 @@ def _run(backend: str, fail: bool, timeout_s: float = 20.0) -> dict:
         hb_period_ns=40_000_000,
         hb_timeout_ns=20_000_000,
         reconnect_backoff_s=0.02,
-        fail_primary_at_ns=60_000_000 if fail else None,
+        fail_primary_after_op=12 if fail else None,
         timeout_s=timeout_s,
     ))
 
@@ -55,6 +56,23 @@ def test_same_final_view(runs):
     sim, proc = runs
     assert sim["view"]["epoch"] == proc["view"]["epoch"]
     assert sim["view"]["primary"] == proc["view"]["primary"]
+
+
+def test_the_fault_interrupts_every_client_on_both(runs, request):
+    """The fault lands mid-workload on both backends: each reports an
+    unavailability window and every client failed over (a healthy run,
+    neither)."""
+    fail = request.node.callspec.params["runs"] == "primary-fail-stop"
+    for result in runs:
+        assert (result["unavailable_ns"] > 0) is fail
+        assert all((c["failovers"] >= 1) is fail
+                   for c in result["per_client"].values())
+
+
+def test_same_per_client_completed_counts(runs):
+    sim, proc = runs
+    assert {cid: c["completed"] for cid, c in sim["per_client"].items()} == \
+        {cid: c["completed"] for cid, c in proc["per_client"].items()}
 
 
 def test_same_surviving_primary_digest(runs):

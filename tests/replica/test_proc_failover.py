@@ -22,7 +22,7 @@ def result():
         hb_period_ns=40_000_000,
         hb_timeout_ns=20_000_000,
         reconnect_backoff_s=0.02,
-        fail_primary_at_ns=60_000_000,
+        fail_primary_after_op=12,
         timeout_s=20.0,
     ))
 
@@ -59,7 +59,7 @@ def test_healthy_baseline_never_changes_view():
         n_clients=1,
         ops_per_client=6,
         op_gap_ns=2_000_000,
-        fail_primary_at_ns=None,
+        fail_primary_after_op=None,
         timeout_s=20.0,
     ))
     assert result["completed"] == result["total_ops"]

@@ -16,7 +16,7 @@ def _config(**overrides):
     base = dict(
         n_clients=2,
         ops_per_client=24,
-        fail_primary_at_ns=100 * US,
+        fail_primary_after_op=40,
         horizon_ns=1_500 * US,
     )
     base.update(overrides)
@@ -50,7 +50,7 @@ class TestPrimaryFailStop:
 
 class TestHealthyBaseline:
     def test_no_fault_no_view_change(self):
-        result = run_replica_sim(_config(fail_primary_at_ns=None))
+        result = run_replica_sim(_config(fail_primary_after_op=None))
         assert result["completed"] == result["total_ops"]
         assert result["view"]["changes"] == 0
         assert result["unavailable_ns"] == 0
@@ -86,7 +86,7 @@ class TestDeclarativePlans:
             FaultSpec("partition", at_ns=100 * US, src="r0", dst="gfd"),
         ])
         result = run_replica_sim(
-            _config(fail_primary_at_ns=None, horizon_ns=2_500 * US),
+            _config(fail_primary_after_op=None, horizon_ns=2_500 * US),
             plan=plan,
         )
         assert result["completed"] == result["total_ops"]
@@ -101,7 +101,7 @@ class TestDeclarativePlans:
                       group_targets=("r0", "r1")),
         ])
         result = run_replica_sim(
-            _config(n_replicas=3, fail_primary_at_ns=None,
+            _config(n_replicas=3, fail_primary_after_op=None,
                     horizon_ns=2_500 * US),
             plan=plan,
         )
@@ -110,6 +110,9 @@ class TestDeclarativePlans:
         assert result["duplicate_executions"] == 0
 
     def test_fault_schedule_is_reported(self):
-        result = run_replica_sim(_config())
+        # The workload fires fail_primary_after_op itself; a time-based
+        # fault goes through the injector, which reports its schedule.
+        result = run_replica_sim(_config(fail_primary_after_op=None),
+                                 plan=FaultPlan.fail_stop(100 * US, "r0"))
         kinds = [record["kind"] for record in result["fault_schedule"]]
         assert "server_fail_stop" in kinds
